@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import conjlab, gf3m, permtest
-from .polyring import Poly, quadratic_factors, roots_in_set
+from .polyring import Poly, quadratic_factors
 
 SWEEP_COLUMNS = ("family", "k", "l", "modulus", "gcd_ok", "direct_bijection",
                  "zieve_cond1", "zieve_cond2", "g_bijection", "max_fiber_size",
@@ -188,39 +188,24 @@ def _cmd_check_trinomial(args):
         spec, _ = conjlab.trinomial_family(args.family, args.l, ctx)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    direct = permtest.is_bijection_on(
-        conjlab.trinomial_map(spec, ctx), range(ctx.order)).is_bijection
-    r, h = conjlab.trinomial_decompose(spec, ctx)
-    cond1, cond2 = permtest.zieve_criterion(ctx, r, ctx.q + 1, h)
-    g_bij = (conjlab.g_permutes_mu(args.family, ctx).is_bijection
-             if conjlab.denominator_nonvanishing(args.family, ctx) else False)
-    # the subgroup route only carries the full criterion when gcd_ok holds
-    routes_agree = (direct == (cond1 and cond2)
-                    and (not spec.gcd_ok or g_bij == direct))
+    r, h, direct, cond1, cond2, g_bij = conjlab._routes(spec, ctx)
     report = {
         "family": args.family, "k": ctx.k, "l": args.l,
         "modulus": gf3m.format_modulus(ctx.modulus),
         "exponents": list(spec.exponents), "gcd_ok": spec.gcd_ok,
         "r": r, "h": h.to_text(),
         "direct_bijection": direct, "zieve_cond1": cond1, "zieve_cond2": cond2,
-        "g_bijection": g_bij, "routes_agree": routes_agree,
+        "g_bijection": g_bij,
     }
-    failed = (not routes_agree
-              or (claimed_permutation(args.family, ctx.k, spec.gcd_ok)
-                  and not direct))
-    return (2 if failed else 0), report
+    report["routes_agree"] = _routes_agree(report)
+    return (2 if _routes_violate_claims(report) else 0), report
 
 
 def _cmd_check_g(args):
     ctx = _make_ctx(args)
     den_ok = conjlab.denominator_nonvanishing(args.family, ctx)
     g_bij = conjlab.g_permutes_mu(args.family, ctx).is_bijection if den_ok else False
-    mu = permtest.mu_enumerate(ctx, ctx.q + 1)
-    max_fiber = 0
-    for t in sorted(mu):
-        count = len(roots_in_set(
-            conjlab.fiber_polynomial(args.family, t, ctx), mu))
-        max_fiber = max(max_fiber, count)
+    max_fiber = max(map(len, conjlab._fiber_roots(args.family, ctx).values()))
     report = {
         "family": args.family, "k": ctx.k,
         "modulus": gf3m.format_modulus(ctx.modulus), "mu_size": ctx.q + 1,
@@ -236,9 +221,9 @@ def _cmd_count_roots(args):
     rows = []
     violation = False
     claimed = claimed_permutation(args.family, ctx.k)
+    fibers = conjlab._fiber_roots(args.family, ctx)
     for t in _t_values(args, ctx):
-        roots = roots_in_set(conjlab.fiber_polynomial(args.family, t, ctx),
-                             permtest.mu_enumerate(ctx, ctx.q + 1))
+        roots = fibers[t]
         if claimed and len(roots) > 1:
             violation = True
         rows.append({"family": args.family, "k": ctx.k, "t": t,
@@ -310,26 +295,34 @@ def _cmd_uv_scan(args):
     return (0 if report.ok else 2), payload
 
 
+def _routes_agree(report: dict) -> bool:
+    # the subgroup route carries the full criterion only when gcd_ok holds
+    direct = report["direct_bijection"]
+    return (direct == (report["zieve_cond1"] and report["zieve_cond2"])
+            and (not report["gcd_ok"] or report["g_bijection"] == direct))
+
+
+def _routes_violate_claims(report: dict) -> bool:
+    return not _routes_agree(report) or (
+        claimed_permutation(report["family"], report["k"], report["gcd_ok"])
+        and not report["direct_bijection"])
+
+
 def _row_violates_claims(row: conjlab.SweepRow) -> bool:
     if row.error is not None:
         return False
-    zieve = row.zieve_cond1 and row.zieve_cond2
-    if row.direct_bijection != zieve:
+    if _routes_violate_claims(row.to_dict()):
         return True
-    # the subgroup route carries the full criterion only when gcd_ok holds
-    if row.gcd_ok and row.g_bijection != row.direct_bijection:
+    if (claimed_permutation(row.family, row.k, row.gcd_ok)
+            and row.max_fiber_size != 1):
         return True
-    if claimed_permutation(row.family, row.k, row.gcd_ok):
-        if not row.direct_bijection or row.max_fiber_size != 1:
-            return True
-    if row.family == 2 and row.lemma_case_histogram["NoMatch"]:
-        return True
-    return False
+    return row.family == 2 and row.lemma_case_histogram["NoMatch"] > 0
 
 
 def _cmd_sweep(args):
+    parse_modulus_arg(args.modulus)
     report = conjlab.sweep(args.family, _int_list(args.k), _int_list(args.l),
-                           max_k=args.max_k, parallelism=args.parallelism)
+                           args.modulus, args.max_k)
     rows = report.to_obj()
     failed = any(_row_violates_claims(row) for row in report.rows)
     return (2 if failed else 0), rows
@@ -393,7 +386,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep");  common(p, k="list")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--l", required=True, help="comma-separated list")
-    p.add_argument("--parallelism", type=int, default=1)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

@@ -20,6 +20,7 @@ uniqueness arguments rest on, and runs deterministic sweeps.
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from math import gcd
 from typing import Optional
 
@@ -252,6 +253,18 @@ def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
     return is_bijection_on(images.__getitem__, mu)
 
 
+def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
+    """(r, h, direct, cond1, cond2, g_bij): the three permutation routes for
+    one trinomial -- the direct bijection on the field, the index-form
+    criterion on f = x^r h(x^(q-1)), and the family's g on mu_{q+1}."""
+    direct = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order)).is_bijection
+    r, h = trinomial_decompose(spec, ctx)
+    cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
+    g_bij = (g_permutes_mu(spec.family, ctx).is_bijection
+             if denominator_nonvanishing(spec.family, ctx) else False)
+    return r, h, direct, cond1, cond2, g_bij
+
+
 # ---------------------------------------------------------------------------
 # fiber polynomials and root counts
 
@@ -261,22 +274,43 @@ def _require_in_mu(t: int, ctx: FieldCtx):
         raise ValueError(f"t={t} not in mu_(q+1)")
 
 
+def _fiber_terms(family: int):
+    """(N, D) coefficient tuples with fiber_polynomial(family, t) = D*t - N:
+    g's numerator and denominator, swapped for family 2, whose fiber at t is
+    g^{-1}(1/t)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family}")
+    num, den = _FRACTIONAL_COEFFS[family]
+    return (den, num) if family == 2 else (num, den)
+
+
 def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
     """The polynomial whose roots in mu_{q+1} form the fiber of the family's
     reduced map at parameter t."""
     _require_in_mu(t, ctx)
-    neg, sub = ctx.neg, ctx.sub
-    m1 = 2  # encoding of -1
-    if family == 1:
-        tm1 = sub(t, 1)
-        coeffs = (neg(t), tm1, 0, 0, 0, 0, tm1, 1)
-    elif family == 2:
-        coeffs = (neg(t), m1, 0, m1, t, 0, t, 1)
-    elif family == 3:
-        coeffs = (neg(t), m1, t, m1, t, 1)
-    else:
-        raise ValueError(f"unknown family {family}")
-    return Poly(ctx, coeffs)
+    num, den = _fiber_terms(family)
+    mul, sub = ctx.mul, ctx.sub
+    return Poly(ctx, [sub(mul(t, d), n)
+                      for n, d in zip_longest(num, den, fillvalue=0)])
+
+
+def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
+    """{t: sorted roots in mu_{q+1} of fiber_polynomial(family, t)} for every
+    t in mu_{q+1}, from one evaluation of N and D per x in mu_{q+1}.
+
+    x is a root at t iff N(x) = t D(x).  gcd(N, D) = 1, so where D(x) = 0 the
+    numerator does not vanish and x lies in no fiber.
+    """
+    num, den = (Poly(ctx, c) for c in _fiber_terms(family))
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    fibers = {t: [] for t in mu}
+    for x in mu:
+        d = den.eval(x)
+        if d:
+            fiber = fibers.get(ctx.div(num.eval(x), d))
+            if fiber is not None:
+                fiber.append(x)
+    return fibers
 
 
 def count_solutions_quintic(t: int, ctx: FieldCtx):
@@ -496,14 +530,9 @@ def distinct_root_exclusion(family: int, ctx: FieldCtx) -> ExclusionReport:
     k = ctx.k
     if family == 3 and k % 4 == 2:
         raise ValueError(f"k={k} is 2 mod 4, outside the degree-5 uniqueness claim")
-    counter = count_solutions_quintic if family == 3 else count_solutions_septic
-    max_count = 0
-    counterexamples = []
-    for t in sorted(mu_enumerate(ctx, ctx.q + 1)):
-        count, roots = counter(t, ctx)
-        max_count = max(max_count, count)
-        if count >= 2:
-            counterexamples.append((t, roots))
+    fibers = _fiber_roots(family, ctx)
+    max_count = max(map(len, fibers.values()))
+    counterexamples = [(t, roots) for t, roots in fibers.items() if len(roots) >= 2]
     sc = ctx.special_constants()
     q = ctx.q
     ingredients = {}
@@ -594,11 +623,7 @@ def _fiber_stats(family: int, k: int, modulus_text: Optional[str], max_k: int):
     key = (family, k, modulus_text, max_k)
     if key not in _FIBER_STATS_CACHE:
         ctx = _cached_ctx(k, modulus_text, max_k)
-        mu = mu_enumerate(ctx, ctx.q + 1)
-        max_fiber = 0
-        for t in sorted(mu):
-            count = len(roots_in_set(fiber_polynomial(family, t, ctx), mu))
-            max_fiber = max(max_fiber, count)
+        max_fiber = max(map(len, _fiber_roots(family, ctx).values()))
         witnesses = harvest_witnesses(family, ctx)
         hist = Counter(w.lemma_case.value for w in witnesses if w.lemma_case)
         histogram = {case.value: hist.get(case.value, 0) for case in LemmaCase}
@@ -619,38 +644,14 @@ def sweep_row(family: int, k: int, l: int, modulus_text: Optional[str] = None,
         spec, _ = trinomial_family(family, l, ctx)
     except ValueError as exc:
         return SweepRow(family, k, l, modulus, error=str(exc))
-    direct = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order)).is_bijection
-    r, h = trinomial_decompose(spec, ctx)
-    cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
-    if denominator_nonvanishing(family, ctx):
-        g_bij = g_permutes_mu(family, ctx).is_bijection
-    else:
-        g_bij = False
+    _, _, direct, cond1, cond2, g_bij = _routes(spec, ctx)
     max_fiber, wcount, histogram = _fiber_stats(family, k, modulus_text, max_k)
     return SweepRow(family, k, l, modulus, spec.gcd_ok, direct, cond1, cond2,
                     g_bij, max_fiber, wcount, histogram, None)
 
 
 def sweep(family: int, k_list, l_list, modulus_text: Optional[str] = None,
-          max_k: int = DEFAULT_MAX_K, parallelism: int = 1) -> SweepReport:
-    """Sweep one family over all (k, l) pairs, rows ordered by (k, l).
-
-    Rows are independent; with parallelism > 1 they are computed in a process
-    pool and merged back in order, so the report does not depend on scheduling.
-    """
-    specs = [(family, k, l, modulus_text, max_k)
-             for k in sorted(k_list) for l in sorted(l_list)]
-    if parallelism > 1 and len(specs) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(parallelism, len(specs))) as pool:
-            rows = list(pool.map(_sweep_row_star, specs))
-    else:
-        rows = [sweep_row(*spec) for spec in specs]
-    rows.sort(key=lambda row: (row.family, row.k, row.l))
-    return SweepReport(rows)
-
-
-def _sweep_row_star(args) -> SweepRow:
-    return sweep_row(*args)
+          max_k: int = DEFAULT_MAX_K) -> SweepReport:
+    """Sweep one family over all distinct (k, l) pairs, rows ordered by (k, l)."""
+    return SweepReport([sweep_row(family, k, l, modulus_text, max_k)
+                        for k in sorted(set(k_list)) for l in sorted(set(l_list))])

@@ -176,6 +176,30 @@ def test_sweep_json(capsys):
     assert "l too small" in by_key[(2, 2, 1)]["error"]
 
 
+def test_sweep_honours_modulus(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "2", "--k", "1", "--l", "1",
+                       "--modulus", "2,1,1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["modulus"] for r in rows] == ["2,1,1"]
+    assert rows[0]["error"] is None and rows[0]["direct_bijection"]
+
+
+def test_sweep_rejects_malformed_modulus(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "2", "--k", "1",
+                         "--l", "1", "--modulus", "9,9")
+    assert code == 1 and out == ""
+    assert "malformed modulus" in err
+
+
+def test_sweep_repeated_k_and_l_give_one_row(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "2", "--k", "1,1",
+                       "--l", "1,1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["k"], r["l"]) for r in rows] == [(1, 1)]
+
+
 # ---------------------------------------------------------------------------
 # output formats
 
@@ -229,6 +253,7 @@ def test_output_failure_exits_one(tmp_path, capsys):
     ("check-trinomial", "--k", "1", "--family", "9", "--l", "1"),
     ("field-info", "--k", "1", "--format", "yaml"),
     ("sweep", "--family", "2", "--k", "1;2", "--l", "1"),
+    ("sweep", "--family", "2", "--k", "1", "--l", "1", "--parallelism", "2"),
 ))
 def test_usage_errors_exit_one(capsys, argv):
     code = main(list(argv))

@@ -21,7 +21,7 @@ from trinolab.conjlab import (LemmaCase, classify_septic_factor,
                               verify_septic_factor_case)
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
-from trinolab.polyring import roots_in_set
+from trinolab.polyring import poly_gcd, roots_in_set
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -205,19 +205,30 @@ def test_fiber_polynomial_requires_t_in_mu():
         fiber_polynomial(2, 4, CTX9)  # 4 generates all of GF(9)*
 
 
-@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_fiber_roots_are_the_g_fibers(ctx_for, k):
     # family 1 and 3: roots in mu of the t-polynomial = g^{-1}(t);
-    # family 2: the same with target 1/t
+    # family 2: the same with target 1/t.  The one-pass fiber table must
+    # agree with polynomial root finding on every t.
     ctx = ctx_for(k)
     mu = mu_enumerate(ctx, ctx.q + 1)
     for family in (1, 2, 3):
         g = fractional_map(family, ctx)
+        fibers = conjlab._fiber_roots(family, ctx)
+        assert sorted(fibers) == sorted(mu)
         for t in sorted(mu):
             target = ctx.inv(t) if family == 2 else t
             expected = sorted(x for x in mu if g.eval(x) == target)
             got = roots_in_set(fiber_polynomial(family, t, ctx), mu)
-            assert got == expected, (family, k, t)
+            assert got == expected == fibers[t], (family, k, t)
+
+
+@pytest.mark.parametrize("family", (1, 2, 3))
+def test_fraction_terms_are_coprime(family):
+    # the one-pass fiber table needs gcd(N, D) = 1: a common root would sit
+    # in every fiber at once
+    g = fractional_map(family, CTX9)
+    assert poly_gcd(g.numerator, g.denominator).degree == 0
 
 
 def test_count_solutions_matches_roots(ctx_for):
@@ -486,12 +497,6 @@ def test_sweep_is_deterministic():
     a = sweep(2, [1, 2], [1, 2, 3])
     b = sweep(2, [1, 2], [1, 2, 3])
     assert a.to_obj() == b.to_obj()
-
-
-def test_sweep_parallel_matches_serial():
-    serial = sweep(3, [1, 2], [2, 3], parallelism=1)
-    parallel = sweep(3, [1, 2], [2, 3], parallelism=2)
-    assert serial.to_obj() == parallel.to_obj()
 
 
 def test_sweep_row_agreement_between_routes():

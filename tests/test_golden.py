@@ -1,0 +1,55 @@
+"""Byte-identity gate: a fixed grid of CLI commands against stored goldens.
+
+Each golden records one command's stdout and exit code.  Regenerate them with
+``PYTHONPATH=src python3 tests/test_golden.py`` only when a report format is
+meant to change.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from trinolab.cli import main
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden") / "cli_grid.json"
+
+GRID = (
+    [("check-trinomial", "--k", str(k), "--family", str(f), "--l", "2",
+      "--format", "json") for k in (1, 2, 3) for f in (1, 2, 3)]
+    + [("count-roots", "--k", str(k), "--family", str(f), "--t", "all",
+        "--format", "csv") for k in (1, 2, 3) for f in (1, 2, 3)]
+    + [("check-g", "--k", str(k), "--family", str(f), "--format", "json")
+       for k in (1, 2, 3, 4) for f in (1, 2, 3)]
+    + [("sweep", "--family", str(f), "--k", "1,2,3", "--l", "0,1,2,3,4,5,6",
+        "--format", "csv") for f in (1, 2, 3)]
+)
+
+
+def _run(argv) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return {"exit": code, "stdout": buf.getvalue()}
+
+
+def _load() -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_the_grid():
+    assert sorted(_load()) == sorted(" ".join(argv) for argv in GRID)
+
+
+@pytest.mark.parametrize("argv", GRID, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    assert _run(argv) == _load()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    goldens = {" ".join(argv): _run(argv) for argv in GRID}
+    GOLDEN_PATH.write_text(json.dumps(goldens, sort_keys=True, indent=1) + "\n",
+                           encoding="utf-8")
