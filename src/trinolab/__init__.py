@@ -8,11 +8,11 @@ from .permtest import (MapReport, UnityGroup, is_bijection_on, mu_enumerate,
 from .polyring import Poly, poly_gcd, pow_mod, quadratic_factors, roots_in_set
 from .conjlab import (ExclusionReport, FractionalMap, LemmaCase,
                       QuadFactorWitness, SweepReport, SweepRow, TrinomialSpec,
-                      UVReport, UVWitness, count_solutions_quintic,
-                      count_solutions_septic, denominator_nonvanishing,
-                      distinct_root_exclusion, fiber_polynomial,
-                      fractional_map, g_permutes_mu, harvest_witnesses, sweep,
-                      trinomial_decompose, trinomial_family, trinomial_map,
-                      uv_identity_check)
+                      UVReport, UVWitness, VerificationError,
+                      count_solutions_quintic, count_solutions_septic,
+                      denominator_nonvanishing, distinct_root_exclusion,
+                      fiber_polynomial, fractional_map, g_permutes_mu,
+                      harvest_witnesses, sweep, trinomial_decompose,
+                      trinomial_family, trinomial_map, uv_identity_check)
 
 __version__ = "0.1.0"

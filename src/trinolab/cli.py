@@ -7,7 +7,8 @@ CSV columns are fixed, and nothing time- or host-dependent enters the payload.
 
 Exit codes: 0 success, 1 usage or input error, 2 when a property the analysis
 asserts fails (a fiber of size >= 2 inside the claimed range, an unclassified
-quadratic factor, disagreeing permutation routes).
+quadratic factor, disagreeing permutation routes, a VerificationError).
+An AssertionError is an internal bug and is not caught.
 """
 
 import argparse
@@ -316,7 +317,7 @@ def _row_violates_claims(row: conjlab.SweepRow) -> bool:
     if (claimed_permutation(row.family, row.k, row.gcd_ok)
             and row.max_fiber_size != 1):
         return True
-    return row.family == 2 and row.lemma_case_histogram["NoMatch"] > 0
+    return row.family in (2, 3) and row.lemma_case_histogram["NoMatch"] > 0
 
 
 def _cmd_sweep(args):
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except conjlab.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,10 @@ from .polyring import Poly, quadratic_factors, roots_in_set
 FAMILIES = (1, 2, 3)
 
 
+class VerificationError(Exception):
+    """A property the analysis asserts failed to hold (CLI exit code 2)."""
+
+
 class LemmaCase(enum.Enum):
     """Classification of a harvested quadratic factor."""
     EPSILON = "EpsilonCase"
@@ -236,8 +240,8 @@ def denominator_nonvanishing(family: int, ctx: FieldCtx) -> bool:
 def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
     """Bijection report for the family's fractional map on mu_{q+1}.
 
-    Raises if the denominator vanishes on mu_{q+1}; every image is asserted
-    to land back inside mu_{q+1}.
+    Raises ValueError if the denominator vanishes on mu_{q+1}, and
+    VerificationError if an image leaves mu_{q+1}.
     """
     fm = fractional_map(family, ctx)
     mu = mu_enumerate(ctx, ctx.q + 1)
@@ -248,7 +252,7 @@ def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
             raise ValueError(f"denominator vanishes at x={x} for family {family}")
         y = ctx.div(fm.numerator.eval(x), dv)
         if y not in mu:
-            raise AssertionError(f"image {y} of {x} escapes mu_{{q+1}}")
+            raise VerificationError(f"image {y} of {x} escapes mu_{{q+1}}")
         images[x] = y
     return is_bijection_on(images.__getitem__, mu)
 

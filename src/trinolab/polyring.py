@@ -2,9 +2,9 @@
 
 Coefficients are stored as integer encodings, low degree first, with trailing
 zeros trimmed; the zero polynomial has an empty coefficient tuple and degree
--1.  Quadratic factor extraction combines root pairing with a distinct-degree
-step (gcd against x^(order^2) - x), so it stays exact without scanning all
-order^2 monic quadratics.
+-1.  Quadratic factor extraction splits gcd(p, x^order - x) and
+gcd(p, x^(order^2) - x) by deterministic equal-degree splitting, so it never
+scans the field; roots_in_set, the candidate scan, remains the oracle.
 """
 
 from typing import Iterable, Optional
@@ -195,50 +195,46 @@ def roots_in_set(p: Poly, candidates) -> list:
     return [x for x in sorted(candidates) if p.eval(x) == 0]
 
 
-def _strip_linear_factors(p: Poly, roots: list) -> Poly:
-    ctx = p.ctx
-    for r in roots:
-        lin = Poly(ctx, (ctx.neg(r), 1))
-        while p.degree >= 1 and p.eval(r) == 0:
-            p = p // lin
-    return p
+def _split_equal_degree(w: Poly, d: int) -> list:
+    """Split w, a squarefree product of monic degree-d irreducibles, into them.
 
-
-def _split_quadratics(w: Poly) -> list:
-    """Split a squarefree product of irreducible quadratics into its factors.
-
-    Factors are separated by gcds against the norm map x^(q+1) mod w (which
-    reduces to each factor's constant term) and, when every factor shares a
-    constant term, the trace map x + x^q mod w.
+    Cantor-Zassenhaus equal-degree splitting with the shifts c tried in
+    encoding order: x + c is a square modulo some factors of w and a
+    non-square modulo others, and gcd(w, (x + c)^((order^d - 1)/2) - 1)
+    collects the first kind.  The first proper split is recursed on.  Some
+    shift separates any two factors: for d = 1 as c -> (c + r)/(c + s) takes
+    non-square values, for d = 2 by the Weil bound once order >= 81 and by
+    exhaustion at order 9.
     """
-    if w.degree <= 0:
-        return []
-    if w.degree == 2:
-        return [w.monic()]
+    if w.degree <= d:
+        return [w.monic()] if w.degree == d else []
     ctx = w.ctx
-    x = Poly.monomial(ctx, 1)
-    h = pow_mod(x, ctx.order, w)
-    for probe in ((x * h) % w, (x + h) % w):
-        for val in range(ctx.order):
-            g = poly_gcd(w, probe - Poly(ctx, (val,)))
-            if 0 < g.degree < w.degree:
-                return _split_quadratics(g) + _split_quadratics(w // g)
-    raise AssertionError("quadratic splitting failed")  # unreachable
+    half = (ctx.order ** d - 1) // 2
+    for c in range(ctx.order):
+        g = poly_gcd(w, pow_mod(Poly(ctx, (c, 1)), half, w) - Poly(ctx, (1,)))
+        if 0 < g.degree < w.degree:
+            return _split_equal_degree(g, d) + _split_equal_degree(w // g, d)
+    raise AssertionError("equal-degree splitting failed")  # unreachable
 
 
 def quadratic_factors(p: Poly) -> list:
     """All monic quadratics x^2 + a x + b dividing p, as sorted (a, b) pairs.
 
     Split quadratics come from pairing roots of p (self-pairs only for
-    repeated roots, detected through gcd(p, p')); irreducible ones come from
-    the distinct-degree component gcd(p, x^(order^2) - x) after all linear
-    factors are removed.  Every returned pair is verified by exact division.
+    repeated roots, detected through gcd(p, p')); the roots are the linear
+    factors of gcd(p, x^order - x).  Irreducible quadratics are the factors of
+    gcd(p, x^(order^2) - x) divided by that linear part.  Both are separated
+    by equal-degree splitting, and every returned pair is verified by exact
+    division.
     """
     if p.degree < 2:
         raise ValueError("degree must be at least 2")
     ctx = p.ctx
     found = set()
-    roots = roots_in_set(p, range(ctx.order))
+    x = Poly.monomial(ctx, 1)
+    xq = pow_mod(x, ctx.order, p)
+    linear = poly_gcd(p, xq - x)
+    roots = sorted(ctx.neg(f.coeffs[0]) for f in _split_equal_degree(linear, 1))
     deriv = p.derivative()
     if deriv.is_zero:
         repeated = set(roots)  # p is a perfect cube, every root repeats
@@ -253,15 +249,10 @@ def quadratic_factors(p: Poly) -> list:
             b = ctx.mul(r, s)
             if (p % Poly(ctx, (b, a, 1))).is_zero:
                 found.add((a, b))
-    remainder = _strip_linear_factors(p, roots)
-    if remainder.degree >= 2:
-        x = Poly.monomial(ctx, 1)
-        xq = pow_mod(x, ctx.order, remainder)
-        xqq = pow_mod(xq, ctx.order, remainder)  # x^(order^2) via Frobenius
-        w = poly_gcd(remainder, xqq - x)
-        for q in _split_quadratics(w):
-            a, b = q.coeffs[1], q.coeffs[0]
-            if not (p % q).is_zero:
-                raise AssertionError("extracted quadratic fails division check")
-            found.add((a, b))
+    xqq = pow_mod(xq, ctx.order, p)  # x^(order^2) via Frobenius
+    for q in _split_equal_degree(poly_gcd(p, xqq - x) // linear, 2):
+        a, b = q.coeffs[1], q.coeffs[0]
+        if not (p % q).is_zero:
+            raise AssertionError("extracted quadratic fails division check")
+        found.add((a, b))
     return sorted(found)

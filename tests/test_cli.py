@@ -6,6 +6,7 @@ import pytest
 
 from trinolab import cli, conjlab
 from trinolab.cli import main, parse_sweep_csv
+from trinolab.polyring import Poly
 
 
 def run(capsys, *argv):
@@ -298,14 +299,25 @@ def test_malformed_max_k_env_exits_one(capsys, monkeypatch):
     assert code == 1
 
 
-def test_assertion_failures_exit_two(capsys, monkeypatch):
+def test_verification_errors_exit_two(capsys, monkeypatch):
+    # g(x) = x + 1 sends x = -1 to 0, outside mu_{q+1}
+    monkeypatch.setattr(conjlab, "fractional_map",
+                        lambda family, ctx: conjlab.FractionalMap(
+                            family, Poly(ctx, (1, 1)), Poly(ctx, (1,))))
+    code = main(["check-g", "--k", "1", "--family", "2"])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "verification failed" in err and "escapes mu_{q+1}" in err
+
+
+def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):
     def boom(args):
         raise AssertionError("internal check tripped")
     monkeypatch.setattr(cli, "_cmd_field_info", boom)
-    code = main(["field-info", "--k", "1"])
+    with pytest.raises(AssertionError, match="internal check tripped"):
+        main(["field-info", "--k", "1"])
     _, err = capsys.readouterr()
-    assert code == 2
-    assert "verification failed" in err
+    assert "verification failed" not in err
 
 
 def test_sweep_claim_violation_exits_two(capsys, monkeypatch):
@@ -354,6 +366,15 @@ def test_row_violation_predicate():
                                                      "ThetaCase": 0,
                                                      "FifthDegreeRelation": 0,
                                                      "NoMatch": 1}}))
+    # a degree-5 factor off the quintic relation is flagged as well; the
+    # family-1 histogram is exploratory and never flagged
+    family3 = {**base, "family": 3,
+               "lemma_case_histogram": {"EpsilonCase": 0, "ThetaCase": 0,
+                                        "FifthDegreeRelation": 1,
+                                        "NoMatch": 1}}
+    assert cli._row_violates_claims(conjlab.SweepRow(**family3))
+    assert not cli._row_violates_claims(
+        conjlab.SweepRow(**{**family3, "family": 1, "k": 2}))
     # outside the claims nothing is enforced beyond route agreement
     outside = conjlab.SweepRow(**{**base, "family": 3, "k": 2,
                                   "direct_bijection": False,

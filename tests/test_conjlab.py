@@ -428,6 +428,29 @@ def test_exclusion_rejects_other_families(ctx_for):
         distinct_root_exclusion(1, ctx_for(1))
 
 
+def test_lemma_checks_at_k5(ctx_for):
+    # criteria 5 and 6 plus the exclusion and (u, v) checks, one field up
+    ctx = ctx_for(5)
+    quintic = harvest_witnesses(3, ctx)
+    assert quintic
+    for w in quintic:
+        assert w.lemma_case is LemmaCase.FIFTH_DEGREE, w
+        assert verify_quintic_factor_relation(w, ctx), w
+        assert verify_quintic_coefficient_system(w.a, w.b, w.t, ctx), w
+        assert quintic_displayed_identities_hold(w.a, w.b, w.t, ctx), w
+    for w in harvest_witnesses(2, ctx):
+        # theta needs k % 3 == 0, so only the epsilon case can occur
+        assert verify_septic_factor_case(w, ctx) is LemmaCase.EPSILON, w
+        assert verify_septic_coefficient_system(w.a, w.b, w.t, ctx), w
+    for family, ingredients in ((2, {"theta_absent": True}),
+                                (3, {"sqrt_eps_minus_1_absent": True})):
+        rep = distinct_root_exclusion(family, ctx)
+        assert rep.ok and rep.max_count == 1 and rep.counterexamples == []
+        assert rep.ingredients == ingredients
+    uv = uv_identity_check(ctx)
+    assert uv.ok and uv.failures == [] and uv.witnesses
+
+
 # ---------------------------------------------------------------------------
 # the (u, v) resolvent identities
 

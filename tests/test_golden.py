@@ -25,6 +25,17 @@ GRID = (
        for k in (1, 2, 3, 4) for f in (1, 2, 3)]
     + [("sweep", "--family", str(f), "--k", "1,2,3", "--l", "0,1,2,3,4,5,6",
         "--format", "csv") for f in (1, 2, 3)]
+    + [("field-info", "--k", str(k), "--format", "json") for k in (1, 2, 3, 4)]
+    + [("mu", "--k", "1", "--d", "4", "--format", "json"),
+       ("mu", "--k", "2", "--d", "10", "--format", "json")]
+    + [("factors", "--k", str(k), "--family", str(f), "--t", "1",
+        "--format", "json") for k in (1, 2, 3, 4) for f in (1, 2, 3)]
+    # a pure power, repeated roots, and (x - 1)^6, whose derivative is zero
+    + [("factors", "--k", "1", "--poly", poly, "--format", "json")
+       for poly in ("0,0,0,0,0,1", "3,2,2,4,1", "1,0,0,1,0,0,1")]
+    + [("lemma-verify", "--k", str(k), "--family", str(f), "--format", "json")
+       for k in (1, 2, 3) for f in (2, 3)]
+    + [("uv-scan", "--k", str(k), "--format", "json") for k in (1, 2, 3, 4)]
 )
 
 

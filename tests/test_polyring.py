@@ -3,17 +3,36 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trinolab.conjlab import FAMILIES, fiber_polynomial
 from trinolab.gf3m import ctx_create
-from trinolab.polyring import (Poly, poly_gcd, pow_mod, quadratic_factors,
-                               roots_in_set)
+from trinolab.permtest import mu_enumerate
+from trinolab.polyring import (Poly, _split_equal_degree, poly_gcd, pow_mod,
+                               quadratic_factors, roots_in_set)
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
 
 coeff_lists = st.lists(st.integers(0, 8), min_size=0, max_size=7)
+
+
+@st.composite
+def planted_products(draw):
+    """A product of monic linear and quadratic factors over GF(9), each with
+    multiplicity 1..3, kept to degree <= 8."""
+    p = Poly(CTX9, (1,))
+    factors = draw(st.lists(
+        st.tuples(st.lists(st.integers(0, 8), min_size=1, max_size=2),
+                  st.integers(1, 3)),
+        min_size=1, max_size=4))
+    for low, mult in factors:
+        f = Poly(CTX9, low + [1])
+        for _ in range(mult):
+            if p.degree + f.degree <= 8:
+                p = p * f
+    return p
 
 
 def brute_quadratic_factors(p):
@@ -304,3 +323,23 @@ def test_quadratic_factors_finds_planted_divisors_in_large_field():
     assert (q2.coeffs[1], q2.coeffs[0]) in pairs
     for a, b in pairs:
         assert (p % Poly(ctx, (b, a, 1))).is_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_products())
+def test_quadratic_factors_of_planted_products_vs_brute_force(p):
+    assume(p.degree >= 2)
+    assert quadratic_factors(p) == brute_quadratic_factors(p)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_split_roots_of_fiber_polynomials_match_the_field_scan(k):
+    ctx = ctx_create(k)
+    x = Poly.monomial(ctx, 1)
+    for family in FAMILIES:
+        for t in sorted(mu_enumerate(ctx, ctx.q + 1)):
+            p = fiber_polynomial(family, t, ctx)
+            linear = poly_gcd(p, pow_mod(x, ctx.order, p) - x)
+            roots = sorted(ctx.neg(f.coeffs[0])
+                           for f in _split_equal_degree(linear, 1))
+            assert roots == roots_in_set(p, range(ctx.order)), (family, t)
