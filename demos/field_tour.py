@@ -22,9 +22,9 @@ print(f"x * x = {ctx.mul(x, x)}   (x^2 = -1 mod x^2 + 1)")
 print(f"x + 1 = {ctx.add(x, 1)}")
 print(f"1 / x = {ctx.inv(x)}")
 
-# the wrapper class reads more like math when exploring
-a = ctx.element(4)
-print(f"alpha^2 + alpha = {(a * a + a).enc}")
+# compound expressions are nested ctx calls on encodings
+a = ctx.alpha
+print(f"alpha^2 + alpha = {ctx.add(ctx.mul(a, a), a)}")
 
 # mu_d: the d-th roots of unity; mu_{q+1} is the stage for everything else
 mu = mu_enumerate(ctx, ctx.q + 1)

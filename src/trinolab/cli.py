@@ -8,7 +8,9 @@ CSV columns are fixed, and nothing time- or host-dependent enters the payload.
 Exit codes: 0 success, 1 usage or input error, 2 when a property the analysis
 asserts fails (a fiber of size >= 2 inside the claimed range, an unclassified
 quadratic factor, disagreeing permutation routes, a VerificationError).
-An AssertionError is an internal bug and is not caught.
+Every other exception (AssertionError, ValueError, ZeroDivisionError, ...)
+is an internal bug and is not caught: inputs are validated up front and
+turned into UsageError.
 """
 
 import argparse
@@ -107,7 +109,7 @@ def report_write(report, fmt: str, path: Optional[str] = None):
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise RuntimeError(f"cannot write report to {path}: {exc}") from exc
+            raise UsageError(f"cannot write report to {path}: {exc}") from exc
 
 
 def parse_sweep_csv(text: str) -> list:
@@ -189,7 +191,8 @@ def _cmd_check_trinomial(args):
         spec, _ = conjlab.trinomial_family(args.family, args.l, ctx)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    r, h, direct, cond1, cond2, g_bij = conjlab._routes(spec, ctx)
+    r, h, direct, cond1, cond2 = conjlab._routes(spec, ctx)
+    g_bij = conjlab._g_bijection(conjlab._g_table(args.family, ctx))
     report = {
         "family": args.family, "k": ctx.k, "l": args.l,
         "modulus": gf3m.format_modulus(ctx.modulus),
@@ -204,14 +207,14 @@ def _cmd_check_trinomial(args):
 
 def _cmd_check_g(args):
     ctx = _make_ctx(args)
-    den_ok = conjlab.denominator_nonvanishing(args.family, ctx)
-    g_bij = conjlab.g_permutes_mu(args.family, ctx).is_bijection if den_ok else False
-    max_fiber = max(map(len, conjlab._fiber_roots(args.family, ctx).values()))
+    table = conjlab._g_table(args.family, ctx)
+    g_bij = conjlab._g_bijection(table)
+    fibers = conjlab._fiber_roots(args.family, ctx, table)
     report = {
         "family": args.family, "k": ctx.k,
         "modulus": gf3m.format_modulus(ctx.modulus), "mu_size": ctx.q + 1,
-        "denominator_nonvanishing": den_ok, "g_bijection": g_bij,
-        "max_fiber_size": max_fiber,
+        "denominator_nonvanishing": None not in table.values(),
+        "g_bijection": g_bij, "max_fiber_size": max(map(len, fibers.values())),
     }
     failed = claimed_permutation(args.family, ctx.k) and not g_bij
     return (2 if failed else 0), report
@@ -336,6 +339,10 @@ def build_parser() -> _Parser:
                      description="Exact permutation-trinomial checks over GF(3^2k)")
     sub = parser.add_subparsers(dest="command", required=True)
     env_max_k = os.environ.get("TRINOLAB_MAX_K")
+    try:
+        default_max_k = int(env_max_k) if env_max_k else gf3m.DEFAULT_MAX_K
+    except ValueError:
+        raise UsageError(f"TRINOLAB_MAX_K must be an integer, got {env_max_k!r}") from None
 
     def common(p, k="single"):
         if k == "single":
@@ -346,8 +353,7 @@ def build_parser() -> _Parser:
                        help='trit list low degree first, e.g. "1,0,1"')
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--output", default=None)
-        p.add_argument("--max-k", dest="max_k", type=int,
-                       default=int(env_max_k) if env_max_k else gf3m.DEFAULT_MAX_K)
+        p.add_argument("--max-k", dest="max_k", type=int, default=default_max_k)
 
     p = sub.add_parser("field-info");  common(p)
     p.set_defaults(fn=_cmd_field_info)
@@ -400,12 +406,6 @@ def main(argv=None) -> int:
         report_write(report, args.format, args.output)
         return code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except conjlab.VerificationError as exc:

@@ -237,36 +237,52 @@ def denominator_nonvanishing(family: int, ctx: FieldCtx) -> bool:
     return not roots_in_set(den, mu_enumerate(ctx, ctx.q + 1))
 
 
+def _g_table(family: int, ctx: FieldCtx) -> dict:
+    """{x: g(x)} over mu_{q+1} in increasing encoding order, from one
+    evaluation of the family's N and D per x; None marks D(x) = 0.
+
+    Raises VerificationError if an image leaves mu_{q+1}.
+    """
+    fm = fractional_map(family, ctx)
+    mu = mu_enumerate(ctx, ctx.q + 1)
+    table = {}
+    for x in sorted(mu):
+        d = fm.denominator.eval(x)
+        y = ctx.div(fm.numerator.eval(x), d) if d else None
+        if y is not None and y not in mu:
+            raise VerificationError(f"image {y} of {x} escapes mu_{{q+1}}")
+        table[x] = y
+    return table
+
+
+def _g_bijection(table: dict) -> bool:
+    """g's verdict from its table.  A None entry (D(x) = 0) leaves some point
+    of mu_{q+1} without a preimage, so the verdict is then False."""
+    return is_bijection_on(table.__getitem__, table).is_bijection
+
+
 def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
     """Bijection report for the family's fractional map on mu_{q+1}.
 
     Raises ValueError if the denominator vanishes on mu_{q+1}, and
     VerificationError if an image leaves mu_{q+1}.
     """
-    fm = fractional_map(family, ctx)
-    mu = mu_enumerate(ctx, ctx.q + 1)
-    images = {}
-    for x in mu:
-        dv = fm.denominator.eval(x)
-        if dv == 0:
+    table = _g_table(family, ctx)
+    for x, y in table.items():
+        if y is None:
             raise ValueError(f"denominator vanishes at x={x} for family {family}")
-        y = ctx.div(fm.numerator.eval(x), dv)
-        if y not in mu:
-            raise VerificationError(f"image {y} of {x} escapes mu_{{q+1}}")
-        images[x] = y
-    return is_bijection_on(images.__getitem__, mu)
+    return is_bijection_on(table.__getitem__, table)
 
 
 def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
-    """(r, h, direct, cond1, cond2, g_bij): the three permutation routes for
-    one trinomial -- the direct bijection on the field, the index-form
-    criterion on f = x^r h(x^(q-1)), and the family's g on mu_{q+1}."""
+    """(r, h, direct, cond1, cond2): the two permutation routes that depend on
+    l -- the direct bijection on the field and the index-form criterion on
+    f = x^r h(x^(q-1)).  The third route, the family's g on mu_{q+1}, depends
+    only on (family, k); it is _g_bijection of the family's _g_table."""
     direct = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order)).is_bijection
     r, h = trinomial_decompose(spec, ctx)
     cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
-    g_bij = (g_permutes_mu(spec.family, ctx).is_bijection
-             if denominator_nonvanishing(spec.family, ctx) else False)
-    return r, h, direct, cond1, cond2, g_bij
+    return r, h, direct, cond1, cond2
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +314,20 @@ def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
                       for n, d in zip_longest(num, den, fillvalue=0)])
 
 
-def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
+def _fiber_roots(family: int, ctx: FieldCtx, table: Optional[dict] = None) -> dict:
     """{t: sorted roots in mu_{q+1} of fiber_polynomial(family, t)} for every
-    t in mu_{q+1}, from one evaluation of N and D per x in mu_{q+1}.
+    t in mu_{q+1}, read off the family's _g_table (built when not given).
 
-    x is a root at t iff N(x) = t D(x).  gcd(N, D) = 1, so where D(x) = 0 the
-    numerator does not vanish and x lies in no fiber.
+    x is a root at t iff N(x) = t D(x) for the fiber terms, that is t = g(x),
+    or t = 1/g(x) for family 2.  gcd(N, D) = 1, so where g's denominator
+    vanishes x lies in no fiber.
     """
-    num, den = (Poly(ctx, c) for c in _fiber_terms(family))
-    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
-    fibers = {t: [] for t in mu}
-    for x in mu:
-        d = den.eval(x)
-        if d:
-            fiber = fibers.get(ctx.div(num.eval(x), d))
-            if fiber is not None:
-                fiber.append(x)
+    if table is None:
+        table = _g_table(family, ctx)
+    fibers = {t: [] for t in table}
+    for x, y in table.items():
+        if y is not None:
+            fibers[ctx.inv(y) if family == 2 else y].append(x)
     return fibers
 
 
@@ -622,16 +636,19 @@ def _cached_ctx(k: int, modulus_text: Optional[str], max_k: int) -> FieldCtx:
 
 
 def _fiber_stats(family: int, k: int, modulus_text: Optional[str], max_k: int):
-    """(max_fiber_size, witness_count, histogram) for one (family, k); shared
+    """(g_bijection, max_fiber_size, witness_count, histogram) for one
+    (family, k), the g verdict and fiber sizes from one _g_table; shared
     across every l of a sweep."""
     key = (family, k, modulus_text, max_k)
     if key not in _FIBER_STATS_CACHE:
         ctx = _cached_ctx(k, modulus_text, max_k)
-        max_fiber = max(map(len, _fiber_roots(family, ctx).values()))
+        table = _g_table(family, ctx)
+        max_fiber = max(map(len, _fiber_roots(family, ctx, table).values()))
         witnesses = harvest_witnesses(family, ctx)
         hist = Counter(w.lemma_case.value for w in witnesses if w.lemma_case)
         histogram = {case.value: hist.get(case.value, 0) for case in LemmaCase}
-        _FIBER_STATS_CACHE[key] = (max_fiber, len(witnesses), histogram)
+        _FIBER_STATS_CACHE[key] = (_g_bijection(table), max_fiber,
+                                   len(witnesses), histogram)
     return _FIBER_STATS_CACHE[key]
 
 
@@ -648,8 +665,8 @@ def sweep_row(family: int, k: int, l: int, modulus_text: Optional[str] = None,
         spec, _ = trinomial_family(family, l, ctx)
     except ValueError as exc:
         return SweepRow(family, k, l, modulus, error=str(exc))
-    _, _, direct, cond1, cond2, g_bij = _routes(spec, ctx)
-    max_fiber, wcount, histogram = _fiber_stats(family, k, modulus_text, max_k)
+    _, _, direct, cond1, cond2 = _routes(spec, ctx)
+    g_bij, max_fiber, wcount, histogram = _fiber_stats(family, k, modulus_text, max_k)
     return SweepRow(family, k, l, modulus, spec.gcd_ok, direct, cond1, cond2,
                     g_bij, max_fiber, wcount, histogram, None)
 

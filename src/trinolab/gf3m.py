@@ -7,9 +7,8 @@ canonical tie-breaking order everywhere in this package.
 
 A FieldCtx precomputes discrete-log tables for a primitive element together
 with Zech logarithms, so multiplication and addition of nonzero elements are
-single table lookups.  FieldElement is a thin operator-overloading wrapper for
-interactive use; the hot paths work on raw integer encodings via the ctx
-methods.
+single table lookups.  Elements are plain ints throughout: the ctx methods
+take and return encodings.
 """
 
 import itertools
@@ -350,27 +349,6 @@ class FieldCtx:
             return ()
         return (theta, self.frobenius(theta, 1), self.frobenius(theta, 2))
 
-    # -- conveniences --------------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.ctx is not self:
-                raise ValueError("element belongs to a different ctx")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value)
-        if isinstance(value, str):
-            return FieldElement(self, parse_element(self, value))
-        return FieldElement(self, self.encode(value))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
     def __repr__(self):
         return f"FieldCtx(k={self.k}, modulus={format_modulus(self.modulus)})"
 
@@ -421,104 +399,3 @@ def parse_element(ctx: FieldCtx, text: str) -> int:
     if not 0 <= enc < ctx.order:
         raise ValueError(f"element encoding {enc} out of range 0..{ctx.order - 1}")
     return enc
-
-
-class FieldElement:
-    """Operator-overloading wrapper around a ctx and an integer encoding.
-
-    Integer operands in mixed arithmetic are interpreted as encodings; the
-    prime subfield occupies encodings 0, 1, 2, so small-scalar arithmetic
-    reads naturally.
-    """
-
-    __slots__ = ("ctx", "enc")
-
-    def __init__(self, ctx: FieldCtx, enc: int):
-        if not 0 <= enc < ctx.order:
-            raise ValueError(f"element encoding {enc} out of range 0..{ctx.order - 1}")
-        self.ctx = ctx
-        self.enc = enc
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.ctx.decode(self.enc)
-
-    def _coerce(self, other) -> Optional[int]:
-        if isinstance(other, FieldElement):
-            if other.ctx is not self.ctx:
-                raise ValueError("elements from different ctxs")
-            return other.enc
-        if isinstance(other, int):
-            if not 0 <= other < self.ctx.order:
-                raise ValueError(f"element encoding {other} out of range")
-            return other
-        return None
-
-    def _wrap(self, enc: int) -> "FieldElement":
-        return FieldElement(self.ctx, enc)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.add(self.enc, o))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.sub(self.enc, o))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.sub(o, self.enc))
-
-    def __neg__(self):
-        return self._wrap(self.ctx.neg(self.enc))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.mul(self.enc, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.div(self.enc, o))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self._wrap(self.ctx.div(o, self.enc))
-
-    def __pow__(self, e: int):
-        return self._wrap(self.ctx.pow(self.enc, e))
-
-    def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        return NotImplemented if o is None else self.enc == o
-
-    def __hash__(self):
-        return hash((self.enc, id(self.ctx)))
-
-    def __int__(self):
-        return self.enc
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def frobenius(self, e: int = 1) -> "FieldElement":
-        return self._wrap(self.ctx.frobenius(self.enc, e))
-
-    def conjugate_q(self) -> "FieldElement":
-        return self._wrap(self.ctx.conjugate_q(self.enc))
-
-    def sqrt(self) -> Optional["FieldElement"]:
-        r = self.ctx.sqrt(self.enc)
-        return None if r is None else self._wrap(r)
-
-    def is_square(self) -> bool:
-        return self.ctx.is_square(self.enc)
-
-    def __repr__(self):
-        return f"FieldElement({self.enc}, GF(3^{self.ctx.m}))"

@@ -2,14 +2,15 @@
 
 Coefficients are stored as integer encodings, low degree first, with trailing
 zeros trimmed; the zero polynomial has an empty coefficient tuple and degree
--1.  Quadratic factor extraction splits gcd(p, x^order - x) and
-gcd(p, x^(order^2) - x) by deterministic equal-degree splitting, so it never
-scans the field; roots_in_set, the candidate scan, remains the oracle.
+-1.  eval takes and returns encodings too.  Quadratic factor extraction
+splits gcd(p, x^order - x) and gcd(p, x^(order^2) - x) by deterministic
+equal-degree splitting, so it never scans the field; roots_in_set, the
+candidate scan, remains the oracle.
 """
 
 from typing import Iterable, Optional
 
-from .gf3m import FieldCtx, FieldElement
+from .gf3m import FieldCtx
 
 
 class Poly:
@@ -20,10 +21,6 @@ class Poly:
     def __init__(self, ctx: FieldCtx, coeffs: Iterable = ()):
         encs = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.ctx is not ctx:
-                    raise ValueError("coefficient from a different ctx")
-                c = c.enc
             if not isinstance(c, int) or not 0 <= c < ctx.order:
                 raise ValueError(f"bad coefficient {c!r}")
             encs.append(c)
@@ -138,10 +135,8 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def eval(self, x) -> int:
-        """Horner evaluation; returns an encoding."""
-        if isinstance(x, FieldElement):
-            x = x.enc
+    def eval(self, x: int) -> int:
+        """Horner evaluation at an encoding; returns an encoding."""
         add, mul = self.ctx.add, self.ctx.mul
         acc = 0
         for c in reversed(self.coeffs):

@@ -310,14 +310,55 @@ def test_verification_errors_exit_two(capsys, monkeypatch):
     assert "verification failed" in err and "escapes mu_{q+1}" in err
 
 
+def test_vanishing_denominator_is_reported(capsys, monkeypatch):
+    # g = (x - 1)^q / (x - 1) = -1/x on mu_{q+1} \ {1}; D vanishes at x = 1
+    monkeypatch.setattr(conjlab, "fractional_map",
+                        lambda family, ctx: conjlab.FractionalMap(
+                            family, Poly(ctx, (2, 0, 0, 1)), Poly(ctx, (2, 1))))
+    ctx = conjlab._cached_ctx(1, None, 6)
+    assert conjlab._g_table(2, ctx)[1] is None
+    with pytest.raises(ValueError, match="denominator vanishes at x=1"):
+        conjlab.g_permutes_mu(2, ctx)
+    code, out, _ = run(capsys, "check-g", "--k", "1", "--family", "2",
+                       "--format", "json")
+    payload = json.loads(out)
+    assert code == 2 and not payload["denominator_nonvanishing"]
+    assert not payload["g_bijection"] and payload["max_fiber_size"] == 1
+
+
 def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):
-    def boom(args):
-        raise AssertionError("internal check tripped")
-    monkeypatch.setattr(cli, "_cmd_field_info", boom)
-    with pytest.raises(AssertionError, match="internal check tripped"):
-        main(["field-info", "--k", "1"])
-    _, err = capsys.readouterr()
-    assert "verification failed" not in err
+    # only UsageError (exit 1) and VerificationError (exit 2) are caught
+    for exc_type in (AssertionError, ValueError, ZeroDivisionError):
+        def boom(args):
+            raise exc_type("internal check tripped")
+        monkeypatch.setattr(cli, "_cmd_field_info", boom)
+        with pytest.raises(exc_type, match="internal check tripped"):
+            main(["field-info", "--k", "1"])
+        _, err = capsys.readouterr()
+        assert "verification failed" not in err and "error:" not in err
+
+
+@pytest.mark.parametrize("argv,evals", (
+    (("check-g", "--k", "2", "--family", "2"), 20),
+    (("count-roots", "--k", "2", "--family", "2", "--t", "all"), 20),
+    (("check-trinomial", "--k", "2", "--family", "2", "--l", "2"), 30),
+    # 10 per l for the index form, 20 for one g table, 10 for the harvest's
+    # repeated-root test
+    (("sweep", "--k", "2", "--family", "2", "--l", "2,3,4"), 60),
+), ids=("check-g", "count-roots", "check-trinomial", "sweep"))
+def test_g_is_evaluated_once_per_x(capsys, monkeypatch, argv, evals):
+    # q + 1 = 10 at k = 2: N and D are evaluated once per x of mu_{q+1} in
+    # every command, and once per (family, k) in a sweep
+    calls = []
+    plain_eval = Poly.eval
+
+    def counted(self, x):
+        calls.append(x)
+        return plain_eval(self, x)
+    monkeypatch.setattr(Poly, "eval", counted)
+    monkeypatch.setattr(conjlab, "_FIBER_STATS_CACHE", {})
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == evals
 
 
 def test_sweep_claim_violation_exits_two(capsys, monkeypatch):

@@ -152,7 +152,7 @@ def test_fractional_map_rejects_unknown_family():
         fractional_map(0, CTX9)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
 def test_denominators_never_vanish_on_mu(ctx_for, k):
     ctx = ctx_for(k)
     for family in (1, 2, 3):
@@ -163,18 +163,33 @@ def test_denominators_never_vanish_on_mu(ctx_for, k):
 
 
 GBIJ_EXPECTED = {  # observed permutation behavior of each closed-form map
-    1: {1: False, 2: True, 3: False, 4: True},
-    2: {1: True, 2: True, 3: True, 4: True},
-    3: {1: True, 2: False, 3: True, 4: True},
+    1: {1: False, 2: True, 3: False, 4: True, 5: False, 6: True},
+    2: {1: True, 2: True, 3: True, 4: True, 5: True, 6: True},
+    3: {1: True, 2: False, 3: True, 4: True, 5: True, 6: False},
 }
 
 
 @pytest.mark.parametrize("family", (1, 2, 3))
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
 def test_g_bijection_table(ctx_for, family, k):
     ctx = ctx_for(k)
     rep = g_permutes_mu(family, ctx)
     assert rep.is_bijection == GBIJ_EXPECTED[family][k]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_g_table_agrees_with_fibers_and_denominator_oracle(ctx_for, k):
+    # g permutes mu_{q+1} exactly when every fiber read off the g table holds
+    # one root and every x of mu_{q+1} is filed; the table's D(x) = 0 marks
+    # agree with the polynomial root scan of denominator_nonvanishing
+    ctx = ctx_for(k)
+    for family in (1, 2, 3):
+        table = conjlab._g_table(family, ctx)
+        sizes = [len(roots) for roots in conjlab._fiber_roots(family, ctx).values()]
+        one_root_each = all(n == 1 for n in sizes) and sum(sizes) == ctx.q + 1
+        assert conjlab._g_bijection(table) == one_root_each, (family, k)
+        assert ((None not in table.values())
+                == denominator_nonvanishing(family, ctx)), (family, k)
 
 
 def test_g_maps_mu_into_mu(ctx_for):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinolab import gf3m
-from trinolab.gf3m import FieldElement, ctx_create, default_modulus
+from trinolab.gf3m import ctx_create, default_modulus
 
 from conftest import (enc_to_trits, ref_add, ref_default_modulus,
                       ref_irreducible, ref_mul, ref_neg, ref_pow,
@@ -58,7 +58,6 @@ def test_ctx_basic_shape(ctx_for):
     ctx = ctx_for(2)
     assert (ctx.k, ctx.m, ctx.q, ctx.order) == (2, 4, 9, 81)
     assert ctx.modulus == KNOWN_MODULI[4]
-    assert ctx.zero == 0 and ctx.one == 1
 
 
 @pytest.mark.parametrize("k", (0, -1, 7))
@@ -352,28 +351,6 @@ def test_encode_decode_roundtrip(ctx_for):
         ctx.encode([3, 0, 0, 0])
 
 
-def test_field_element_wrapper(ctx_for):
-    ctx = ctx_for(1)
-    a = ctx.element(3)
-    b = ctx.element(4)
-    assert (a * a).enc == 2
-    assert (a + b).enc == ctx.add(3, 4)
-    assert (-a).enc == ctx.neg(3)
-    assert (a - a).enc == 0
-    assert (a / a).enc == 1
-    assert (a ** 2).enc == 2
-    assert a != b and a == ctx.element(3)
-    assert a + 1 == ctx.element(ctx.add(3, 1))  # ints act as encodings
-    assert len({a, ctx.element(3), b}) == 2
-    assert a.frobenius().enc == ctx.frobenius(3)
-    assert ctx.element(2).sqrt() == a
-    assert ctx.element(2).is_square() and not b.is_square()
-    with pytest.raises(ValueError, match="out of range"):
-        ctx.element(9)
-    with pytest.raises(ValueError, match="different ctx"):
-        a + ctx_create(2).element(1)
-
-
 # ---------------------------------------------------------------------------
 # axioms, property-based
 
@@ -390,11 +367,3 @@ def test_field_axioms_hold(a, b, c):
     assert ctx.add(a, ctx.neg(a)) == 0
     if a:
         assert ctx.mul(a, ctx.inv(a)) == 1
-
-
-def test_element_helper_validates_foreign_elements(ctx_for):
-    ctx = ctx_for(1)
-    other = ctx_create(2)
-    elem = FieldElement(other, 5)
-    with pytest.raises(ValueError, match="different ctx"):
-        ctx.element(elem)

@@ -168,12 +168,6 @@ def test_eval_matches_power_sum():
         assert p.eval(x) == expect == p(x)
 
 
-def test_eval_accepts_field_elements():
-    p = Poly(CTX9, (1, 1))
-    e = CTX9.element(3)
-    assert p(e) == CTX9.add(1, 3)
-
-
 # ---------------------------------------------------------------------------
 # derivative: characteristic-3 power rule
 
