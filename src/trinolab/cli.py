@@ -19,14 +19,15 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 from . import conjlab, gf3m, permtest
 from .polyring import Poly, quadratic_factors
 
-SWEEP_COLUMNS = ("family", "k", "l", "modulus", "gcd_ok", "direct_bijection",
-                 "zieve_cond1", "zieve_cond2", "g_bijection", "max_fiber_size",
-                 "witness_count", "lemma_case_histogram", "error")
+SWEEP_COLUMNS = tuple(f.name for f in fields(conjlab.SweepRow))
+_SWEEP_INT_COLUMNS = {f.name for f in fields(conjlab.SweepRow)
+                      if f.type in (int, Optional[int])}
 
 
 class UsageError(Exception):
@@ -120,7 +121,7 @@ def parse_sweep_csv(text: str) -> list:
         for key, raw in record.items():
             if raw == "":
                 row[key] = None
-            elif key in ("family", "k", "l", "max_fiber_size", "witness_count"):
+            elif key in _SWEEP_INT_COLUMNS:
                 row[key] = int(raw)
             elif key == "lemma_case_histogram":
                 row[key] = json.loads(raw)
@@ -262,12 +263,11 @@ def _cmd_lemma_verify(args):
     ctx = _make_ctx(args)
     if args.family not in (2, 3):
         raise UsageError("lemma-verify supports families 2 and 3")
-    ts = set(_t_values(args, ctx))
     rows = []
     failed = False
-    for w in conjlab.harvest_witnesses(args.family, ctx):
-        if w.t not in ts:
-            continue
+    witnesses = (w for t in _t_values(args, ctx)
+                 for w in conjlab._fiber_witnesses(args.family, t, ctx))
+    for w in witnesses:
         if args.family == 3:
             relation_ok = conjlab.verify_quintic_factor_relation(w, ctx)
             derivation_ok = conjlab.verify_quintic_coefficient_system(
@@ -324,9 +324,9 @@ def _row_violates_claims(row: conjlab.SweepRow) -> bool:
 
 
 def _cmd_sweep(args):
-    parse_modulus_arg(args.modulus)
+    modulus = parse_modulus_arg(args.modulus)
     report = conjlab.sweep(args.family, _int_list(args.k), _int_list(args.l),
-                           args.modulus, args.max_k)
+                           modulus, args.max_k)
     rows = report.to_obj()
     failed = any(_row_violates_claims(row) for row in report.rows)
     return (2 if failed else 0), rows

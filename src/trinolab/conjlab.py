@@ -19,12 +19,12 @@ uniqueness arguments rest on, and runs deterministic sweeps.
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from math import gcd
 from typing import Optional
 
-from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus, parse_modulus
+from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, quadratic_factors, roots_in_set
 
@@ -125,17 +125,7 @@ class SweepRow:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family, "k": self.k, "l": self.l,
-            "modulus": self.modulus, "gcd_ok": self.gcd_ok,
-            "direct_bijection": self.direct_bijection,
-            "zieve_cond1": self.zieve_cond1, "zieve_cond2": self.zieve_cond2,
-            "g_bijection": self.g_bijection,
-            "max_fiber_size": self.max_fiber_size,
-            "witness_count": self.witness_count,
-            "lemma_case_histogram": self.lemma_case_histogram,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -504,30 +494,35 @@ def harvest_witnesses(family: int, ctx: FieldCtx,
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
-    degree = _FIBER_DEGREE[family]
     mu = mu_enumerate(ctx, ctx.q + 1)
+    return [w for t in sorted(mu)
+            for w in _fiber_witnesses(family, t, ctx, include_asymmetric)]
+
+
+def _fiber_witnesses(family: int, t: int, ctx: FieldCtx,
+                     include_asymmetric: bool = False) -> list:
+    """harvest_witnesses restricted to the one fiber at t."""
+    degree = _FIBER_DEGREE[family]
     out = []
-    for t in sorted(mu):
-        poly = fiber_polynomial(family, t, ctx)
-        for a, b in quadratic_factors(poly):
-            if a == 0 or b == 0:
-                continue
-            symmetric = ctx.mul(ctx.conjugate_q(a), b) == a
-            if degree == 7 and not symmetric and not include_asymmetric:
-                continue
-            if degree == 5:
-                case = (LemmaCase.FIFTH_DEGREE
-                        if quintic_relation_holds(a, b, ctx) else LemmaCase.NO_MATCH)
-            elif symmetric:
-                case = classify_septic_factor(a, b, ctx)
-            else:
-                case = None
-            disc = ctx.sub(ctx.mul(a, a), b)
-            s = ctx.sqrt(disc)
-            x1 = x2 = None
-            if s is not None:
-                x1, x2 = ctx.sub(a, s), ctx.add(a, s)
-            out.append(QuadFactorWitness(t, a, b, degree, case, x1, x2))
+    for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
+        if a == 0 or b == 0:
+            continue
+        symmetric = ctx.mul(ctx.conjugate_q(a), b) == a
+        if degree == 7 and not symmetric and not include_asymmetric:
+            continue
+        if degree == 5:
+            case = (LemmaCase.FIFTH_DEGREE
+                    if quintic_relation_holds(a, b, ctx) else LemmaCase.NO_MATCH)
+        elif symmetric:
+            case = classify_septic_factor(a, b, ctx)
+        else:
+            case = None
+        disc = ctx.sub(ctx.mul(a, a), b)
+        s = ctx.sqrt(disc)
+        x1 = x2 = None
+        if s is not None:
+            x1, x2 = ctx.sub(a, s), ctx.add(a, s)
+        out.append(QuadFactorWitness(t, a, b, degree, case, x1, x2))
     return out
 
 
@@ -623,56 +618,53 @@ def _uv_shifted_cubic(u: int, v: int, ctx: FieldCtx) -> int:
 # ---------------------------------------------------------------------------
 # sweeps
 
-_CTX_CACHE: dict = {}
-_FIBER_STATS_CACHE: dict = {}
-
-
-def _cached_ctx(k: int, modulus_text: Optional[str], max_k: int) -> FieldCtx:
-    key = (k, modulus_text, max_k)
-    if key not in _CTX_CACHE:
-        modulus = parse_modulus(modulus_text) if modulus_text else None
-        _CTX_CACHE[key] = ctx_create(k, modulus, max_k)
-    return _CTX_CACHE[key]
-
-
-def _fiber_stats(family: int, k: int, modulus_text: Optional[str], max_k: int):
+def _fiber_stats(family: int, ctx: FieldCtx) -> tuple:
     """(g_bijection, max_fiber_size, witness_count, histogram) for one
-    (family, k), the g verdict and fiber sizes from one _g_table; shared
-    across every l of a sweep."""
-    key = (family, k, modulus_text, max_k)
-    if key not in _FIBER_STATS_CACHE:
-        ctx = _cached_ctx(k, modulus_text, max_k)
-        table = _g_table(family, ctx)
-        max_fiber = max(map(len, _fiber_roots(family, ctx, table).values()))
-        witnesses = harvest_witnesses(family, ctx)
-        hist = Counter(w.lemma_case.value for w in witnesses if w.lemma_case)
-        histogram = {case.value: hist.get(case.value, 0) for case in LemmaCase}
-        _FIBER_STATS_CACHE[key] = (_g_bijection(table), max_fiber,
-                                   len(witnesses), histogram)
-    return _FIBER_STATS_CACHE[key]
+    (family, k): the g verdict and fiber sizes from one _g_table, then the
+    harvest."""
+    table = _g_table(family, ctx)
+    max_fiber = max(map(len, _fiber_roots(family, ctx, table).values()))
+    witnesses = harvest_witnesses(family, ctx)
+    hist = Counter(w.lemma_case.value for w in witnesses if w.lemma_case)
+    histogram = {case.value: hist.get(case.value, 0) for case in LemmaCase}
+    return _g_bijection(table), max_fiber, len(witnesses), histogram
 
 
-def sweep_row(family: int, k: int, l: int, modulus_text: Optional[str] = None,
-              max_k: int = DEFAULT_MAX_K) -> SweepRow:
-    """One sweep row; construction errors are recorded on the row instead of
-    propagating, so a sweep continues past invalid (k, l) combinations."""
-    try:
-        ctx = _cached_ctx(k, modulus_text, max_k)
-    except ValueError as exc:
-        return SweepRow(family, k, l, modulus_text or "", error=str(exc))
-    modulus = format_modulus(ctx.modulus)
-    try:
-        spec, _ = trinomial_family(family, l, ctx)
-    except ValueError as exc:
-        return SweepRow(family, k, l, modulus, error=str(exc))
-    _, _, direct, cond1, cond2 = _routes(spec, ctx)
-    g_bij, max_fiber, wcount, histogram = _fiber_stats(family, k, modulus_text, max_k)
-    return SweepRow(family, k, l, modulus, spec.gcd_ok, direct, cond1, cond2,
-                    g_bij, max_fiber, wcount, histogram, None)
-
-
-def sweep(family: int, k_list, l_list, modulus_text: Optional[str] = None,
+def sweep(family: int, k_list, l_list, modulus: Optional[tuple] = None,
           max_k: int = DEFAULT_MAX_K) -> SweepReport:
-    """Sweep one family over all distinct (k, l) pairs, rows ordered by (k, l)."""
-    return SweepReport([sweep_row(family, k, l, modulus_text, max_k)
-                        for k in sorted(set(k_list)) for l in sorted(set(l_list))])
+    """Sweep one family over all distinct (k, l) pairs, rows ordered by (k, l).
+
+    Each k builds one field, and its fiber stats are computed on its first
+    valid l and shared by the rest.  Construction errors are recorded on the
+    row instead of propagating, so a sweep continues past invalid (k, l)
+    combinations.
+    """
+    ls = sorted(set(l_list))
+    rows = []
+    for k in sorted(set(k_list)):
+        try:
+            ctx = ctx_create(k, modulus, max_k)
+        except ValueError as exc:
+            label = format_modulus(modulus) if modulus is not None else ""
+            rows.extend(SweepRow(family, k, l, label, error=str(exc)) for l in ls)
+            continue
+        label = format_modulus(ctx.modulus)
+        stats = None
+        for l in ls:
+            try:
+                spec, _ = trinomial_family(family, l, ctx)
+            except ValueError as exc:
+                rows.append(SweepRow(family, k, l, label, error=str(exc)))
+                continue
+            _, _, direct, cond1, cond2 = _routes(spec, ctx)
+            if stats is None:
+                stats = _fiber_stats(family, ctx)
+            rows.append(SweepRow(family, k, l, label, spec.gcd_ok, direct,
+                                 cond1, cond2, *stats))
+    return SweepReport(rows)
+
+
+def sweep_row(family: int, k: int, l: int, modulus: Optional[tuple] = None,
+              max_k: int = DEFAULT_MAX_K) -> SweepRow:
+    """The one row of sweep(family, [k], [l], modulus, max_k)."""
+    return sweep(family, [k], [l], modulus, max_k).rows[0]

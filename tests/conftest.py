@@ -6,10 +6,18 @@ against something that cannot inherit its bugs.
 """
 
 import itertools
+import os
+import pathlib
 
 import pytest
 
 from trinolab import ctx_create
+
+# pytest finds the package through its pythonpath setting; child processes
+# (the demos, acceptance criterion 10) find it through PYTHONPATH
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 _CTX_CACHE = {}
 

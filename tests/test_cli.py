@@ -6,6 +6,7 @@ import pytest
 
 from trinolab import cli, conjlab
 from trinolab.cli import main, parse_sweep_csv
+from trinolab.gf3m import ctx_create
 from trinolab.polyring import Poly
 
 
@@ -121,7 +122,7 @@ def test_factors_fiber_polynomial(capsys):
     assert code == 0
     payload = json.loads(out)
     # matches the harvest for t=1
-    w = [x for x in conjlab.harvest_witnesses(3, conjlab._cached_ctx(1, None, 6))
+    w = [x for x in conjlab.harvest_witnesses(3, ctx_create(1))
          if x.t == 1]
     got = {(f["a"], f["b"]) for f in payload["quadratic_factors"]}
     assert {(x.a, x.b) for x in w} <= got
@@ -130,6 +131,20 @@ def test_factors_fiber_polynomial(capsys):
 def test_factors_requires_poly_or_family_t(capsys):
     code, _, err = run(capsys, "factors", "--k", "1")
     assert code == 1 and "factors needs" in err
+
+
+def test_lemma_verify_single_t_factors_one_fiber(capsys, monkeypatch):
+    # --t 1 searches the fiber at t = 1 only, not all q + 1 = 10 fibers
+    calls = []
+    plain = conjlab.quadratic_factors
+
+    def counted(poly):
+        calls.append(poly)
+        return plain(poly)
+    monkeypatch.setattr(conjlab, "quadratic_factors", counted)
+    code, _, _ = run(capsys, "lemma-verify", "--k", "2", "--family", "3",
+                     "--t", "1", "--format", "json")
+    assert code == 0 and len(calls) == 1
 
 
 def test_lemma_verify_family3(capsys):
@@ -184,6 +199,17 @@ def test_sweep_honours_modulus(capsys):
     rows = json.loads(out)
     assert [r["modulus"] for r in rows] == ["2,1,1"]
     assert rows[0]["error"] is None and rows[0]["direct_bijection"]
+
+
+def test_sweep_error_rows_label_the_parsed_modulus(capsys):
+    # the k = 1 modulus is the wrong degree at k = 2; both rows carry the
+    # canonical spelling, not the argument text
+    code, out, _ = run(capsys, "sweep", "--family", "2", "--k", "1,2",
+                       "--l", "2", "--modulus", " 1,0,1", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [r["modulus"] for r in rows] == ["1,0,1", "1,0,1"]
+    assert rows[0]["error"] is None and "degree 4" in rows[1]["error"]
 
 
 def test_sweep_rejects_malformed_modulus(capsys):
@@ -315,7 +341,7 @@ def test_vanishing_denominator_is_reported(capsys, monkeypatch):
     monkeypatch.setattr(conjlab, "fractional_map",
                         lambda family, ctx: conjlab.FractionalMap(
                             family, Poly(ctx, (2, 0, 0, 1)), Poly(ctx, (2, 1))))
-    ctx = conjlab._cached_ctx(1, None, 6)
+    ctx = ctx_create(1)
     assert conjlab._g_table(2, ctx)[1] is None
     with pytest.raises(ValueError, match="denominator vanishes at x=1"):
         conjlab.g_permutes_mu(2, ctx)
@@ -356,7 +382,6 @@ def test_g_is_evaluated_once_per_x(capsys, monkeypatch, argv, evals):
         calls.append(x)
         return plain_eval(self, x)
     monkeypatch.setattr(Poly, "eval", counted)
-    monkeypatch.setattr(conjlab, "_FIBER_STATS_CACHE", {})
     code, _, _ = run(capsys, *argv)
     assert code == 0 and len(calls) == evals
 

@@ -537,6 +537,31 @@ def test_sweep_is_deterministic():
     assert a.to_obj() == b.to_obj()
 
 
+def test_sweep_builds_each_field_and_harvest_once_per_call(monkeypatch):
+    # one ctx_create per distinct k (k = 7 fails once, not once per l) and one
+    # harvest per k with a valid l; nothing is kept between calls
+    counts = {"ctx": 0, "harvest": 0}
+    plain_ctx, plain_harvest = conjlab.ctx_create, conjlab.harvest_witnesses
+
+    def counted_ctx(*args):
+        counts["ctx"] += 1
+        return plain_ctx(*args)
+
+    def counted_harvest(*args):
+        counts["harvest"] += 1
+        return plain_harvest(*args)
+    monkeypatch.setattr(conjlab, "ctx_create", counted_ctx)
+    monkeypatch.setattr(conjlab, "harvest_witnesses", counted_harvest)
+    for _ in range(2):
+        counts.update(ctx=0, harvest=0)
+        report = sweep(2, [1, 2, 7], [1, 2, 3])
+        assert len(report.rows) == 9
+        assert counts == {"ctx": 3, "harvest": 2}
+    counts.update(ctx=0, harvest=0)
+    assert sweep(2, [2], [1]).rows[0].error is not None  # l too small at k=2
+    assert counts == {"ctx": 1, "harvest": 0}
+
+
 def test_sweep_row_agreement_between_routes():
     for family in (1, 2, 3):
         for k in (1, 2):
@@ -553,7 +578,7 @@ def test_sweep_row_agreement_between_routes():
 def test_sweep_row_custom_modulus():
     # same field, different basis: bijection verdicts must not change
     default = sweep_row(2, 1, 1)
-    other = sweep_row(2, 1, 1, modulus_text="2,1,1")
+    other = sweep_row(2, 1, 1, modulus=(2, 1, 1))
     assert other.modulus == "2,1,1"
     assert other.direct_bijection == default.direct_bijection
     assert other.witness_count == default.witness_count

@@ -1,6 +1,5 @@
 """Each demo script runs to completion in a fresh interpreter."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -13,9 +12,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, str(script)], env=env,
+    proc = subprocess.run([sys.executable, str(script)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

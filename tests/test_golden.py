@@ -36,6 +36,17 @@ GRID = (
     + [("lemma-verify", "--k", str(k), "--family", str(f), "--format", "json")
        for k in (1, 2, 3) for f in (2, 3)]
     + [("uv-scan", "--k", str(k), "--format", "json") for k in (1, 2, 3, 4)]
+    # sweep error rows: a wrong-degree modulus, --max-k, k out of range, a
+    # reducible modulus, and a modulus that is trimmed at k = 1 only
+    + [("sweep", "--family", "2", "--k", "1,2", "--l", "1,2,3",
+        "--modulus", "2,1,1", "--format", "csv"),
+       ("sweep", "--family", "3", "--k", "2,4", "--l", "2,3", "--max-k", "3",
+        "--format", "json"),
+       ("sweep", "--family", "1", "--k", "0,1,7", "--l", "0,2", "--format", "csv"),
+       ("sweep", "--family", "2", "--k", "1", "--l", "1", "--modulus", "1,1,1",
+        "--format", "text"),
+       ("sweep", "--family", "2", "--k", "1,2", "--l", "2", "--modulus",
+        "1,0,1,0", "--format", "json")]
 )
 
 
