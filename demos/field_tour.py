@@ -51,7 +51,8 @@ print(f"k=3: theta = {sc.theta}, theta^13 = {ctx.pow(sc.theta, 13)}")
 print(f"     conjugates {ctx.theta_roots()} (orbit under the cube map)")
 print(f"k=2: theta = {ctx_create(2).special_constants().theta}")
 
-# square roots via Tonelli-Shanks, normalized to the smaller encoding
+# square roots read off the log table: alpha^L is a square iff L is even,
+# with roots +-alpha^(L/2); the smaller encoding is returned
 ctx = ctx_create(2)
 for enc in (2, 15, 14):
     r = ctx.sqrt(enc)

@@ -7,13 +7,14 @@ canonical tie-breaking order everywhere in this package.
 
 A FieldCtx precomputes discrete-log tables for a primitive element together
 with Zech logarithms, so multiplication and addition of nonzero elements are
-single table lookups.  Elements are plain ints throughout: the ctx methods
-take and return encodings.
+single table lookups.  The tables come from one GF(3)-linear map: the m x m
+trit matrix of multiplication by alpha, doubled (alpha^h, alpha^2h, ...) to
+fill the powers of alpha.  Elements are plain ints throughout: the ctx
+methods take and return encodings.
 """
 
 import itertools
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, Optional
 
 import numpy as np
@@ -103,6 +104,17 @@ def _factorize(n: int) -> list:
     return primes
 
 
+def _mat_pow(mat: np.ndarray, e: int) -> np.ndarray:
+    """mat^e over GF(3) by square-and-multiply."""
+    result = np.eye(len(mat), dtype=mat.dtype)
+    while e:
+        if e & 1:
+            result = result @ mat % 3
+        mat = mat @ mat % 3
+        e >>= 1
+    return result
+
+
 @dataclass(frozen=True)
 class SpecialConstants:
     """Distinguished constants of a ctx, all as integer encodings.
@@ -119,6 +131,9 @@ class SpecialConstants:
 
 class FieldCtx:
     """Arithmetic context for GF(3^2k) with log/exp and Zech-log tables.
+
+    The exp table is filled by doubling the multiply-by-alpha matrix, and
+    square roots are read off the log table.
 
     Public attributes: k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
     (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
@@ -164,57 +179,45 @@ class FieldCtx:
             raise ValueError(f"bad trit vector {trits}")
         return sum(c * 3 ** i for i, c in enumerate(trits))
 
-    def _vec_mul(self, a: tuple, b: tuple) -> tuple:
-        # schoolbook multiply of trit vectors, reduced mod the ctx modulus
-        prod = [0] * (2 * self.m)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % 3
-        _, rem = _gf3_divmod(prod, self.modulus)
-        rem = list(rem) + [0] * self.m
-        return tuple(rem[: self.m])
+    def _mul_matrix(self, c: int) -> np.ndarray:
+        """The m x m matrix of y -> c*y on trit row vectors.
 
-    def _vec_pow(self, a: tuple, e: int) -> tuple:
-        result = (1,) + (0,) * (self.m - 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self._vec_mul(result, base)
-            base = self._vec_mul(base, base)
-            e >>= 1
-        return result
+        Row j holds c*x^j mod the modulus, built as sum(c_i X^i) from the
+        companion matrix X of y -> x*y: shifted identity rows, and a last row
+        x^m = -(f_0, ..., f_{m-1}) mod 3.
+        """
+        m = self.m
+        x_mat = np.eye(m, k=1, dtype=np.uint8)
+        x_mat[-1] = [-f % 3 for f in self.modulus[:m]]
+        mat = np.zeros((m, m), dtype=np.uint8)
+        x_pow = np.eye(m, dtype=np.uint8)
+        for ci in self.decode(c):
+            mat = (mat + ci * x_pow) % 3
+            x_pow = x_pow @ x_mat % 3
+        return mat
 
     def _find_primitive(self) -> int:
-        one = (1,) + (0,) * (self.m - 1)
+        one = np.eye(self.m, dtype=np.uint8)
         for cand in range(2, self.order):
-            v = self.decode(cand)
-            if all(self._vec_pow(v, self._n // p) != one for p in self._n_primes):
+            mat = self._mul_matrix(cand)
+            if all(not np.array_equal(_mat_pow(mat, self._n // p), one)
+                   for p in self._n_primes):
                 return cand
         raise ValueError("no primitive element found")  # unreachable
 
     def _build_tables(self):
         n, m = self._n, self.m
-        alpha_vec = self.decode(self.alpha)
-        s = isqrt(n) + 1
-        baby = [(1,) + (0,) * (m - 1)]
-        for _ in range(s - 1):
-            baby.append(self._vec_mul(baby[-1], alpha_vec))
-        giant_vec = self._vec_mul(baby[-1], alpha_vec)  # alpha^s
-        # right-multiplication by alpha^s is GF(3)-linear; build its matrix
-        cols = [giant_vec]
-        x_vec = (0, 1) + (0,) * (m - 2)
-        for _ in range(m - 1):
-            cols.append(self._vec_mul(cols[-1], x_vec))
-        mat = np.array(cols, dtype=np.int64)  # row i = alpha^s * x^i
-        block = np.array(baby, dtype=np.int64)
-        pieces = [block]
-        total = s
-        while total < n:
-            block = block @ mat % 3
-            pieces.append(block)
-            total += s
-        rows = np.concatenate(pieces)[:n]
+        # row i = trits of alpha^i, filled by doubling: rows[h:2h] are rows[:h]
+        # times alpha^h.  uint8 cannot overflow: a product entry is a sum of m
+        # terms of at most 2*2, so at most 4m, below 256 while m <= 63
+        rows = np.zeros((n, m), dtype=np.uint8)
+        rows[0, 0] = 1
+        step = self._mul_matrix(self.alpha)
+        h = 1
+        while h < n:
+            rows[h:2 * h] = rows[:min(h, n - h)] @ step % 3
+            step = step @ step % 3
+            h *= 2
         pow3 = 3 ** np.arange(m, dtype=np.int64)
         exp_arr = rows @ pow3
         if exp_arr[0] != 1 or len(np.unique(exp_arr)) != n:
@@ -288,41 +291,20 @@ class FieldCtx:
         return self._exp2[i % self._n]
 
     def is_square(self, a: int) -> bool:
-        """Euler criterion: a is a square iff a^((order-1)/2) is 0 or 1."""
-        if a == 0:
-            return True
-        return self.pow(a, self._n // 2) == 1
+        """a is a square iff it is 0 or an even power of alpha."""
+        return a == 0 or self._log[a] % 2 == 0
 
     def sqrt(self, a: int) -> Optional[int]:
-        """Tonelli-Shanks square root; returns the smaller-encoded root.
+        """Square root read off the log table; returns the smaller-encoded root.
 
-        Returns None when a is not a square.  The primitive element alpha is
-        the non-residue (its discrete log is 1, which is odd).
+        The two roots of alpha^L (L even) are +-alpha^(L/2).  Returns None when
+        a is not a square.
         """
         if a == 0:
             return 0
         if not self.is_square(a):
             return None
-        n = self._n
-        m_odd, s = n, 0
-        while m_odd % 2 == 0:
-            m_odd //= 2
-            s += 1
-        c = self.pow(self.alpha, m_odd)
-        t = self.pow(a, m_odd)
-        r = self.pow(a, (m_odd + 1) // 2)
-        while t != 1:
-            t2, i = t, 0
-            while t2 != 1:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = c
-            for _ in range(s - i - 1):
-                b = self.mul(b, b)
-            r = self.mul(r, b)
-            c = self.mul(b, b)
-            t = self.mul(t, c)
-            s = i
+        r = self._exp2[self._log[a] // 2]
         return min(r, self.neg(r))
 
     # -- distinguished constants -------------------------------------------

@@ -215,12 +215,12 @@ def _split_equal_degree(w: Poly, d: int) -> list:
 def quadratic_factors(p: Poly) -> list:
     """All monic quadratics x^2 + a x + b dividing p, as sorted (a, b) pairs.
 
-    Split quadratics come from pairing roots of p (self-pairs only for
-    repeated roots, detected through gcd(p, p')); the roots are the linear
-    factors of gcd(p, x^order - x).  Irreducible quadratics are the factors of
-    gcd(p, x^(order^2) - x) divided by that linear part.  Both are separated
-    by equal-degree splitting, and every returned pair is verified by exact
-    division.
+    Split quadratics come from pairing roots of p, self-pairs included; the
+    roots are the linear factors of gcd(p, x^order - x).  Exact division
+    decides every pair, so (x - r)^2 is kept exactly when r is a repeated
+    root.  Irreducible quadratics are the factors of gcd(p, x^(order^2) - x)
+    divided by that linear part.  Both are separated by equal-degree
+    splitting, and every returned pair is verified by exact division.
     """
     if p.degree < 2:
         raise ValueError("degree must be at least 2")
@@ -230,16 +230,8 @@ def quadratic_factors(p: Poly) -> list:
     xq = pow_mod(x, ctx.order, p)
     linear = poly_gcd(p, xq - x)
     roots = sorted(ctx.neg(f.coeffs[0]) for f in _split_equal_degree(linear, 1))
-    deriv = p.derivative()
-    if deriv.is_zero:
-        repeated = set(roots)  # p is a perfect cube, every root repeats
-    else:
-        g = poly_gcd(p, deriv)
-        repeated = {r for r in roots if g.eval(r) == 0}
     for i, r in enumerate(roots):
         for s in roots[i:]:
-            if r == s and r not in repeated:
-                continue
             a = ctx.neg(ctx.add(r, s))
             b = ctx.mul(r, s)
             if (p % Poly(ctx, (b, a, 1))).is_zero:

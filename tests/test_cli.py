@@ -368,9 +368,8 @@ def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):
     (("check-g", "--k", "2", "--family", "2"), 20),
     (("count-roots", "--k", "2", "--family", "2", "--t", "all"), 20),
     (("check-trinomial", "--k", "2", "--family", "2", "--l", "2"), 30),
-    # 10 per l for the index form, 20 for one g table, 10 for the harvest's
-    # repeated-root test
-    (("sweep", "--k", "2", "--family", "2", "--l", "2,3,4"), 60),
+    # 10 per l for the index form, 20 for one g table
+    (("sweep", "--k", "2", "--family", "2", "--l", "2,3,4"), 50),
 ), ids=("check-g", "count-roots", "check-trinomial", "sweep"))
 def test_g_is_evaluated_once_per_x(capsys, monkeypatch, argv, evals):
     # q + 1 = 10 at k = 2: N and D are evaluated once per x of mu_{q+1} in

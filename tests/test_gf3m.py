@@ -1,6 +1,8 @@
 """Field engine checks against an independent reference implementation."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ def test_mul_add_exhaustive_k1(ctx_for):
         assert ctx.neg(a) == ref_neg(a, ctx.m)
 
 
-@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
 def test_mul_add_sampled(ctx_for, k):
     ctx = ctx_for(k)
     rng = random.Random(20260815 + k)
@@ -169,7 +171,7 @@ def test_known_gf9_facts(ctx_for):
 
 
 def test_alpha_is_primitive(ctx_for):
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         ctx = ctx_for(k)
         seen = set()
         x = 1
@@ -177,6 +179,44 @@ def test_alpha_is_primitive(ctx_for):
             seen.add(x)
             x = ctx.mul(x, ctx.alpha)
         assert x == 1 and len(seen) == ctx.order - 1
+
+
+def _prime_divisors(n):
+    return [p for p in range(2, n + 1)
+            if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _has_full_order(c, n, modulus):
+    return (ref_pow(c, n, modulus) == 1
+            and all(ref_pow(c, n // p, modulus) != 1 for p in _prime_divisors(n)))
+
+
+def test_alpha_is_the_smallest_primitive_element(ctx_for):
+    for k in (1, 2, 3):
+        ctx = ctx_for(k)
+        n = ctx.order - 1
+        assert _has_full_order(ctx.alpha, n, ctx.modulus)
+        for c in range(2, ctx.alpha):
+            assert not _has_full_order(c, n, ctx.modulus), c
+    # pinned: another alpha would change every table and every report
+    assert [ctx_for(k).alpha for k in (4, 5, 6)] == [4, 34, 4]
+    assert ctx_create(1, (2, 1, 1)).alpha == 3
+
+
+def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
+    # the table build must not hold an int64 n x m trit matrix (4.7 MB at
+    # k = 5) on top of the tables it keeps
+    k = 5
+    n, m = 3 ** (2 * k) - 1, 2 * k
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = ctx_create(k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.alpha == 34
+    assert peak - retained < n * m * 8
 
 
 def test_alpha_pow_matches_pow(ctx_for):
@@ -222,7 +262,7 @@ def test_conjugate_q_fixes_exactly_the_subfield(ctx_for):
 # ---------------------------------------------------------------------------
 # squares and square roots, against the exhaustive square table
 
-@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_sqrt_matches_exhaustive_table(ctx_for, k):
     ctx = ctx_for(k)
     squares = {}
