@@ -24,6 +24,8 @@ from itertools import zip_longest
 from math import gcd
 from typing import Optional
 
+import numpy as np
+
 from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, quadratic_factors, roots_in_set
@@ -161,15 +163,19 @@ def trinomial_family(family: int, l: int, ctx: FieldCtx):
         raise ValueError(f"l too small for family {family}: exponents {exps}")
     spec = TrinomialSpec(family, l, q, exps, signs, g == 1)
     coeffs = [0] * (max(exps) + 1)
-    for e, s in zip(exps, signs):
-        coeffs[e] = 1 if s > 0 else 2
+    for c, e in _terms(spec):
+        coeffs[e] = c
     return spec, Poly(ctx, coeffs)
+
+
+def _terms(spec: TrinomialSpec) -> list:
+    """(coefficient encoding, exponent) of each term; 2 encodes -1."""
+    return [(1 if s > 0 else 2, e) for e, s in zip(spec.exponents, spec.signs)]
 
 
 def trinomial_map(spec: TrinomialSpec, ctx: FieldCtx):
     """Fast evaluator x -> x^e1 +/- x^e2 +/- x^e3 (no dense polynomial)."""
-    e1, e2, e3 = spec.exponents
-    s1, s2, s3 = (1 if s > 0 else 2 for s in spec.signs)
+    (s1, e1), (s2, e2), (s3, e3) = _terms(spec)
     add, mul, pw = ctx.add, ctx.mul, ctx.pow
 
     def fn(x: int) -> int:
@@ -189,10 +195,10 @@ def trinomial_decompose(spec: TrinomialSpec, ctx: FieldCtx):
     r = min(spec.exponents)
     step = q - 1
     h_coeffs: dict = {}
-    for e, s in zip(spec.exponents, spec.signs):
+    for c, e in _terms(spec):
         if (e - r) % step != 0:
             raise ValueError(f"not in Zieve form: exponent gap {e - r} vs q-1={step}")
-        h_coeffs[(e - r) // step] = 1 if s > 0 else 2
+        h_coeffs[(e - r) // step] = c
     out = [0] * (max(h_coeffs) + 1)
     for j, c in h_coeffs.items():
         out[j] = c
@@ -268,8 +274,14 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
     """(r, h, direct, cond1, cond2): the two permutation routes that depend on
     l -- the direct bijection on the field and the index-form criterion on
     f = x^r h(x^(q-1)).  The third route, the family's g on mu_{q+1}, depends
-    only on (family, k); it is _g_bijection of the family's _g_table."""
-    direct = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order)).is_bijection
+    only on (family, k); it is _g_bijection of the family's _g_table.
+
+    The direct route evaluates f at every alpha^i in one numpy pass
+    (FieldCtx.power_sum_images) and at 0 by trinomial_map; f permutes the
+    field iff those ctx.order images hit every element once."""
+    counts = np.bincount(ctx.power_sum_images(_terms(spec)), minlength=ctx.order)
+    counts[trinomial_map(spec, ctx)(0)] += 1
+    direct = bool((counts == 1).all())
     r, h = trinomial_decompose(spec, ctx)
     cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
     return r, h, direct, cond1, cond2

@@ -9,11 +9,15 @@ A FieldCtx precomputes discrete-log tables for a primitive element together
 with Zech logarithms, so multiplication and addition of nonzero elements are
 single table lookups.  The tables come from one GF(3)-linear map: the m x m
 trit matrix of multiplication by alpha, doubled (alpha^h, alpha^2h, ...) to
-fill the powers of alpha.  Elements are plain ints throughout: the ctx
-methods take and return encodings.
+fill the powers of alpha.  Each table is one int32 buffer (array('i')), so
+fields whose multiplicative group has order 2^31 or more are refused.
+Elements are plain ints throughout: the ctx methods take and return
+encodings, and FieldCtx.power_sum_images evaluates a sparse polynomial at
+every nonzero element in one numpy pass over the same tables.
 """
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -65,9 +69,13 @@ def default_modulus(degree: int) -> tuple:
     """Lexicographically smallest monic irreducible of the given degree.
 
     Coefficients are compared low degree first, so the choice is deterministic
-    and independent of any randomness.
+    and independent of any randomness.  Above degree 1 the search starts at
+    constant term 1: the candidates it skips are divisible by x.
     """
-    for tail in itertools.product(range(3), repeat=degree):
+    if degree < 1:
+        raise ValueError(f"no irreducible polynomial of degree {degree}")
+    constant = range(1 if degree > 1 else 0, 3)
+    for tail in itertools.product(constant, *[range(3)] * (degree - 1)):
         f = (*tail, 1)
         if gf3_is_irreducible(f):
             return f
@@ -133,7 +141,11 @@ class FieldCtx:
     """Arithmetic context for GF(3^2k) with log/exp and Zech-log tables.
 
     The exp table is filled by doubling the multiply-by-alpha matrix, and
-    square roots are read off the log table.
+    square roots are read off the log table.  The tables are int32
+    array('i') buffers: _exp2 (alpha^i for i < 2n, doubled to skip a mod),
+    _log (_log[0] is an unused 0; every op branches on 0 first) and _zech
+    (log(1 + alpha^i), or -1 where 1 + alpha^i = 0).  Scalar ops index them
+    and get Python ints; power_sum_images reads them as numpy views.
 
     Public attributes: k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
     (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
@@ -148,6 +160,9 @@ class FieldCtx:
         self.q = 3 ** k
         self.order = 3 ** self.m
         self._n = self.order - 1
+        if self._n >= 2 ** 31:
+            raise ValueError(f"field order 3^{self.m} too large: its log tables "
+                             f"are int32, so 3^(2k) - 1 must stay below 2^31")
         if modulus is None:
             modulus = default_modulus(self.m)
         else:
@@ -207,32 +222,50 @@ class FieldCtx:
 
     def _build_tables(self):
         n, m = self._n, self.m
-        # row i = trits of alpha^i, filled by doubling: rows[h:2h] are rows[:h]
-        # times alpha^h.  uint8 cannot overflow: a product entry is a sum of m
-        # terms of at most 2*2, so at most 4m, below 256 while m <= 63
-        rows = np.zeros((n, m), dtype=np.uint8)
-        rows[0, 0] = 1
+        # planes[j, i] = trit j of alpha^i, filled by doubling: columns h..2h-1
+        # are columns 0..h-1 times alpha^h, summed one trit plane at a time
+        # (contiguous uint8 adds, several times faster than an integer
+        # matmul).  uint8 cannot overflow: an entry is a sum of at most 2m
+        # trits, so at most 4m, below 256 while m <= 63
+        planes = np.zeros((m, n), dtype=np.uint8)
+        planes[0, 0] = 1
         step = self._mul_matrix(self.alpha)
         h = 1
         while h < n:
-            rows[h:2 * h] = rows[:min(h, n - h)] @ step % 3
+            w = min(h, n - h)
+            for j in range(m):
+                for i in range(m):
+                    for _ in range(step[i, j]):
+                        planes[j, h:h + w] += planes[i, :w]
+                planes[j, h:h + w] %= 3
             step = step @ step % 3
             h *= 2
-        pow3 = 3 ** np.arange(m, dtype=np.int64)
-        exp_arr = rows @ pow3
-        if exp_arr[0] != 1 or len(np.unique(exp_arr)) != n:
+        self._exp2 = array("i", [0]) * (2 * n)
+        self._log = array("i", [0]) * self.order
+        self._zech = array("i", [0]) * n
+        exp2, log_arr, zech = self._tables()
+        exp_arr = exp2[:n]
+        for j in range(m - 1, -1, -1):  # Horner, high trit first
+            exp_arr *= 3
+            exp_arr += planes[j]
+        del planes
+        exp2[n:] = exp_arr
+        indices = np.arange(n, dtype=np.int32)
+        log_arr[exp_arr] = indices
+        if exp_arr[0] != 1 or not np.array_equal(log_arr[exp_arr], indices):
             raise ValueError("exp table is not a permutation; element not primitive")
-        log_arr = np.zeros(self.order, dtype=np.int64)
-        log_arr[exp_arr] = np.arange(n, dtype=np.int64)
-        # 1 + alpha^i flips only the constant trit: enc - c0 + ((c0 + 1) % 3)
-        c0 = exp_arr % 3
-        plus_one = exp_arr - c0 + (c0 + 1) % 3
-        zech_arr = np.where(plus_one == 0, -1, log_arr[plus_one])
-        exp_list = exp_arr.tolist()
-        self._exp2 = exp_list + exp_list  # doubled to skip a mod in hot paths
-        self._log = log_arr.tolist()
-        self._log[0] = None
-        self._zech = zech_arr.tolist()
+        del indices
+        # 1 + alpha^i flips only the constant trit: enc + 1, or enc - 2 when
+        # that trit is 2
+        plus_one = exp_arr + 1
+        plus_one[exp_arr % 3 == 2] -= 3
+        zech[:] = log_arr[plus_one]
+        zech[plus_one == 0] = -1
+
+    def _tables(self) -> tuple:
+        """(exp2, log, zech) as int32 numpy views of the table buffers."""
+        return tuple(np.frombuffer(t, dtype=np.int32)
+                     for t in (self._exp2, self._log, self._zech))
 
     # -- element arithmetic on encodings -----------------------------------
 
@@ -306,6 +339,38 @@ class FieldCtx:
             return None
         r = self._exp2[self._log[a] // 2]
         return min(r, self.neg(r))
+
+    # -- vector evaluation -------------------------------------------------
+
+    def power_sum_images(self, terms) -> np.ndarray:
+        """Images of sum(c * x^e for c, e in terms) at x = alpha^i, i < n.
+
+        Coefficients c are nonzero encodings and exponents e >= 0.  Works in
+        the log domain: c * x^e has log (i * e + log c) mod n, and each term
+        joins the partial sum through the Zech table; a mask marks the x
+        where the partial sum is 0.  Returns an int32 array indexed by i.
+        """
+        n = self._n
+        exp2, log_arr, zech = self._tables()
+        acc = None  # log of the partial sum, valid where it is nonzero
+        zero = np.zeros(n, dtype=bool)
+        for c, e in terms:
+            term = np.arange(n, dtype=np.int64)  # i * e needs 64 bits
+            term *= e % n
+            term += log_arr[c]
+            term %= n
+            term = term.astype(np.int32)
+            if acc is None:
+                acc = term
+                continue
+            z = zech[(term - acc) % n]  # c x^e / acc = alpha^(term - acc)
+            acc += z
+            acc %= n
+            acc[zero] = term[zero]
+            zero = ~zero & (z < 0)
+        images = exp2[acc]
+        images[zero] = 0
+        return images
 
     # -- distinguished constants -------------------------------------------
 

@@ -1,6 +1,7 @@
 """Command-line behavior: payloads, formats, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -298,6 +299,14 @@ def test_bad_modulus_exits_one(capsys):
 def test_k_out_of_range_exits_one(capsys):
     code, _, err = run(capsys, "field-info", "--k", "9")
     assert code == 1 and "unsupported degree" in err
+
+
+def test_field_too_large_for_int32_tables_exits_one_at_once(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "check-trinomial", "--k", "10", "--max-k", "10",
+                       "--family", "2", "--l", "2")
+    assert code == 1 and "too large" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_t_outside_mu_exits_one(capsys):

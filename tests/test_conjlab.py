@@ -100,6 +100,32 @@ def test_trinomial_map_matches_polynomial():
             assert fn(x) == poly(x)
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_vector_images_match_the_scalar_map(ctx_for, k):
+    ctx = ctx_for(k)
+    for family in (1, 2, 3):
+        for l in valid_ls(family, ctx, range(0, 13)):
+            spec, _ = trinomial_family(family, l, ctx)
+            fn = trinomial_map(spec, ctx)
+            images = ctx.power_sum_images(conjlab._terms(spec))
+            assert images.tolist() == [fn(ctx.alpha_pow(i))
+                                       for i in range(ctx.order - 1)]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_direct_route_matches_the_bijection_oracle(ctx_for, k):
+    ctx = ctx_for(k)
+    verdicts = set()
+    for family in (1, 2, 3):
+        for l in valid_ls(family, ctx, range(0, 13)):
+            spec, _ = trinomial_family(family, l, ctx)
+            direct = conjlab._routes(spec, ctx)[2]
+            oracle = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order))
+            assert direct is oracle.is_bijection, (family, l)
+            verdicts.add(direct)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # index-form decomposition
 

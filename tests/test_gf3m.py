@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -18,12 +19,14 @@ from conftest import (enc_to_trits, ref_add, ref_default_modulus,
 # first monic irreducible per degree, in itertools.product order over the
 # low coefficients; re-derived by ref_default_modulus below
 KNOWN_MODULI = {
+    1: (0, 1),  # x itself: the constant-term-0 skip starts at degree 2
     2: (1, 0, 1),
     4: (1, 0, 1, 1, 1),
     6: (1, 0, 0, 0, 1, 1, 1),
     8: (1, 0, 0, 0, 0, 1, 1, 0, 1),
     10: (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
     12: (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
+    14: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
 }
 
 
@@ -35,14 +38,28 @@ def test_default_modulus_known_values(m):
     assert default_modulus(m) == KNOWN_MODULI[m]
 
 
-@pytest.mark.parametrize("m", (2, 4, 6, 8))
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 6, 7, 8))
 def test_default_modulus_matches_reference_sieve(m):
     assert default_modulus(m) == ref_default_modulus(m)
 
 
-@pytest.mark.parametrize("m", (10, 12))
+@pytest.mark.parametrize("m", (10, 12, 14))
 def test_default_modulus_is_irreducible_per_reference(m):
     assert ref_irreducible(default_modulus(m))
+
+
+def test_default_modulus_skips_candidates_divisible_by_x(monkeypatch):
+    calls = 0
+    original = gf3m.gf3_is_irreducible
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return original(f)
+
+    monkeypatch.setattr(gf3m, "gf3_is_irreducible", counting)
+    assert default_modulus(12) == KNOWN_MODULI[12]
+    assert calls < 100  # 177,176 when constant term 0 is tried first
 
 
 def test_gf3_is_irreducible_agrees_with_reference():
@@ -66,6 +83,21 @@ def test_ctx_basic_shape(ctx_for):
 def test_ctx_rejects_degree_outside_range(k):
     with pytest.raises(ValueError, match="unsupported degree"):
         ctx_create(k)
+
+
+@pytest.mark.parametrize("modulus", (None, (2,) + (0,) * 19 + (1,)))
+def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, modulus):
+    # 3^20 - 1 >= 2^31: refused before the modulus search, the irreducibility
+    # test of a given modulus, or any table allocation
+    def forbidden(*args):
+        raise AssertionError("field construction started")
+
+    for name in ("default_modulus", "gf3_is_irreducible", "_factorize"):
+        monkeypatch.setattr(gf3m, name, forbidden)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        ctx_create(10, modulus, max_k=10)
+    assert time.perf_counter() - start < 1
 
 
 def test_ctx_max_k_is_adjustable():
@@ -217,6 +249,65 @@ def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
         tracemalloc.stop()
     assert ctx.alpha == 34
     assert peak - retained < n * m * 8
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
+    square = ctx_create(k).alpha_pow(2)  # order n / 2: the exp table repeats
+    monkeypatch.setattr(gf3m.FieldCtx, "_find_primitive", lambda self: square)
+    with pytest.raises(ValueError, match="not a permutation"):
+        ctx_create(k)
+
+
+def test_ctx_tables_are_int32_buffers():
+    # three int32 tables of 2n, n + 1 and n entries: 0.9 MB at k = 5, where
+    # Python lists of ints took 7.5 MB; the build peaks below one int64
+    # n x m trit matrix
+    k = 5
+    n, m = 3 ** (2 * k) - 1, 2 * k
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = ctx_create(k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
+    assert retained < 2 * 2 ** 20
+    assert [t.typecode for t in (ctx._exp2, ctx._log, ctx._zech)] == ["i"] * 3
+    assert isinstance(ctx.mul(ctx.alpha, ctx.alpha), int)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_zero_is_handled_before_the_log_table(ctx_for, k):
+    # _log[0] is an int like any other entry, so every op must branch on 0
+    ctx = ctx_for(k)
+    for e in range(2 * ctx.m + 1):
+        assert ctx.frobenius(0, e) == 0
+    assert ctx.sqrt(0) == 0
+    assert ctx.is_square(0)
+    assert ctx.neg(0) == 0 and ctx.mul(0, ctx.alpha) == 0
+    assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_power_sum_images_match_scalar_evaluation(ctx_for, k):
+    ctx = ctx_for(k)
+    n = ctx.order - 1
+    rng = random.Random(k)
+    for _ in range(30):
+        terms = [(rng.randrange(1, ctx.order), rng.randrange(3 * n))
+                 for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.5:  # c x^e - c x^e: partial sums vanish everywhere
+            c, e = terms[0]
+            terms.insert(1, (ctx.neg(c), e + n * rng.randrange(2)))
+        expected = []
+        for i in range(n):
+            x, value = ctx.alpha_pow(i), 0
+            for c, e in terms:
+                value = ctx.add(value, ctx.mul(c, ctx.pow(x, e)))
+            expected.append(value)
+        assert ctx.power_sum_images(terms).tolist() == expected
 
 
 def test_alpha_pow_matches_pow(ctx_for):
