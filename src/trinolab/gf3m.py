@@ -10,7 +10,8 @@ with Zech logarithms, so multiplication and addition of nonzero elements are
 single table lookups.  The tables come from one GF(3)-linear map: the m x m
 trit matrix of multiplication by alpha, doubled (alpha^h, alpha^2h, ...) to
 fill the powers of alpha.  Each table is one int32 buffer (array('i')), so
-fields whose multiplicative group has order 2^31 or more are refused.
+fields whose multiplicative group has order 2^31 or more are refused, and
+so are fields whose tables would exceed TABLE_BYTES_CEILING (2 GiB).
 Elements are plain ints throughout: the ctx methods take and return
 encodings, and FieldCtx.power_sum_images evaluates a sparse polynomial at
 every nonzero element in one numpy pass over the same tables.
@@ -24,6 +25,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 DEFAULT_MAX_K = 6
+# ceiling on the estimated table bytes, n (m + 16) for n = 3^m - 1 (see
+# FieldCtx): k = 8 (about 1.4 GB) passes, k = 9 (about 13 GB) is refused
+TABLE_BYTES_CEILING = 2 * 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +167,13 @@ class FieldCtx:
         if self._n >= 2 ** 31:
             raise ValueError(f"field order 3^{self.m} too large: its log tables "
                              f"are int32, so 3^(2k) - 1 must stay below 2^31")
+        # int32 exp2 (2n), log (n + 1) and Zech (n) tables plus the uint8
+        # m x n trit planes
+        table_bytes = self._n * (self.m + 16)
+        if table_bytes > TABLE_BYTES_CEILING:
+            raise ValueError(f"field order 3^{self.m} too large: its tables would "
+                             f"take about {table_bytes / 2 ** 30:.1f} GiB, above "
+                             f"the {TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
         if modulus is None:
             modulus = default_modulus(self.m)
         else:

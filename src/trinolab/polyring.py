@@ -2,10 +2,17 @@
 
 Coefficients are stored as integer encodings, low degree first, with trailing
 zeros trimmed; the zero polynomial has an empty coefficient tuple and degree
--1.  eval takes and returns encodings too.  Quadratic factor extraction
-splits gcd(p, x^order - x) and gcd(p, x^(order^2) - x) by deterministic
-equal-degree splitting, so it never scans the field; roots_in_set, the
-candidate scan, remains the oracle.
+-1.  eval takes and returns encodings too.
+
+Quadratic factor extraction never scans the field and makes no pow_mod call.
+One Frobenius chain x^(3^i) mod p, i <= 4k, is built by cubing, which is
+additive in characteristic 3, so each cube is a linear combination of the
+precomputed rows x^(3j) mod p.  The chain gives x^order and x^(order^2), hence
+the linear part gcd(p, x^order - x) and the quadratic part
+gcd(p, x^(order^2) - x), and the same chain splits both by absolute traces
+(Berlekamp's trace algorithm) over at most 4k deterministic tries.  The tests
+keep Cantor-Zassenhaus splitting with pow_mod, the candidate scan roots_in_set
+and a brute-force divisor search as oracles.
 """
 
 from typing import Iterable, Optional
@@ -190,26 +197,96 @@ def roots_in_set(p: Poly, candidates) -> list:
     return [x for x in sorted(candidates) if p.eval(x) == 0]
 
 
-def _split_equal_degree(w: Poly, d: int) -> list:
+def _combine(ctx: FieldCtx, scalars, polys, size: int) -> Poly:
+    """sum(s * P for s, P in zip(scalars, polys)); every P has degree < size."""
+    add, mul = ctx.add, ctx.mul
+    out = [0] * size
+    for s, poly in zip(scalars, polys):
+        if s:
+            for i, c in enumerate(poly.coeffs):
+                out[i] = add(out[i], mul(s, c))
+    return Poly(ctx, out)
+
+
+def _frobenius_chain(p: Poly, length: int) -> list:
+    """[x^(3^i) mod p for i <= length], by repeated cubing.
+
+    Cubing is additive in characteristic 3: (sum c_j x^j)^3 = sum c_j^3 x^(3j).
+    With the rows x^(3j) mod p for j < deg p computed once, each from the
+    last by a shift and a three-step reduction, each cube is a linear
+    combination of those rows, deg(p)^2 field ops.
+    """
+    ctx = p.ctx
+    rows = [Poly(ctx, (1,)) % p]
+    for _ in range(1, p.degree):
+        rows.append(Poly(ctx, (0, 0, 0) + rows[-1].coeffs) % p)
+    chain = [Poly.monomial(ctx, 1) % p]
+    for _ in range(length):
+        cubes = [ctx.frobenius(c) for c in chain[-1].coeffs]
+        chain.append(_combine(ctx, cubes, rows, p.degree))
+    return chain
+
+
+def _trace_tries(w: Poly, d: int, chain: list):
+    """Tr(c y) mod w for y = x, then (d = 2) y = x^2, with c = 3^j for j < m.
+
+    Tr is the absolute trace of GF(order^d), the sum of the 3^i-th powers for
+    i < d m, so Tr(c y) = sum c^(3^i) y^(3^i), with x^(3^i) read off the chain
+    (computed mod a multiple of w) and x^(2 3^i) as its squares.  The c are
+    the polynomial basis x^j of GF(order) over GF(3).  m = 2k tries for d = 1
+    and 2m = 4k for d = 2.
+    """
+    ctx = w.ctx
+    powers = [y % w for y in chain[:d * ctx.m]]
+    for y_degree in range(1, d + 1):
+        if y_degree == 2:
+            powers = [(y * y) % w for y in powers]
+        for j in range(ctx.m):
+            conjugates = [ctx.frobenius(3 ** j, i) for i in range(len(powers))]
+            yield _combine(ctx, conjugates, powers, w.degree)
+
+
+def _trace_split(w: Poly, d: int, chain: list) -> list:
     """Split w, a squarefree product of monic degree-d irreducibles, into them.
 
-    Cantor-Zassenhaus equal-degree splitting with the shifts c tried in
-    encoding order: x + c is a square modulo some factors of w and a
-    non-square modulo others, and gcd(w, (x + c)^((order^d - 1)/2) - 1)
-    collects the first kind.  The first proper split is recursed on.  Some
-    shift separates any two factors: for d = 1 as c -> (c + r)/(c + s) takes
-    non-square values, for d = 2 by the Weil bound once order >= 81 and by
-    exhaustion at order 9.
+    d is 1 or 2, and chain[i] = x^(3^i) mod a multiple of w for i < d m.
+    Berlekamp's trace splitting: each try T = Tr(c y) mod w from _trace_tries
+    takes a value in GF(3) at every root of w, the same value at the two
+    conjugate roots of a quadratic factor, so gcd(w, T - e) for e in GF(3)
+    splits w into the factors where T is e.  Every part is split by every
+    try until all have degree d.
+
+    Why the tries separate any two distinct factors: the trace form
+    (u, v) -> Tr(u v) of GF(order) over GF(3) is nondegenerate, so for u != v
+    some basis element c has Tr(c u) != Tr(c v).  A linear factor x - r
+    gives Tr(c r).  A quadratic x^2 + a x + b with roots rho, rho^order gives
+    Tr(c rho) = Tr_order(c (rho + rho^order)) = Tr_order(-c a) and
+    Tr(c rho^2) = Tr_order(c ((rho + rho^order)^2 - 2 rho^(order + 1)))
+    = Tr_order(c (a^2 + b)), Tr_order being the trace of GF(order).  Two
+    distinct quadratics differ in -a, or else in a^2 + b.
     """
-    if w.degree <= d:
-        return [w.monic()] if w.degree == d else []
-    ctx = w.ctx
-    half = (ctx.order ** d - 1) // 2
-    for c in range(ctx.order):
-        g = poly_gcd(w, pow_mod(Poly(ctx, (c, 1)), half, w) - Poly(ctx, (1,)))
-        if 0 < g.degree < w.degree:
-            return _split_equal_degree(g, d) + _split_equal_degree(w // g, d)
-    raise AssertionError("equal-degree splitting failed")  # unreachable
+    parts = [w] if w.degree > 0 else []
+    tries = _trace_tries(w, d, chain)
+    while any(part.degree > d for part in parts):
+        trace = next(tries, None)
+        if trace is None:
+            raise AssertionError("trace splitting failed")  # unreachable
+        parts = [g for part in parts for g in _split_on(part, trace, d)]
+    return parts
+
+
+def _split_on(part: Poly, trace: Poly, d: int) -> list:
+    """The nontrivial gcd(part, trace - e), e in GF(3); part itself if of degree d."""
+    if part.degree == d:
+        return [part]
+    ctx = part.ctx
+    r = trace % part
+    out = []
+    for e in range(3):  # encodings 0, 1, 2 are the elements of GF(3)
+        g = poly_gcd(part, r - Poly(ctx, (e,)))
+        if g.degree > 0:
+            out.append(g)
+    return out
 
 
 def quadratic_factors(p: Poly) -> list:
@@ -219,25 +296,26 @@ def quadratic_factors(p: Poly) -> list:
     roots are the linear factors of gcd(p, x^order - x).  Exact division
     decides every pair, so (x - r)^2 is kept exactly when r is a repeated
     root.  Irreducible quadratics are the factors of gcd(p, x^(order^2) - x)
-    divided by that linear part.  Both are separated by equal-degree
-    splitting, and every returned pair is verified by exact division.
+    divided by that linear part.  x^order and x^(order^2) come from one
+    Frobenius chain, both parts are split by traces on the same chain, and
+    every returned pair is verified by exact division.
     """
     if p.degree < 2:
         raise ValueError("degree must be at least 2")
     ctx = p.ctx
+    m = ctx.m
     found = set()
-    x = Poly.monomial(ctx, 1)
-    xq = pow_mod(x, ctx.order, p)
-    linear = poly_gcd(p, xq - x)
-    roots = sorted(ctx.neg(f.coeffs[0]) for f in _split_equal_degree(linear, 1))
+    chain = _frobenius_chain(p, 2 * m)
+    x = chain[0]
+    linear = poly_gcd(p, chain[m] - x)
+    roots = sorted(ctx.neg(f.coeffs[0]) for f in _trace_split(linear, 1, chain))
     for i, r in enumerate(roots):
         for s in roots[i:]:
             a = ctx.neg(ctx.add(r, s))
             b = ctx.mul(r, s)
             if (p % Poly(ctx, (b, a, 1))).is_zero:
                 found.add((a, b))
-    xqq = pow_mod(xq, ctx.order, p)  # x^(order^2) via Frobenius
-    for q in _split_equal_degree(poly_gcd(p, xqq - x) // linear, 2):
+    for q in _trace_split(poly_gcd(p, chain[2 * m] - x) // linear, 2, chain):
         a, b = q.coeffs[1], q.coeffs[0]
         if not (p % q).is_zero:
             raise AssertionError("extracted quadratic fails division check")

@@ -469,9 +469,20 @@ def test_exclusion_rejects_other_families(ctx_for):
         distinct_root_exclusion(1, ctx_for(1))
 
 
-def test_lemma_checks_at_k5(ctx_for):
-    # criteria 5 and 6 plus the exclusion and (u, v) checks, one field up
-    ctx = ctx_for(5)
+# theta needs k % 3 == 0, so at k = 5 only the epsilon case can occur
+SEPTIC_CASES = {5: {LemmaCase.EPSILON}, 6: {LemmaCase.EPSILON, LemmaCase.THETA}}
+# k = 6 is 2 mod 4, outside the degree-5 uniqueness claim
+EXCLUSION_INGREDIENTS = {
+    5: ((2, {"theta_absent": True}), (3, {"sqrt_eps_minus_1_absent": True})),
+    6: ((2, {"theta_pow_13_is_one": True,
+             "theta_pow_half_q_minus_1_is_one": True}),),
+}
+
+
+@pytest.mark.parametrize("k", (5, 6))
+def test_lemma_checks_at_k5_and_k6(ctx_for, k):
+    # criteria 5 and 6 plus the exclusion and (u, v) checks, beyond k = 4
+    ctx = ctx_for(k)
     quintic = harvest_witnesses(3, ctx)
     assert quintic
     for w in quintic:
@@ -480,11 +491,9 @@ def test_lemma_checks_at_k5(ctx_for):
         assert verify_quintic_coefficient_system(w.a, w.b, w.t, ctx), w
         assert quintic_displayed_identities_hold(w.a, w.b, w.t, ctx), w
     for w in harvest_witnesses(2, ctx):
-        # theta needs k % 3 == 0, so only the epsilon case can occur
-        assert verify_septic_factor_case(w, ctx) is LemmaCase.EPSILON, w
+        assert verify_septic_factor_case(w, ctx) in SEPTIC_CASES[k], w
         assert verify_septic_coefficient_system(w.a, w.b, w.t, ctx), w
-    for family, ingredients in ((2, {"theta_absent": True}),
-                                (3, {"sqrt_eps_minus_1_absent": True})):
+    for family, ingredients in EXCLUSION_INGREDIENTS[k]:
         rep = distinct_root_exclusion(family, ctx)
         assert rep.ok and rep.max_count == 1 and rep.counterexamples == []
         assert rep.ingredients == ingredients

@@ -85,10 +85,13 @@ def test_ctx_rejects_degree_outside_range(k):
         ctx_create(k)
 
 
-@pytest.mark.parametrize("modulus", (None, (2,) + (0,) * 19 + (1,)))
-def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, modulus):
-    # 3^20 - 1 >= 2^31: refused before the modulus search, the irreducibility
-    # test of a given modulus, or any table allocation
+@pytest.mark.parametrize(("k", "modulus"),
+                         ((10, None), (10, (2,) + (0,) * 19 + (1,)), (9, None)),
+                         ids=("None", "modulus1", "k9"))
+def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
+    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 13 GB: refused
+    # before the modulus search, the irreducibility test of a given modulus,
+    # or any table allocation
     def forbidden(*args):
         raise AssertionError("field construction started")
 
@@ -96,8 +99,23 @@ def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, modulus):
         monkeypatch.setattr(gf3m, name, forbidden)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
-        ctx_create(10, modulus, max_k=10)
+        ctx_create(k, modulus, max_k=k)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("k", (7, 8))
+def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
+    # about 143 MB and 1.4 GB of tables: both reach the modulus search,
+    # stopped here before any allocation
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(gf3m, "default_modulus", reached)
+    with pytest.raises(Reached):
+        ctx_create(k, max_k=k)
 
 
 def test_ctx_max_k_is_adjustable():

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from trinolab.conjlab import FAMILIES, fiber_polynomial
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import mu_enumerate
-from trinolab.polyring import (Poly, _split_equal_degree, poly_gcd, pow_mod,
+from trinolab import polyring
+from trinolab.polyring import (Poly, _frobenius_chain, _trace_split,
+                               _trace_tries, poly_gcd, pow_mod,
                                quadratic_factors, roots_in_set)
 
 CTX9 = ctx_create(1)
@@ -44,6 +46,54 @@ def brute_quadratic_factors(p):
             if (p % Poly(p.ctx, (b, a, 1))).is_zero:
                 out.append((a, b))
     return out
+
+
+def _split_equal_degree(w, d):
+    """Reference splitter: w, a squarefree product of monic degree-d
+    irreducibles, split into them by Cantor-Zassenhaus.
+
+    The shifts c are tried in encoding order: x + c is a square modulo some
+    factors of w and a non-square modulo others, and
+    gcd(w, (x + c)^((order^d - 1)/2) - 1) collects the first kind.  The first
+    proper split is recursed on.
+    """
+    if w.degree <= d:
+        return [w.monic()] if w.degree == d else []
+    ctx = w.ctx
+    half = (ctx.order ** d - 1) // 2
+    for c in range(ctx.order):
+        g = poly_gcd(w, pow_mod(Poly(ctx, (c, 1)), half, w) - Poly(ctx, (1,)))
+        if 0 < g.degree < w.degree:
+            return _split_equal_degree(g, d) + _split_equal_degree(w // g, d)
+    raise AssertionError("equal-degree splitting failed")
+
+
+def cz_quadratic_factors(p):
+    """Reference quadratic_factors: x^order and x^(order^2) by pow_mod, the
+    linear and quadratic parts split by Cantor-Zassenhaus."""
+    ctx = p.ctx
+    x = Poly.monomial(ctx, 1)
+    xq = pow_mod(x, ctx.order, p)
+    linear = poly_gcd(p, xq - x)
+    roots = sorted(ctx.neg(f.coeffs[0]) for f in _split_equal_degree(linear, 1))
+    found = set()
+    for i, r in enumerate(roots):
+        for s in roots[i:]:
+            a, b = ctx.neg(ctx.add(r, s)), ctx.mul(r, s)
+            if (p % Poly(ctx, (b, a, 1))).is_zero:
+                found.add((a, b))
+    xqq = pow_mod(xq, ctx.order, p)
+    for q in _split_equal_degree(poly_gcd(p, xqq - x) // linear, 2):
+        found.add((q.coeffs[1], q.coeffs[0]))
+    return sorted(found)
+
+
+def monic_irreducible_quadratics(ctx):
+    """Every x^2 + a x + b over the field with non-square discriminant
+    a^2 - 4b = a^2 - b, as Polys."""
+    return [Poly(ctx, (b, a, 1)) for a in range(ctx.order)
+            for b in range(ctx.order)
+            if not ctx.is_square(ctx.sub(ctx.mul(a, a), b))]
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +373,97 @@ def test_quadratic_factors_finds_planted_divisors_in_large_field():
 @given(planted_products())
 def test_quadratic_factors_of_planted_products_vs_brute_force(p):
     assume(p.degree >= 2)
-    assert quadratic_factors(p) == brute_quadratic_factors(p)
+    assert (quadratic_factors(p) == brute_quadratic_factors(p)
+            == cz_quadratic_factors(p))
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_split_roots_of_fiber_polynomials_match_the_field_scan(k):
     ctx = ctx_create(k)
-    x = Poly.monomial(ctx, 1)
     for family in FAMILIES:
         for t in sorted(mu_enumerate(ctx, ctx.q + 1)):
             p = fiber_polynomial(family, t, ctx)
-            linear = poly_gcd(p, pow_mod(x, ctx.order, p) - x)
+            chain = _frobenius_chain(p, 2 * ctx.m)
+            linear = poly_gcd(p, chain[ctx.m] - chain[0])
             roots = sorted(ctx.neg(f.coeffs[0])
-                           for f in _split_equal_degree(linear, 1))
-            assert roots == roots_in_set(p, range(ctx.order)), (family, t)
+                           for f in _trace_split(linear, 1, chain))
+            cz_roots = sorted(ctx.neg(f.coeffs[0])
+                              for f in _split_equal_degree(linear, 1))
+            assert roots == cz_roots == roots_in_set(p, range(ctx.order)), (
+                family, t)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_quadratic_factors_of_every_fiber_match_cantor_zassenhaus(k):
+    ctx = ctx_create(k)
+    for family in FAMILIES:
+        for t in sorted(mu_enumerate(ctx, ctx.q + 1)):
+            p = fiber_polynomial(family, t, ctx)
+            assert quadratic_factors(p) == cz_quadratic_factors(p), (family, t)
+
+
+def test_frobenius_chain_matches_pow_mod():
+    ctx = ctx_create(2)
+    p = Poly(ctx, (5, 0, 17, 3, 0, 1, 40, 2))
+    chain = _frobenius_chain(p, 2 * ctx.m)
+    x = Poly.monomial(ctx, 1)
+    assert len(chain) == 2 * ctx.m + 1
+    for i, xi in enumerate(chain):
+        assert xi == pow_mod(x, 3 ** i, p), i
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_trace_splitting_separates_every_pair_of_linear_factors(k):
+    ctx = ctx_create(k)
+    for r in range(ctx.order):
+        for s in range(r + 1, ctx.order):
+            lin = sorted([Poly(ctx, (ctx.neg(r), 1)), Poly(ctx, (ctx.neg(s), 1))],
+                         key=lambda f: f.coeffs)
+            w = lin[0] * lin[1]
+            split = _trace_split(w, 1, _frobenius_chain(w, ctx.m))
+            assert sorted(split, key=lambda f: f.coeffs) == lin, (r, s)
+
+
+def test_trace_splitting_separates_every_pair_of_quadratics_k1():
+    ctx = ctx_create(1)
+    quads = monic_irreducible_quadratics(ctx)
+    assert len(quads) == (ctx.order ** 2 - ctx.order) // 2
+    for i, q1 in enumerate(quads):
+        for q2 in quads[i + 1:]:
+            w = q1 * q2
+            split = _trace_split(w, 2, _frobenius_chain(w, 2 * ctx.m))
+            assert sorted(split, key=lambda f: f.coeffs) == sorted(
+                [q1, q2], key=lambda f: f.coeffs), (q1, q2)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_trace_tries_give_every_irreducible_quadratic_its_own_signature(k):
+    # _trace_split splits q1 * q2 at the first try whose trace takes different
+    # GF(3) values on q1 and q2, so distinct signatures (the values of all
+    # 4k tries) on every irreducible quadratic mean that every pair is
+    # separated within the try list; at k = 2 this covers all 5,247,180 pairs
+    # without splitting each product
+    ctx = ctx_create(k)
+    signatures = set()
+    for q in monic_irreducible_quadratics(ctx):
+        traces = list(_trace_tries(q, 2, _frobenius_chain(q, 2 * ctx.m)))
+        assert len(traces) == 4 * k
+        assert all(t.coeffs in ((), (1,), (2,)) for t in traces), q
+        signatures.add(tuple(t.coeffs for t in traces))
+    assert len(signatures) == (ctx.order ** 2 - ctx.order) // 2
+
+
+def test_quadratic_factors_make_no_pow_mod_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return pow_mod(*args)
+
+    monkeypatch.setattr(polyring, "pow_mod", counted)
+    ctx = ctx_create(3)
+    for family in (2, 3):
+        pairs = max((quadratic_factors(fiber_polynomial(family, t, ctx))
+                     for t in sorted(mu_enumerate(ctx, ctx.q + 1))), key=len)
+        assert pairs
+    assert calls == []
