@@ -20,7 +20,7 @@ from trinolab import (ctx_create, fractional_map, g_permutes_mu, mu_enumerate,
 from trinolab.conjlab import sweep
 
 ctx = ctx_create(1)
-spec, poly = trinomial_family(2, 1, ctx)
+spec = trinomial_family(2, 1, ctx)
 print(f"family 2, l=1, k=1: exponents {spec.exponents}, "
       f"signs {spec.signs}, gcd_ok={spec.gcd_ok}")
 

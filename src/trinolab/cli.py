@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import fields
 from typing import Optional
@@ -189,7 +188,7 @@ def _cmd_mu(args):
 def _cmd_check_trinomial(args):
     ctx = _make_ctx(args)
     try:
-        spec, _ = conjlab.trinomial_family(args.family, args.l, ctx)
+        spec = conjlab.trinomial_family(args.family, args.l, ctx)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     r, h, direct, cond1, cond2 = conjlab._routes(spec, ctx)
@@ -261,15 +260,13 @@ def _cmd_factors(args):
 
 def _cmd_lemma_verify(args):
     ctx = _make_ctx(args)
-    if args.family not in (2, 3):
-        raise UsageError("lemma-verify supports families 2 and 3")
     rows = []
     failed = False
     witnesses = (w for t in _t_values(args, ctx)
                  for w in conjlab._fiber_witnesses(args.family, t, ctx))
     for w in witnesses:
         if args.family == 3:
-            relation_ok = conjlab.verify_quintic_factor_relation(w, ctx)
+            relation_ok = w.lemma_case is conjlab.LemmaCase.FIFTH_DEGREE
             derivation_ok = conjlab.verify_quintic_coefficient_system(
                 w.a, w.b, w.t, ctx)
         else:
@@ -338,11 +335,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="trinolab",
                      description="Exact permutation-trinomial checks over GF(3^2k)")
     sub = parser.add_subparsers(dest="command", required=True)
-    env_max_k = os.environ.get("TRINOLAB_MAX_K")
-    try:
-        default_max_k = int(env_max_k) if env_max_k else gf3m.DEFAULT_MAX_K
-    except ValueError:
-        raise UsageError(f"TRINOLAB_MAX_K must be an integer, got {env_max_k!r}") from None
 
     def common(p, k="single"):
         if k == "single":
@@ -353,7 +345,8 @@ def build_parser() -> _Parser:
                        help='trit list low degree first, e.g. "1,0,1"')
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         p.add_argument("--output", default=None)
-        p.add_argument("--max-k", dest="max_k", type=int, default=default_max_k)
+        p.add_argument("--max-k", dest="max_k", type=int,
+                       default=gf3m.DEFAULT_MAX_K)
 
     p = sub.add_parser("field-info");  common(p)
     p.set_defaults(fn=_cmd_field_info)

@@ -141,9 +141,10 @@ class SweepReport:
 # ---------------------------------------------------------------------------
 # families and their reduced maps
 
-def trinomial_family(family: int, l: int, ctx: FieldCtx):
-    """Build (TrinomialSpec, Poly) for one family member; l must keep all
-    three exponents nonnegative."""
+def trinomial_family(family: int, l: int, ctx: FieldCtx) -> TrinomialSpec:
+    """The TrinomialSpec of one family member; l must keep all three exponents
+    nonnegative.  Only the three signed terms are kept, so the cost does not
+    grow with l."""
     q = ctx.q
     if family == 1:
         exps = (l * q + l + 5, (l + 5) * q + l, (l - 1) * q + l + 6)
@@ -161,11 +162,7 @@ def trinomial_family(family: int, l: int, ctx: FieldCtx):
         raise ValueError(f"unknown family {family}")
     if l < 0 or min(exps) < 0:
         raise ValueError(f"l too small for family {family}: exponents {exps}")
-    spec = TrinomialSpec(family, l, q, exps, signs, g == 1)
-    coeffs = [0] * (max(exps) + 1)
-    for c, e in _terms(spec):
-        coeffs[e] = c
-    return spec, Poly(ctx, coeffs)
+    return TrinomialSpec(family, l, q, exps, signs, g == 1)
 
 
 def _terms(spec: TrinomialSpec) -> list:
@@ -188,8 +185,8 @@ def trinomial_map(spec: TrinomialSpec, ctx: FieldCtx):
 def trinomial_decompose(spec: TrinomialSpec, ctx: FieldCtx):
     """Write f = x^r * h(x^(q-1)) with r the smallest exponent; returns (r, h).
 
-    The reconstruction is re-checked coefficient for coefficient against the
-    dense trinomial before returning.
+    The reconstruction x^r * h(x^(q-1)) is re-checked term for term against
+    the spec's signed terms before returning.
     """
     q = ctx.q
     r = min(spec.exponents)
@@ -199,15 +196,9 @@ def trinomial_decompose(spec: TrinomialSpec, ctx: FieldCtx):
         if (e - r) % step != 0:
             raise ValueError(f"not in Zieve form: exponent gap {e - r} vs q-1={step}")
         h_coeffs[(e - r) // step] = c
-    out = [0] * (max(h_coeffs) + 1)
-    for j, c in h_coeffs.items():
-        out[j] = c
-    h = Poly(ctx, out)
-    rebuilt = [0] * (r + step * h.degree + 1)
-    for j, c in enumerate(h.coeffs):
-        if c:
-            rebuilt[r + step * j] = c
-    if Poly(ctx, rebuilt) != trinomial_family(spec.family, spec.l, ctx)[1]:
+    h = Poly(ctx, [h_coeffs.get(j, 0) for j in range(max(h_coeffs) + 1)])
+    rebuilt = {r + step * j: c for j, c in enumerate(h.coeffs) if c}
+    if rebuilt != {e: c for c, e in _terms(spec)}:
         raise ValueError("not in Zieve form: reconstruction mismatch")
     return r, h
 
@@ -664,7 +655,7 @@ def sweep(family: int, k_list, l_list, modulus: Optional[tuple] = None,
         stats = None
         for l in ls:
             try:
-                spec, _ = trinomial_family(family, l, ctx)
+                spec = trinomial_family(family, l, ctx)
             except ValueError as exc:
                 rows.append(SweepRow(family, k, l, label, error=str(exc)))
                 continue

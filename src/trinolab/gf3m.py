@@ -133,12 +133,11 @@ class SpecialConstants:
 
     epsilon: the smaller-encoded root of X^2 + 1 (always present; 4 | 3^2k - 1).
     theta: the smallest-encoded root of X^3 - X - 1, present iff k % 3 == 0.
-    sqrt_eps_minus_1, sqrt_theta: canonical square roots when they exist.
+    sqrt_eps_minus_1: the canonical square root of eps - 1 when it exists.
     """
     epsilon: int
     theta: Optional[int]
     sqrt_eps_minus_1: Optional[int]
-    sqrt_theta: Optional[int]
 
 
 class FieldCtx:
@@ -396,7 +395,6 @@ class FieldCtx:
                 epsilon=eps,
                 theta=theta,
                 sqrt_eps_minus_1=self.sqrt(self.sub(eps, 1)),
-                sqrt_theta=self.sqrt(theta) if theta is not None else None,
             )
         return self._special
 

@@ -157,12 +157,6 @@ class Poly:
             return self
         return self * self.ctx.inv(self.leading)
 
-    def derivative(self) -> "Poly":
-        # i * c_i reduces mod 3, so every x^(3j) term drops out entirely
-        mul = self.ctx.mul
-        return Poly(self.ctx,
-                    [mul(i % 3, c) for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self):
         return f"Poly(GF(3^{self.ctx.m}), [{self.to_text()}])"
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -71,6 +72,44 @@ def test_check_trinomial_gcd_failure_is_not_an_error(capsys):
     assert not payload["zieve_cond1"]
     assert payload["g_bijection"]  # the subgroup map still permutes
     assert payload["routes_agree"]
+
+
+def _check_trinomial(capsys, k, family, l):
+    code, out, _ = run(capsys, "check-trinomial", "--k", str(k), "--family",
+                       str(family), "--l", str(l), "--format", "json")
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_check_trinomial_cost_does_not_grow_with_l(capsys, k):
+    # x^e depends only on e mod n = q^2 - 1 for x != 0, and 0^e = 0 for
+    # e > 0, so l -> l + (q-1)M shifts every exponent and r by nM and
+    # leaves every verdict and h unchanged.  The traced M puts a dense
+    # trinomial near degree 2^21 (tens of MB); M = 10^12 runs only once the
+    # traced run has shown that nothing grows with l.
+    q = 3 ** k
+    n = q * q - 1
+    traced_m = 2 ** 21 // (q * (q - 1))
+    for family in (1, 2, 3):
+        for l in range(2, q + 1):
+            code, base = _check_trinomial(capsys, k, family, l)
+            tracemalloc.start()
+            try:
+                traced = _check_trinomial(capsys, k, family,
+                                          l + (q - 1) * traced_m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20, (family, l, peak)
+            huge = _check_trinomial(capsys, k, family, l + (q - 1) * 10 ** 12)
+            for m, (got_code, report) in ((traced_m, traced), (10 ** 12, huge)):
+                assert got_code == code
+                assert report.pop("l") == l + (q - 1) * m
+                assert report.pop("r") == base["r"] + n * m
+                assert report.pop("exponents") == [e + n * m
+                                                   for e in base["exponents"]]
+                assert report == {key: value for key, value in base.items()
+                                  if key not in ("l", "r", "exponents")}
 
 
 def test_check_trinomial_outside_claims_exits_zero(capsys):
@@ -319,22 +358,6 @@ def test_t_outside_mu_exits_one(capsys):
     code, _, err = run(capsys, "count-roots", "--k", "1", "--family", "2",
                        "--t", "soon")
     assert code == 1 and "--t expects" in err
-
-
-def test_max_k_env_raises_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("TRINOLAB_MAX_K", "2")
-    code, _, err = run(capsys, "field-info", "--k", "3")
-    assert code == 1 and "unsupported degree" in err
-    monkeypatch.setenv("TRINOLAB_MAX_K", "3")
-    code, _, _ = run(capsys, "field-info", "--k", "3")
-    assert code == 0
-
-
-def test_malformed_max_k_env_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("TRINOLAB_MAX_K", "many")
-    code = main(["field-info", "--k", "1"])
-    capsys.readouterr()
-    assert code == 1
 
 
 def test_verification_errors_exit_two(capsys, monkeypatch):

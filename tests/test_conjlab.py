@@ -21,7 +21,7 @@ from trinolab.conjlab import (LemmaCase, classify_septic_factor,
                               verify_septic_factor_case)
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
-from trinolab.polyring import poly_gcd, roots_in_set
+from trinolab.polyring import Poly, poly_gcd, roots_in_set
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -38,20 +38,29 @@ def valid_ls(family, ctx, candidates=range(0, 7)):
     return out
 
 
+def dense_poly(spec, ctx):
+    """The trinomial as a dense Poly, built from the spec's exponents and
+    signs alone: an oracle independent of the sparse routes."""
+    coeffs = [0] * (max(spec.exponents) + 1)
+    for e, s in zip(spec.exponents, spec.signs):
+        coeffs[e] = 1 if s > 0 else 2
+    return Poly(ctx, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # family construction
 
 def test_family_exponents_known_values():
-    spec, _ = trinomial_family(2, 1, CTX9)
+    spec = trinomial_family(2, 1, CTX9)
     assert spec.exponents == (5, 13, 1)
     assert spec.signs == (1, -1, 1)
     assert spec.gcd_ok
 
-    spec, _ = trinomial_family(3, 2, CTX9)
+    spec = trinomial_family(3, 2, CTX9)
     assert spec.exponents == (9, 13, 5)
     assert spec.signs == (1, 1, -1)
 
-    spec, _ = trinomial_family(1, 1, CTX81)
+    spec = trinomial_family(1, 1, CTX81)
     assert spec.exponents == (15, 55, 7)
     assert spec.signs == (1, 1, -1)
 
@@ -59,24 +68,24 @@ def test_family_exponents_known_values():
 def test_family_exponent_formulas():
     q = CTX81.q
     for l in valid_ls(1, CTX81):
-        spec, _ = trinomial_family(1, l, CTX81)
+        spec = trinomial_family(1, l, CTX81)
         assert spec.exponents == (l * q + l + 5, (l + 5) * q + l,
                                   (l - 1) * q + l + 6)
         assert spec.gcd_ok == (math.gcd(5 + 2 * l, q - 1) == 1)
     for l in valid_ls(2, CTX81):
-        spec, _ = trinomial_family(2, l, CTX81)
+        spec = trinomial_family(2, l, CTX81)
         assert spec.exponents == (l * q + l + 1, (l + 4) * q + l - 3,
                                   (l - 2) * q + l + 3)
         assert spec.gcd_ok == (math.gcd(1 + 2 * l, q - 1) == 1)
     for l in valid_ls(3, CTX81):
-        spec, _ = trinomial_family(3, l, CTX81)
+        spec = trinomial_family(3, l, CTX81)
         assert spec.exponents == (l * q + l + 1, (l + 2) * q + l - 1,
                                   (l - 2) * q + l + 3)
         assert spec.gcd_ok == (math.gcd(1 + 2 * l, q - 1) == 1)
 
 
 def test_family_polynomial_has_signed_terms():
-    spec, poly = trinomial_family(2, 1, CTX9)
+    poly = dense_poly(trinomial_family(2, 1, CTX9), CTX9)
     coeffs = dict(enumerate(poly.coeffs))
     nonzero = {e: c for e, c in coeffs.items() if c}
     # +x^5 - x^13 + x: subtraction encodes as 2
@@ -94,7 +103,8 @@ def test_family_rejects_bad_inputs():
 
 def test_trinomial_map_matches_polynomial():
     for family, l in ((1, 1), (2, 1), (3, 2)):
-        spec, poly = trinomial_family(family, l, CTX9)
+        spec = trinomial_family(family, l, CTX9)
+        poly = dense_poly(spec, CTX9)
         fn = trinomial_map(spec, CTX9)
         for x in range(9):
             assert fn(x) == poly(x)
@@ -105,7 +115,7 @@ def test_vector_images_match_the_scalar_map(ctx_for, k):
     ctx = ctx_for(k)
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
-            spec, _ = trinomial_family(family, l, ctx)
+            spec = trinomial_family(family, l, ctx)
             fn = trinomial_map(spec, ctx)
             images = ctx.power_sum_images(conjlab._terms(spec))
             assert images.tolist() == [fn(ctx.alpha_pow(i))
@@ -118,7 +128,7 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, k):
     verdicts = set()
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
-            spec, _ = trinomial_family(family, l, ctx)
+            spec = trinomial_family(family, l, ctx)
             direct = conjlab._routes(spec, ctx)[2]
             oracle = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order))
             assert direct is oracle.is_bijection, (family, l)
@@ -130,11 +140,11 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, k):
 # index-form decomposition
 
 def test_decompose_known_values():
-    spec, _ = trinomial_family(2, 1, CTX9)
+    spec = trinomial_family(2, 1, CTX9)
     r, h = trinomial_decompose(spec, CTX9)
     assert r == 1 and h.to_text() == "1,0,1,0,0,0,2"
 
-    spec, _ = trinomial_family(3, 2, CTX9)
+    spec = trinomial_family(3, 2, CTX9)
     r, h = trinomial_decompose(spec, CTX9)
     assert r == 5 and h.to_text() == "2,0,1,0,1"
 
@@ -145,7 +155,8 @@ def test_decompose_reconstructs_the_map(ctx_for, family, k):
     ctx = ctx_for(k)
     q = ctx.q
     for l in valid_ls(family, ctx):
-        spec, poly = trinomial_family(family, l, ctx)
+        spec = trinomial_family(family, l, ctx)
+        poly = dense_poly(spec, ctx)
         r, h = trinomial_decompose(spec, ctx)
         assert r == min(spec.exponents)
         for x in range(1, ctx.order):
@@ -162,7 +173,7 @@ def test_reduced_map_is_the_fractional_map_on_mu(ctx_for, family):
         g = fractional_map(family, ctx)
         mu = mu_enumerate(ctx, ctx.q + 1)
         for l in valid_ls(family, ctx):
-            spec, _ = trinomial_family(family, l, ctx)
+            spec = trinomial_family(family, l, ctx)
             r, h = trinomial_decompose(spec, ctx)
             for x in mu:
                 want = g.eval(x)

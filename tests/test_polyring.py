@@ -219,25 +219,6 @@ def test_eval_matches_power_sum():
 
 
 # ---------------------------------------------------------------------------
-# derivative: characteristic-3 power rule
-
-def test_derivative_kills_cube_powers():
-    # d/dx (x^3 + x^2 + x) = 2x + 1: the x^3 term has scalar 3 = 0
-    p = Poly(CTX9, (0, 1, 1, 1))
-    assert p.derivative().coeffs == (1, 2)
-    assert Poly(CTX9, (0, 0, 0, 5)).derivative().is_zero
-    assert Poly(CTX9, (7,)).derivative().is_zero
-
-
-@given(coeff_lists, coeff_lists)
-def test_derivative_is_leibniz(a, b):
-    p, q = Poly(CTX9, a), Poly(CTX9, b)
-    lhs = (p * q).derivative()
-    rhs = p.derivative() * q + p * q.derivative()
-    assert lhs == rhs
-
-
-# ---------------------------------------------------------------------------
 # gcd and modular powers
 
 def test_gcd_of_coprime_pair_is_one():
