@@ -24,8 +24,6 @@ from itertools import zip_longest
 from math import gcd
 from typing import Optional
 
-import numpy as np
-
 from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, quadratic_factors, roots_in_set
@@ -270,6 +268,7 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
     The direct route evaluates f at every alpha^i in one numpy pass
     (FieldCtx.power_sum_images) and at 0 by trinomial_map; f permutes the
     field iff those ctx.order images hit every element once."""
+    import numpy as np
     counts = np.bincount(ctx.power_sum_images(_terms(spec)), minlength=ctx.order)
     counts[trinomial_map(spec, ctx)(0)] += 1
     direct = bool((counts == 1).all())

@@ -7,14 +7,28 @@ canonical tie-breaking order everywhere in this package.
 
 A FieldCtx precomputes discrete-log tables for a primitive element together
 with Zech logarithms, so multiplication and addition of nonzero elements are
-single table lookups.  The tables come from one GF(3)-linear map: the m x m
-trit matrix of multiplication by alpha, doubled (alpha^h, alpha^2h, ...) to
-fill the powers of alpha.  Each table is one int32 buffer (array('i')), so
-fields whose multiplicative group has order 2^31 or more are refused, and
-so are fields whose tables would exceed TABLE_BYTES_CEILING (2 GiB).
-Elements are plain ints throughout: the ctx methods take and return
-encodings, and FieldCtx.power_sum_images evaluates a sparse polynomial at
-every nonzero element in one numpy pass over the same tables.
+single table lookups.  Before the tables exist, elements are bitsliced: a
+pair of bitmasks of the trits equal to 1 and to 2, added tritwise by a few
+bit operations and multiplied by shift-and-add.  On that form a
+square-and-multiply search finds the smallest primitive element alpha, and
+the products alpha x^j (j < m) give the GF(3)-linear map of multiplication
+by alpha, from which the tables are filled in one of two ways:
+
+- k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
+  through two 2^m-entry lookup tables of that map.  It takes longer per
+  element than numpy but less in all than importing numpy, so commands on
+  these fields never import it.
+- k >= 6: numpy doubles the m x m trit matrix of the map (alpha^h,
+  alpha^2h, ...) over uint8 trit planes, where the pure loop would take
+  several times as long.
+
+Each table is one int32 buffer (array('i')), so fields whose multiplicative
+group has order 2^31 or more are refused, and so are fields whose tables
+would exceed TABLE_BYTES_CEILING (2 GiB).  Elements are plain ints
+throughout: the ctx methods take and return encodings, and
+FieldCtx.power_sum_images evaluates a sparse polynomial at every nonzero
+element in one numpy pass over the same tables.  numpy is imported only
+there and in the k >= 6 fill.
 """
 
 import itertools
@@ -22,9 +36,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 DEFAULT_MAX_K = 6
+# largest multiplicative group order n = 3^2k - 1 whose tables are filled in
+# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon: at k = 5 the pure
+# fill takes 27 ms against 8 ms for the numpy fill plus 0.16 s to import
+# numpy; at k = 6 it takes 0.37 s against 0.06 s.
+_PURE_FILL_MAX_N = 3 ** 10 - 1
 # ceiling on the estimated table bytes, n (m + 16) for n = 3^m - 1 (see
 # FieldCtx): k = 8 (about 1.4 GB) passes, k = 9 (about 13 GB) is refused
 TABLE_BYTES_CEILING = 2 * 2 ** 30
@@ -116,15 +133,76 @@ def _factorize(n: int) -> list:
     return primes
 
 
-def _mat_pow(mat: np.ndarray, e: int) -> np.ndarray:
-    """mat^e over GF(3) by square-and-multiply."""
-    result = np.eye(len(mat), dtype=mat.dtype)
-    while e:
-        if e & 1:
-            result = result @ mat % 3
-        mat = mat @ mat % 3
-        e >>= 1
-    return result
+# ---------------------------------------------------------------------------
+# bitsliced trit vectors: an element is the pair (ones, twos) of bitmasks of
+# its trits equal to 1 and to 2, bit i for trit i
+
+def _bits(enc: int) -> tuple:
+    """Bitsliced form of an encoding."""
+    ones = twos = 0
+    bit = 1
+    while enc:
+        enc, t = divmod(enc, 3)
+        if t == 1:
+            ones |= bit
+        elif t == 2:
+            twos |= bit
+        bit <<= 1
+    return ones, twos
+
+
+def _bits_add(a1: int, a2: int, b1: int, b2: int) -> tuple:
+    """Tritwise sum mod 3 of (a1, a2) and (b1, b2), both bitsliced."""
+    t = (a1 | b2) ^ (a2 | b1)
+    return (a2 | b2) ^ t, (a1 | b1) ^ t
+
+
+class _BitsField:
+    """Multiplication mod a monic GF(3) modulus on bitsliced vectors."""
+
+    def __init__(self, modulus):
+        m = len(modulus) - 1
+        self.top = 1 << m
+        # x^m = -(f_0 + ... + f_{m-1} x^(m-1)): its ones are the f_i = 2
+        self.x_m = tuple(sum(1 << i for i, f in enumerate(modulus[:m]) if f == t)
+                         for t in (2, 1))
+
+    def times_x(self, a1: int, a2: int) -> tuple:
+        """x a, reduced by x^m."""
+        a1 <<= 1
+        a2 <<= 1
+        top = self.top
+        if a1 & top:
+            return _bits_add(a1 ^ top, a2, *self.x_m)
+        if a2 & top:
+            r1, r2 = self.x_m
+            return _bits_add(a1, a2 ^ top, r2, r1)
+        return a1, a2
+
+    def mul(self, a: tuple, b: tuple) -> tuple:
+        """a * b by shift-and-add over the trits of a, high first."""
+        a1, a2 = a
+        b1, b2 = b
+        c1 = c2 = 0
+        times_x = self.times_x
+        bit = self.top
+        while bit > 1:
+            bit >>= 1
+            c1, c2 = times_x(c1, c2)
+            if a1 & bit:
+                c1, c2 = _bits_add(c1, c2, b1, b2)
+            elif a2 & bit:
+                c1, c2 = _bits_add(c1, c2, b2, b1)
+        return c1, c2
+
+    def pow(self, a: tuple, e: int) -> tuple:
+        """a^e for e >= 1 by square-and-multiply."""
+        r = a
+        for digit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if digit == "1":
+                r = self.mul(r, a)
+        return r
 
 
 @dataclass(frozen=True)
@@ -143,8 +221,9 @@ class SpecialConstants:
 class FieldCtx:
     """Arithmetic context for GF(3^2k) with log/exp and Zech-log tables.
 
-    The exp table is filled by doubling the multiply-by-alpha matrix, and
-    square roots are read off the log table.  The tables are int32
+    The tables are filled by stepping alpha^i in pure Python up to k = 5 and
+    by numpy matrix doubling above (see the module docstring), and square
+    roots are read off the log table.  The tables are int32
     array('i') buffers: _exp2 (alpha^i for i < 2n, doubled to skip a mod),
     _log (_log[0] is an unused 0; every op branches on 0 first) and _zech
     (log(1 + alpha^i), or -1 where 1 + alpha^i = 0).  Scalar ops index them
@@ -204,33 +283,83 @@ class FieldCtx:
             raise ValueError(f"bad trit vector {trits}")
         return sum(c * 3 ** i for i, c in enumerate(trits))
 
-    def _mul_matrix(self, c: int) -> np.ndarray:
-        """The m x m matrix of y -> c*y on trit row vectors.
-
-        Row j holds c*x^j mod the modulus, built as sum(c_i X^i) from the
-        companion matrix X of y -> x*y: shifted identity rows, and a last row
-        x^m = -(f_0, ..., f_{m-1}) mod 3.
-        """
-        m = self.m
-        x_mat = np.eye(m, k=1, dtype=np.uint8)
-        x_mat[-1] = [-f % 3 for f in self.modulus[:m]]
-        mat = np.zeros((m, m), dtype=np.uint8)
-        x_pow = np.eye(m, dtype=np.uint8)
-        for ci in self.decode(c):
-            mat = (mat + ci * x_pow) % 3
-            x_pow = x_pow @ x_mat % 3
-        return mat
-
     def _find_primitive(self) -> int:
-        one = np.eye(self.m, dtype=np.uint8)
+        field = _BitsField(self.modulus)
         for cand in range(2, self.order):
-            mat = self._mul_matrix(cand)
-            if all(not np.array_equal(_mat_pow(mat, self._n // p), one)
-                   for p in self._n_primes):
+            c = _bits(cand)
+            if all(field.pow(c, self._n // p) != (1, 0) for p in self._n_primes):
                 return cand
         raise ValueError("no primitive element found")  # unreachable
 
     def _build_tables(self):
+        n = self._n
+        field = _BitsField(self.modulus)
+        rows = [_bits(self.alpha)]  # alpha x^j for j < m
+        for _ in range(1, self.m):
+            rows.append(field.times_x(*rows[-1]))
+        self._exp2 = array("i", [0]) * (2 * n)
+        self._log = array("i", [0]) * self.order
+        self._zech = array("i", [0]) * n
+        if n <= _PURE_FILL_MAX_N:
+            self._fill_pure(rows)
+        else:
+            self._fill_numpy(rows)
+
+    def _fill_pure(self, rows: list):
+        """Fill the tables by stepping alpha^i, one Python loop of n / 2 steps.
+
+        plus[mask] holds alpha v and the encodings of v and -v, for v the
+        vector with trit 1 at the set bits of mask; minus[mask] the same for
+        trit 2.  So the state (ones, twos) = alpha^i gives its encoding, that
+        of -alpha^i = alpha^(i + n/2), and alpha^(i+1) from plus[ones],
+        minus[twos] and one tritwise add.
+
+        The seen check covers all n entries.  It rejects a non-primitive
+        alpha: if the first half alpha^i, i < n/2, has no repeat, alpha has
+        order n or n/2, and in the second case the first half is the
+        subgroup of squares, which holds -1 (4 divides n) and so the
+        negatives that fill the second half.
+        """
+        n = self._n
+        half = n // 2
+        plus = [(0, 0, 0, 0)]
+        minus = [(0, 0, 0, 0)]
+        for j, (r1, r2) in enumerate(rows):
+            w = 3 ** j
+            plus += [(*_bits_add(a1, a2, r1, r2), e + w, f + 2 * w)
+                     for a1, a2, e, f in plus]
+            minus += [(*_bits_add(a1, a2, r2, r1), e + 2 * w, f + w)
+                      for a1, a2, e, f in minus]
+        exp2, log, zech = self._exp2, self._log, self._zech
+        seen = bytearray(self.order)
+        ones, twos = 1, 0
+        for i in range(half):
+            a1, a2, e1, f1 = plus[ones]
+            b1, b2, e2, f2 = minus[twos]
+            enc = e1 + e2
+            neg = f1 + f2
+            if seen[enc] or seen[neg]:
+                raise ValueError("exp table is not a permutation; element not primitive")
+            seen[enc] = seen[neg] = 1
+            exp2[i] = enc
+            exp2[i + half] = neg
+            log[enc] = i
+            log[neg] = i + half
+            t = (a1 | b2) ^ (a2 | b1)  # _bits_add, inlined
+            ones = (a2 | b2) ^ t
+            twos = (a1 | b1) ^ t
+        exp2[n:] = exp2[:n]
+        # 1 + alpha^i adds 1 to the constant trit, so it cycles the encodings
+        # 3t -> 3t + 1 -> 3t + 2 -> 3t; the triple t = 0 is 0, 1 and 2 = -1
+        zech[0] = log[2]
+        zech[log[2]] = -1
+        for l0, l1, l2 in zip(log[3::3], log[4::3], log[5::3]):
+            zech[l0] = l1
+            zech[l1] = l2
+            zech[l2] = l0
+
+    def _fill_numpy(self, rows: list):
+        import numpy as np
         n, m = self._n, self.m
         # planes[j, i] = trit j of alpha^i, filled by doubling: columns h..2h-1
         # are columns 0..h-1 times alpha^h, summed one trit plane at a time
@@ -239,7 +368,9 @@ class FieldCtx:
         # trits, so at most 4m, below 256 while m <= 63
         planes = np.zeros((m, n), dtype=np.uint8)
         planes[0, 0] = 1
-        step = self._mul_matrix(self.alpha)
+        # step[i, j] = trit j of alpha^h x^i, starting at h = 1
+        step = np.array([[(r1 >> j & 1) + 2 * (r2 >> j & 1) for j in range(m)]
+                         for r1, r2 in rows], dtype=np.uint8)
         h = 1
         while h < n:
             w = min(h, n - h)
@@ -250,9 +381,6 @@ class FieldCtx:
                 planes[j, h:h + w] %= 3
             step = step @ step % 3
             h *= 2
-        self._exp2 = array("i", [0]) * (2 * n)
-        self._log = array("i", [0]) * self.order
-        self._zech = array("i", [0]) * n
         exp2, log_arr, zech = self._tables()
         exp_arr = exp2[:n]
         for j in range(m - 1, -1, -1):  # Horner, high trit first
@@ -274,6 +402,7 @@ class FieldCtx:
 
     def _tables(self) -> tuple:
         """(exp2, log, zech) as int32 numpy views of the table buffers."""
+        import numpy as np
         return tuple(np.frombuffer(t, dtype=np.int32)
                      for t in (self._exp2, self._log, self._zech))
 
@@ -352,7 +481,7 @@ class FieldCtx:
 
     # -- vector evaluation -------------------------------------------------
 
-    def power_sum_images(self, terms) -> np.ndarray:
+    def power_sum_images(self, terms) -> "numpy.ndarray":
         """Images of sum(c * x^e for c, e in terms) at x = alpha^i, i < n.
 
         Coefficients c are nonzero encodings and exponents e >= 0.  Works in
@@ -360,6 +489,7 @@ class FieldCtx:
         joins the partial sum through the Zech table; a mask marks the x
         where the partial sum is 0.  Returns an int32 array indexed by i.
         """
+        import numpy as np
         n = self._n
         exp2, log_arr, zech = self._tables()
         acc = None  # log of the partial sum, valid where it is nonzero

@@ -37,6 +37,17 @@ class Poly:
         self.coeffs = tuple(encs)
 
     @classmethod
+    def _trusted(cls, ctx: FieldCtx, encs: list) -> "Poly":
+        """Poly of a list of valid encodings, without __init__'s per-coefficient
+        check; for results of the arithmetic below.  Trims encs in place."""
+        while encs and encs[-1] == 0:
+            encs.pop()
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.coeffs = tuple(encs)
+        return poly
+
+    @classmethod
     def monomial(cls, ctx: FieldCtx, degree: int, coeff: int = 1) -> "Poly":
         return cls(ctx, (0,) * degree + (coeff,))
 
@@ -86,11 +97,11 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = add(out[i], c)
-        return Poly(self.ctx, out)
+        return Poly._trusted(self.ctx, out)
 
     def __neg__(self):
         neg = self.ctx.neg
-        return Poly(self.ctx, [neg(c) for c in self.coeffs])
+        return Poly._trusted(self.ctx, [neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,7 +109,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, int):
             mul = self.ctx.mul
-            return Poly(self.ctx, [mul(c, other) for c in self.coeffs])
+            return Poly._trusted(self.ctx, [mul(c, other) for c in self.coeffs])
         self._check(other)
         if self.is_zero or other.is_zero:
             return Poly(self.ctx)
@@ -109,7 +120,7 @@ class Poly:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] = add(out[i + j], mul(a, b))
-        return Poly(self.ctx, out)
+        return Poly._trusted(self.ctx, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -134,7 +145,7 @@ class Poly:
                 quot[i] = c
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] = sub(rem[i + j], mul(c, b))
-        return Poly(ctx, quot), Poly(ctx, rem)
+        return Poly._trusted(ctx, quot), Poly._trusted(ctx, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -199,7 +210,7 @@ def _combine(ctx: FieldCtx, scalars, polys, size: int) -> Poly:
         if s:
             for i, c in enumerate(poly.coeffs):
                 out[i] = add(out[i], mul(s, c))
-    return Poly(ctx, out)
+    return Poly._trusted(ctx, out)
 
 
 def _frobenius_chain(p: Poly, length: int) -> list:
@@ -213,7 +224,7 @@ def _frobenius_chain(p: Poly, length: int) -> list:
     ctx = p.ctx
     rows = [Poly(ctx, (1,)) % p]
     for _ in range(1, p.degree):
-        rows.append(Poly(ctx, (0, 0, 0) + rows[-1].coeffs) % p)
+        rows.append(Poly._trusted(ctx, [0, 0, 0, *rows[-1].coeffs]) % p)
     chain = [Poly.monomial(ctx, 1) % p]
     for _ in range(length):
         cubes = [ctx.frobenius(c) for c in chain[-1].coeffs]

@@ -1,6 +1,9 @@
 """Command-line behavior: payloads, formats, determinism, exit codes."""
 
 import json
+import pathlib
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -496,3 +499,35 @@ def test_claimed_permutation_matrix():
     assert not cli.claimed_permutation(1, 1)
     assert cli.claimed_permutation(1, 2)
     assert not cli.claimed_permutation(2, 1, gcd_ok=False)
+
+
+# ---------------------------------------------------------------------------
+# numpy is imported only by the commands that vectorise over the field
+
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import trinolab
+from trinolab import cli
+for argv in (["factors", "--k", "5", "--family", "3", "--t", "1"],
+             ["lemma-verify", "--k", "4", "--family", "2"], ["uv-scan", "--k", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+before = "numpy" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([before, "numpy" in sys.modules, code, out.getvalue()]))
+"""
+
+
+def test_factor_search_commands_do_not_import_numpy():
+    argv = ["check-trinomial", "--k", "2", "--family", "2", "--l", "2", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after, code, out = json.loads(proc.stdout)
+    golden = json.loads((pathlib.Path(__file__).with_name("golden")
+                         / "cli_grid.json").read_text())[" ".join(argv)]
+    assert not before
+    assert after  # check-trinomial's direct route still runs on numpy
+    assert {"exit": code, "stdout": out} == golden

@@ -29,6 +29,10 @@ KNOWN_MODULI = {
     14: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
 }
 
+# irreducible moduli other than the defaults, as (k, modulus)
+OTHER_MODULI = [(1, (2, 1, 1)), (2, (1, 2, 0, 1, 1)), (2, (1, 0, 1, 2, 1)),
+                (3, (1, 0, 0, 1, 0, 2, 1)), (4, (1, 0, 0, 0, 0, 2, 1, 0, 1))]
+
 
 # ---------------------------------------------------------------------------
 # modulus selection
@@ -241,9 +245,9 @@ def _has_full_order(c, n, modulus):
             and all(ref_pow(c, n // p, modulus) != 1 for p in _prime_divisors(n)))
 
 
-def test_alpha_is_the_smallest_primitive_element(ctx_for):
-    for k in (1, 2, 3):
-        ctx = ctx_for(k)
+def test_alpha_is_the_smallest_primitive_element(ctx_for, monkeypatch):
+    for k, modulus in [(k, None) for k in (1, 2, 3)] + OTHER_MODULI[:4]:
+        ctx = ctx_for(k, modulus)
         n = ctx.order - 1
         assert _has_full_order(ctx.alpha, n, ctx.modulus)
         for c in range(2, ctx.alpha):
@@ -251,6 +255,28 @@ def test_alpha_is_the_smallest_primitive_element(ctx_for):
     # pinned: another alpha would change every table and every report
     assert [ctx_for(k).alpha for k in (4, 5, 6)] == [4, 34, 4]
     assert ctx_create(1, (2, 1, 1)).alpha == 3
+    monkeypatch.setattr(gf3m.FieldCtx, "_build_tables", lambda self: None)
+    assert ctx_create(7, max_k=7).alpha == 4
+
+
+@pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
+                                     (1, 0, 1, 2, 1)))
+def test_bitsliced_mul_matches_reference(modulus):
+    field = gf3m._BitsField(modulus)
+    m = len(modulus) - 1
+
+    def enc(bits):
+        return sum((bits[0] >> i & 1) * 3 ** i + (bits[1] >> i & 1) * 2 * 3 ** i
+                   for i in range(m))
+
+    rng = random.Random(len(modulus))
+    for _ in range(200):
+        a, b = rng.randrange(3 ** m), rng.randrange(3 ** m)
+        assert enc(gf3m._bits(a)) == a
+        assert enc(field.mul(gf3m._bits(a), gf3m._bits(b))) == ref_mul(a, b, modulus)
+        if a:
+            e = rng.randrange(1, 3 ** m)
+            assert enc(field.pow(gf3m._bits(a), e)) == ref_pow(a, e, modulus)
 
 
 def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
@@ -271,10 +297,28 @@ def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
 
 @pytest.mark.parametrize("k", (1, 2))
 def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
-    square = ctx_create(k).alpha_pow(2)  # order n / 2: the exp table repeats
+    square = ctx_create(k).alpha_pow(2)  # order n / 2: no permutation
     monkeypatch.setattr(gf3m.FieldCtx, "_find_primitive", lambda self: square)
-    with pytest.raises(ValueError, match="not a permutation"):
-        ctx_create(k)
+    for fill in ("pure", "numpy"):
+        _use_fill(monkeypatch, fill)
+        with pytest.raises(ValueError, match="not a permutation"):
+            ctx_create(k)
+
+
+def _use_fill(monkeypatch, fill):
+    """Route every table build through one fill, whatever the field size."""
+    monkeypatch.setattr(gf3m, "_PURE_FILL_MAX_N", 3 ** 14 if fill == "pure" else 0)
+
+
+@pytest.mark.parametrize(("k", "modulus"),
+                         [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI)
+def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
+    tables = {}
+    for fill in ("pure", "numpy"):
+        _use_fill(monkeypatch, fill)
+        ctx = ctx_create(k, modulus)
+        tables[fill] = [t.tobytes() for t in (ctx._exp2, ctx._log, ctx._zech)]
+    assert tables["pure"] == tables["numpy"]
 
 
 def test_ctx_tables_are_int32_buffers():

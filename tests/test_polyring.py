@@ -132,6 +132,27 @@ def test_text_roundtrip_property(coeffs):
     assert Poly.from_text(CTX9, p.to_text()) == p
 
 
+def test_constructor_rejects_bad_coefficients():
+    for bad in (CTX9.order, -1, 1.0, None):
+        with pytest.raises(ValueError, match="bad coefficient"):
+            Poly(CTX9, [bad])
+    with pytest.raises(ValueError, match="bad coefficient"):
+        Poly(CTX9, (1, 2, CTX9.order, 0))
+
+
+@given(coeff_lists, coeff_lists, st.integers(0, 8))
+def test_arithmetic_results_are_trimmed_encodings(a, b, s):
+    # results skip the constructor's check, so rebuild them through it
+    p, q = Poly(CTX9, a), Poly(CTX9, b)
+    results = [p + q, p - q, -p, p * q, p * s, s * p]
+    if not q.is_zero:
+        results += divmod(p, q)
+    for r in results:
+        assert type(r.coeffs) is tuple
+        assert not r.coeffs or r.coeffs[-1] != 0
+        assert Poly(CTX9, r.coeffs) == r
+
+
 def test_cross_ctx_operations_rejected():
     with pytest.raises(ValueError, match="different ctxs"):
         Poly(CTX9, (1,)) + Poly(CTX81, (1,))
