@@ -18,15 +18,15 @@ import csv
 import io
 import json
 import sys
-from dataclasses import fields
 from typing import Optional
 
 from . import conjlab, gf3m, permtest
 from .polyring import Poly, quadratic_factors
 
-SWEEP_COLUMNS = tuple(f.name for f in fields(conjlab.SweepRow))
-_SWEEP_INT_COLUMNS = {f.name for f in fields(conjlab.SweepRow)
-                      if f.type in (int, Optional[int])}
+SWEEP_COLUMNS = conjlab.SweepRow._fields
+_SWEEP_INT_COLUMNS = {name for name, kind
+                      in conjlab.SweepRow.__annotations__.items()
+                      if kind in (int, Optional[int])}
 
 
 class UsageError(Exception):
@@ -312,7 +312,7 @@ def _routes_violate_claims(report: dict) -> bool:
 def _row_violates_claims(row: conjlab.SweepRow) -> bool:
     if row.error is not None:
         return False
-    if _routes_violate_claims(row.to_dict()):
+    if _routes_violate_claims(row._asdict()):
         return True
     if (claimed_permutation(row.family, row.k, row.gcd_ok)
             and row.max_fiber_size != 1):
@@ -324,7 +324,7 @@ def _cmd_sweep(args):
     modulus = parse_modulus_arg(args.modulus)
     report = conjlab.sweep(args.family, _int_list(args.k), _int_list(args.l),
                            modulus, args.max_k)
-    rows = report.to_obj()
+    rows = [row._asdict() for row in report.rows]
     failed = any(_row_violates_claims(row) for row in report.rows)
     return (2 if failed else 0), rows
 

@@ -19,10 +19,9 @@ uniqueness arguments rest on, and runs deterministic sweeps.
 
 import enum
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
@@ -43,8 +42,7 @@ class LemmaCase(enum.Enum):
     NO_MATCH = "NoMatch"
 
 
-@dataclass(frozen=True)
-class TrinomialSpec:
+class TrinomialSpec(NamedTuple):
     family: int
     l: int
     q: int
@@ -53,8 +51,7 @@ class TrinomialSpec:
     gcd_ok: bool
 
 
-@dataclass(frozen=True)
-class FractionalMap:
+class FractionalMap(NamedTuple):
     family: int
     numerator: Poly
     denominator: Poly
@@ -64,8 +61,7 @@ class FractionalMap:
         return ctx.div(self.numerator.eval(x), self.denominator.eval(x))
 
 
-@dataclass(frozen=True)
-class QuadFactorWitness:
+class QuadFactorWitness(NamedTuple):
     """A monic quadratic x^2 + ax + b dividing the fiber polynomial at t.
 
     x1, x2 are the roots a -/+ sqrt(a^2 - b) when the quadratic splits over
@@ -80,8 +76,7 @@ class QuadFactorWitness:
     x2: Optional[int]
 
 
-@dataclass(frozen=True)
-class UVWitness:
+class UVWitness(NamedTuple):
     t: int
     a: int
     b: int
@@ -89,8 +84,7 @@ class UVWitness:
     v: int
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     """Per-t root counts of a fiber polynomial plus the field-level facts
     that force uniqueness of the root in mu_{q+1}."""
     family: int
@@ -101,15 +95,13 @@ class ExclusionReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class UVReport:
+class UVReport(NamedTuple):
     witnesses: list
     failures: list
     ok: bool
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     family: int
     k: int
     l: int
@@ -124,16 +116,9 @@ class SweepRow:
     lemma_case_histogram: Optional[dict] = None
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass(frozen=True)
-class SweepReport:
-    rows: list = field(default_factory=list)
-
-    def to_obj(self) -> list:
-        return [row.to_dict() for row in self.rows]
+class SweepReport(NamedTuple):
+    rows: list = []
 
 
 # ---------------------------------------------------------------------------

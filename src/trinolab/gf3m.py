@@ -33,8 +33,7 @@ there and in the k >= 6 fill.
 
 import itertools
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 DEFAULT_MAX_K = 6
 # largest multiplicative group order n = 3^2k - 1 whose tables are filled in
@@ -205,8 +204,7 @@ class _BitsField:
         return r
 
 
-@dataclass(frozen=True)
-class SpecialConstants:
+class SpecialConstants(NamedTuple):
     """Distinguished constants of a ctx, all as integer encodings.
 
     epsilon: the smaller-encoded root of X^2 + 1 (always present; 4 | 3^2k - 1).

@@ -6,9 +6,8 @@ gcd(r, (3^2k - 1)/d) = 1 and x^r * h(x)^((3^2k - 1)/d) permutes the order-d
 subgroup mu_d.  Both sides are computed exactly over integer encodings.
 """
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .gf3m import FieldCtx
 from .polyring import Poly
@@ -51,8 +50,7 @@ def mu_enumerate(ctx: FieldCtx, d: int) -> UnityGroup:
     return UnityGroup(ctx, d, tuple(ctx.alpha_pow(step * i) for i in range(d)))
 
 
-@dataclass(frozen=True)
-class MapReport:
+class MapReport(NamedTuple):
     """Outcome of a bijection check over a finite domain.
 
     collision: first (x1, x2) in increasing encoding order with equal images.

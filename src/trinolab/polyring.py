@@ -10,8 +10,11 @@ additive in characteristic 3, so each cube is a linear combination of the
 precomputed rows x^(3j) mod p.  The chain gives x^order and x^(order^2), hence
 the linear part gcd(p, x^order - x) and the quadratic part
 gcd(p, x^(order^2) - x), and the same chain splits both by absolute traces
-(Berlekamp's trace algorithm) over at most 4k deterministic tries.  The tests
-keep Cantor-Zassenhaus splitting with pow_mod, the candidate scan roots_in_set
+(Berlekamp's trace algorithm) over at most 4k deterministic tries.  The
+linear part is squarefree and divides p, so any two distinct roots give a
+quadratic factor with no division, and the self-pairs (x - r)^2 come from
+the roots of gcd(p // linear, linear), the repeated roots.  The tests keep
+Cantor-Zassenhaus splitting with pow_mod, the candidate scan roots_in_set
 and a brute-force divisor search as oracles.
 """
 
@@ -297,32 +300,32 @@ def _split_on(part: Poly, trace: Poly, d: int) -> list:
 def quadratic_factors(p: Poly) -> list:
     """All monic quadratics x^2 + a x + b dividing p, as sorted (a, b) pairs.
 
-    Split quadratics come from pairing roots of p, self-pairs included; the
-    roots are the linear factors of gcd(p, x^order - x).  Exact division
-    decides every pair, so (x - r)^2 is kept exactly when r is a repeated
-    root.  Irreducible quadratics are the factors of gcd(p, x^(order^2) - x)
-    divided by that linear part.  x^order and x^(order^2) come from one
-    Frobenius chain, both parts are split by traces on the same chain, and
-    every returned pair is verified by exact division.
+    Split quadratics come from the roots of p, the linear factors of
+    linear = gcd(p, x^order - x).  linear is squarefree and divides p, so
+    (x - r)(x - s) divides p for every two distinct roots, and (x - r)^2
+    divides p exactly when r is a root of gcd(p // linear, linear), the
+    repeated roots.  Irreducible quadratics are the factors of
+    gcd(p, x^(order^2) - x) divided by linear, each verified by exact
+    division.  x^order and x^(order^2) come from one Frobenius chain, and
+    every part is split by traces on the same chain.
     """
     if p.degree < 2:
         raise ValueError("degree must be at least 2")
     ctx = p.ctx
     m = ctx.m
-    found = set()
     chain = _frobenius_chain(p, 2 * m)
     x = chain[0]
     linear = poly_gcd(p, chain[m] - x)
-    roots = sorted(ctx.neg(f.coeffs[0]) for f in _trace_split(linear, 1, chain))
-    for i, r in enumerate(roots):
-        for s in roots[i:]:
-            a = ctx.neg(ctx.add(r, s))
-            b = ctx.mul(r, s)
-            if (p % Poly(ctx, (b, a, 1))).is_zero:
-                found.add((a, b))
+
+    def roots(w: Poly) -> list:
+        return [ctx.neg(f.coeffs[0]) for f in _trace_split(w, 1, chain)]
+
+    simple = roots(linear)
+    pairs = [(r, s) for i, r in enumerate(simple) for s in simple[i + 1:]]
+    pairs += [(r, r) for r in roots(poly_gcd(p // linear, linear))]
+    found = {(ctx.neg(ctx.add(r, s)), ctx.mul(r, s)) for r, s in pairs}
     for q in _trace_split(poly_gcd(p, chain[2 * m] - x) // linear, 2, chain):
-        a, b = q.coeffs[1], q.coeffs[0]
         if not (p % q).is_zero:
             raise AssertionError("extracted quadratic fails division check")
-        found.add((a, b))
+        found.add((q.coeffs[1], q.coeffs[0]))
     return sorted(found)

@@ -506,6 +506,7 @@ def test_claimed_permutation_matrix():
 
 NUMPY_PROBE = """
 import contextlib, io, json, sys
+dataclasses_preloaded = "dataclasses" in sys.modules
 import trinolab
 from trinolab import cli
 for argv in (["factors", "--k", "5", "--family", "3", "--t", "1"],
@@ -513,10 +514,12 @@ for argv in (["factors", "--k", "5", "--family", "3", "--t", "1"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 before = "numpy" in sys.modules
+dataclasses_loaded = "dataclasses" in sys.modules
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(sys.argv[1:])
-print(json.dumps([before, "numpy" in sys.modules, code, out.getvalue()]))
+print(json.dumps([before, "numpy" in sys.modules, code, out.getvalue(),
+                  dataclasses_preloaded, dataclasses_loaded]))
 """
 
 
@@ -525,9 +528,13 @@ def test_factor_search_commands_do_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    before, after, code, out = json.loads(proc.stdout)
+    (before, after, code, out,
+     dataclasses_preloaded, dataclasses_loaded) = json.loads(proc.stdout)
     golden = json.loads((pathlib.Path(__file__).with_name("golden")
                          / "cli_grid.json").read_text())[" ".join(argv)]
     assert not before
     assert after  # check-trinomial's direct route still runs on numpy
     assert {"exit": code, "stdout": out} == golden
+    # the records are NamedTuples: the package and its factor search never
+    # import dataclasses themselves
+    assert dataclasses_preloaded or not dataclasses_loaded

@@ -580,7 +580,7 @@ def test_sweep_rows_are_sorted_and_complete():
 def test_sweep_is_deterministic():
     a = sweep(2, [1, 2], [1, 2, 3])
     b = sweep(2, [1, 2], [1, 2, 3])
-    assert a.to_obj() == b.to_obj()
+    assert a == b
 
 
 def test_sweep_builds_each_field_and_harvest_once_per_call(monkeypatch):

@@ -469,3 +469,31 @@ def test_quadratic_factors_make_no_pow_mod_calls(monkeypatch):
                      for t in sorted(mu_enumerate(ctx, ctx.q + 1))), key=len)
         assert pairs
     assert calls == []
+
+
+def test_split_quadratics_are_read_off_the_roots_without_dividing_p(monkeypatch):
+    # five distinct roots, the first one doubled, and one irreducible
+    # quadratic: only the two gcds with p, p // linear and the irreducible's
+    # division check may divide p itself, not each of the 15 root pairs,
+    # self-pairs included
+    ctx = CTX81
+    c = next(c for c in range(1, ctx.order) if ctx.sqrt(c) is None)
+    p = Poly(ctx, (ctx.neg(c), 0, 1))  # x^2 - c, irreducible
+    for r in (1, 1, 2, 3, 4, 5):
+        p = p * Poly(ctx, (ctx.neg(r), 1))
+    plain = Poly.__divmod__
+    calls = []
+
+    def counted(self, other):
+        if self == p:
+            calls.append(other)
+        return plain(self, other)
+
+    monkeypatch.setattr(Poly, "__divmod__", counted)
+    pairs = quadratic_factors(p)
+    monkeypatch.undo()
+    assert pairs == brute_quadratic_factors(p)
+    assert (1, 1) in pairs  # (x - 1)^2 = x^2 + x + 1
+    assert (0, ctx.neg(c)) in pairs  # x^2 - c
+    assert len(pairs) == 10 + 1 + 1
+    assert len(calls) <= 3 + 1
