@@ -250,13 +250,16 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
     f = x^r h(x^(q-1)).  The third route, the family's g on mu_{q+1}, depends
     only on (family, k); it is _g_bijection of the family's _g_table.
 
-    The direct route evaluates f at every alpha^i in one numpy pass
-    (FieldCtx.power_sum_images) and at 0 by trinomial_map; f permutes the
-    field iff those ctx.order images hit every element once."""
+    The direct route evaluates f at every alpha^i block by block
+    (FieldCtx.power_sum_images) and at 0 by trinomial_map, marking each image
+    in one bool array over the field: those ctx.order images permute it iff
+    every entry ends up marked."""
     import numpy as np
-    counts = np.bincount(ctx.power_sum_images(_terms(spec)), minlength=ctx.order)
-    counts[trinomial_map(spec, ctx)(0)] += 1
-    direct = bool((counts == 1).all())
+    hit = np.zeros(ctx.order, dtype=bool)
+    hit[trinomial_map(spec, ctx)(0)] = True
+    for images in ctx.power_sum_images(_terms(spec)):
+        hit[images] = True
+    direct = bool(hit.all())
     r, h = trinomial_decompose(spec, ctx)
     cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
     return r, h, direct, cond1, cond2

@@ -18,31 +18,39 @@ by alpha, from which the tables are filled in one of two ways:
   through two 2^m-entry lookup tables of that map.  It takes longer per
   element than numpy but less in all than importing numpy, so commands on
   these fields never import it.
-- k >= 6: numpy doubles the m x m trit matrix of the map (alpha^h,
-  alpha^2h, ...) over uint8 trit planes, where the pure loop would take
-  several times as long.
+- k >= 6: numpy doubles bitsliced columns of alpha^i (columns h..2h-1 are
+  columns 0..h-1 times alpha^h, read from lookup tables of that map),
+  where the pure loop would take ten times as long.
 
 Each table is one int32 buffer (array('i')), so fields whose multiplicative
 group has order 2^31 or more are refused, and so are fields whose tables
 would exceed TABLE_BYTES_CEILING (2 GiB).  Elements are plain ints
 throughout: the ctx methods take and return encodings, and
 FieldCtx.power_sum_images evaluates a sparse polynomial at every nonzero
-element in one numpy pass over the same tables.  numpy is imported only
-there and in the k >= 6 fill.
+element with numpy over the same tables.  numpy is imported only there and
+in the k >= 6 fill, and both work in blocks of _BLOCK_LEN indices, so they
+hold no array of size n beyond the tables.
 """
 
 import itertools
 from array import array
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_MAX_K = 6
 # largest multiplicative group order n = 3^2k - 1 whose tables are filled in
-# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon: at k = 5 the pure
-# fill takes 27 ms against 8 ms for the numpy fill plus 0.16 s to import
-# numpy; at k = 6 it takes 0.37 s against 0.06 s.
+# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon (best of five): at
+# k = 5 the pure fill takes 24-32 ms against 5 ms for the numpy fill plus
+# 0.16 s to import numpy; at k = 6 it takes 0.32 s against 0.03 s.
 _PURE_FILL_MAX_N = 3 ** 10 - 1
-# ceiling on the estimated table bytes, n (m + 16) for n = 3^m - 1 (see
-# FieldCtx): k = 8 (about 1.4 GB) passes, k = 9 (about 13 GB) is refused
+# indices per block of the numpy passes over the field (the k >= 6 fill and
+# power_sum_images).  Measured on a 2-vCPU Xeon (medians at k = 6 and 7):
+# 2^13 to 2^15 take the same time within noise, 2^12 takes 10-20% longer
+# and 2^10 1.5-2 times as long (per-block overhead), and 2^16 and up slow
+# the fill again.  The block buffers take about 40 bytes per index, 0.3 MB
+# at 2^13, below the L2 cache.
+_BLOCK_LEN = 2 ** 13
+# ceiling on the estimated table bytes, 16n for n = 3^m - 1 (see FieldCtx):
+# k = 8 (about 0.69 GB) passes, k = 9 (about 6.2 GB) is refused
 TABLE_BYTES_CEILING = 2 * 2 ** 30
 
 
@@ -72,16 +80,50 @@ def _gf3_divmod(a, b):
     return _gf3_trim(q), _gf3_trim(a)
 
 
+def _gf3_gcd(a, b) -> tuple:
+    a, b = _gf3_trim(a), _gf3_trim(b)
+    while b:
+        a, b = b, _gf3_divmod(a, b)[1]
+    return a
+
+
 def gf3_is_irreducible(f) -> bool:
-    """Trial division of a monic GF(3) polynomial by all lower-degree monics."""
+    """Rabin's test for a GF(3) polynomial f of degree d >= 1: f is
+    irreducible iff x^(3^d) = x mod f and gcd(x^(3^(d/p)) - x, f) = 1 for
+    every prime p dividing d.
+
+    Residues mod f are length-d coefficient lists.  In characteristic 3 the
+    cube of sum c_j x^j is sum c_j x^(3j), so each cube is a GF(3)
+    combination of the rows x^(3j) mod f.
+    """
     f = _gf3_trim(f)
-    deg = len(f) - 1
-    if deg < 1:
+    d = len(f) - 1
+    if d < 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(3), repeat=d):
-            if not _gf3_divmod(f, (*tail, 1))[1]:
-                return False
+
+    def residue(p) -> list:
+        r = _gf3_divmod(p, f)[1]
+        return list(r) + [0] * (d - len(r))
+
+    rows = [residue((1,))]  # x^(3j) mod f for j < d
+    while len(rows) < d:
+        rows.append(residue([0, 0, 0] + rows[-1]))
+    x = residue((0, 1))
+    frobenius = [x]  # x^(3^i) mod f for i <= d
+    for _ in range(d):
+        acc = [0] * d
+        for c, row in zip(frobenius[-1], rows):
+            if c == 1:
+                acc = [u + v for u, v in zip(acc, row)]
+            elif c == 2:
+                acc = [u - v for u, v in zip(acc, row)]
+        frobenius.append([u % 3 for u in acc])
+    if frobenius[d] != x:
+        return False
+    for p in _factorize(d):
+        diff = [(u - v) % 3 for u, v in zip(frobenius[d // p], x)]
+        if len(_gf3_gcd(f, diff)) != 1:  # a factor of degree dividing d/p
+            return False
     return True
 
 
@@ -160,7 +202,7 @@ class _BitsField:
     """Multiplication mod a monic GF(3) modulus on bitsliced vectors."""
 
     def __init__(self, modulus):
-        m = len(modulus) - 1
+        self.m = m = len(modulus) - 1
         self.top = 1 << m
         # x^m = -(f_0 + ... + f_{m-1} x^(m-1)): its ones are the f_i = 2
         self.x_m = tuple(sum(1 << i for i, f in enumerate(modulus[:m]) if f == t)
@@ -177,6 +219,13 @@ class _BitsField:
             r1, r2 = self.x_m
             return _bits_add(a1, a2 ^ top, r2, r1)
         return a1, a2
+
+    def rows(self, a: tuple) -> list:
+        """a x^j for j < m: the images of the basis under multiplication by a."""
+        rows = [a]
+        while len(rows) < self.m:
+            rows.append(self.times_x(*rows[-1]))
+        return rows
 
     def mul(self, a: tuple, b: tuple) -> tuple:
         """a * b by shift-and-add over the trits of a, high first."""
@@ -204,6 +253,29 @@ class _BitsField:
         return r
 
 
+def _half_tables(rows: list) -> tuple:
+    """Lookup tables of a GF(3)-linear map on the trits of one half.
+
+    rows[b] is the bitsliced image of the b-th trit's unit vector.  Entry
+    ones_mask | twos_mask << len(rows) of the returned (ones, twos) uint16
+    arrays is the image of the vector with trit 1 at the bits of ones_mask
+    and trit 2 (= -1) at those of twos_mask; entries where the two masks
+    overlap are never read.
+    """
+    import numpy as np
+    width = len(rows)
+    t1 = np.zeros(1 << 2 * width, dtype=np.uint16)
+    t2 = np.zeros(1 << 2 * width, dtype=np.uint16)
+    size = 1
+    for r1, r2 in rows + [(r2, r1) for r1, r2 in rows]:
+        a1, a2 = t1[:size], t2[:size]
+        u = (a1 | r2) ^ (a2 | r1)  # _bits_add
+        t1[size:2 * size] = (a2 | r2) ^ u
+        t2[size:2 * size] = (a1 | r1) ^ u
+        size *= 2
+    return t1, t2
+
+
 class SpecialConstants(NamedTuple):
     """Distinguished constants of a ctx, all as integer encodings.
 
@@ -220,12 +292,14 @@ class FieldCtx:
     """Arithmetic context for GF(3^2k) with log/exp and Zech-log tables.
 
     The tables are filled by stepping alpha^i in pure Python up to k = 5 and
-    by numpy matrix doubling above (see the module docstring), and square
+    by blocked numpy doubling above (see the module docstring), and square
     roots are read off the log table.  The tables are int32
     array('i') buffers: _exp2 (alpha^i for i < 2n, doubled to skip a mod),
     _log (_log[0] is an unused 0; every op branches on 0 first) and _zech
-    (log(1 + alpha^i), or -1 where 1 + alpha^i = 0).  Scalar ops index them
-    and get Python ints; power_sum_images reads them as numpy views.
+    (log(1 + alpha^i), or -1 where 1 + alpha^i = 0), 16n bytes in all: 8.5 MB
+    at k = 6, 0.69 GB at k = 8.  The build holds nothing of size n beyond
+    them.  Scalar ops index them and get Python ints; power_sum_images reads
+    them as numpy views.
 
     Public attributes: k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
     (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
@@ -243,9 +317,9 @@ class FieldCtx:
         if self._n >= 2 ** 31:
             raise ValueError(f"field order 3^{self.m} too large: its log tables "
                              f"are int32, so 3^(2k) - 1 must stay below 2^31")
-        # int32 exp2 (2n), log (n + 1) and Zech (n) tables plus the uint8
-        # m x n trit planes
-        table_bytes = self._n * (self.m + 16)
+        # int32 exp2 (2n), log (n + 1) and Zech (n) tables; the numpy fill
+        # keeps its work columns inside exp2
+        table_bytes = 16 * self._n
         if table_bytes > TABLE_BYTES_CEILING:
             raise ValueError(f"field order 3^{self.m} too large: its tables would "
                              f"take about {table_bytes / 2 ** 30:.1f} GiB, above "
@@ -291,10 +365,7 @@ class FieldCtx:
 
     def _build_tables(self):
         n = self._n
-        field = _BitsField(self.modulus)
-        rows = [_bits(self.alpha)]  # alpha x^j for j < m
-        for _ in range(1, self.m):
-            rows.append(field.times_x(*rows[-1]))
+        rows = _BitsField(self.modulus).rows(_bits(self.alpha))
         self._exp2 = array("i", [0]) * (2 * n)
         self._log = array("i", [0]) * self.order
         self._zech = array("i", [0]) * n
@@ -357,46 +428,66 @@ class FieldCtx:
             zech[l2] = l0
 
     def _fill_numpy(self, rows: list):
+        """Fill the tables from bitsliced uint16 columns (ones, twos) of
+        alpha^i, every pass in blocks of _BLOCK_LEN indices.
+
+        The columns live in the upper half of _exp2 (n int32 entries hold
+        2n uint16), which is free until it is copied from the lower half, so
+        the build holds no array of size n besides the tables.  Doubling:
+        columns h..2h-1 are columns 0..h-1 times alpha^h, read for each half
+        of the trits from a _half_tables lookup of that map.  The columns are
+        then encoded into the lower half of _exp2 and scattered into _log,
+        with the encodings of 1 + alpha^i parked in _zech; a second pass
+        checks that the scatter lost nothing (alpha primitive) and turns
+        those into Zech logs.
+        """
         import numpy as np
-        n, m = self._n, self.m
-        # planes[j, i] = trit j of alpha^i, filled by doubling: columns h..2h-1
-        # are columns 0..h-1 times alpha^h, summed one trit plane at a time
-        # (contiguous uint8 adds, several times faster than an integer
-        # matmul).  uint8 cannot overflow: an entry is a sum of at most 2m
-        # trits, so at most 4m, below 256 while m <= 63
-        planes = np.zeros((m, n), dtype=np.uint8)
-        planes[0, 0] = 1
-        # step[i, j] = trit j of alpha^h x^i, starting at h = 1
-        step = np.array([[(r1 >> j & 1) + 2 * (r2 >> j & 1) for j in range(m)]
-                         for r1, r2 in rows], dtype=np.uint8)
-        h = 1
-        while h < n:
-            w = min(h, n - h)
-            for j in range(m):
-                for i in range(m):
-                    for _ in range(step[i, j]):
-                        planes[j, h:h + w] += planes[i, :w]
-                planes[j, h:h + w] %= 3
-            step = step @ step % 3
-            h *= 2
+        n, m, k = self._n, self.m, self.k
         exp2, log_arr, zech = self._tables()
-        exp_arr = exp2[:n]
-        for j in range(m - 1, -1, -1):  # Horner, high trit first
-            exp_arr *= 3
-            exp_arr += planes[j]
-        del planes
-        exp2[n:] = exp_arr
-        indices = np.arange(n, dtype=np.int32)
-        log_arr[exp_arr] = indices
-        if exp_arr[0] != 1 or not np.array_equal(log_arr[exp_arr], indices):
-            raise ValueError("exp table is not a permutation; element not primitive")
-        del indices
-        # 1 + alpha^i flips only the constant trit: enc + 1, or enc - 2 when
-        # that trit is 2
-        plus_one = exp_arr + 1
-        plus_one[exp_arr % 3 == 2] -= 3
-        zech[:] = log_arr[plus_one]
-        zech[plus_one == 0] = -1
+        ones, twos = exp2[n:].view(np.uint16).reshape(2, n)  # m <= 16 here
+        ones[0], twos[0] = 1, 0
+        field = _BitsField(self.modulus)
+        mask = (1 << k) - 1
+        h = 1
+        while h < n:  # rows = alpha^h x^j for j < m
+            low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
+            for s in range(0, min(h, n - h), _BLOCK_LEN):
+                e = min(s + _BLOCK_LEN, n - h)
+                o, t = ones[s:e], twos[s:e]
+                i_low = (o & mask | (t & mask) << k).astype(np.intp)
+                i_high = (o >> k | (t >> k) << k).astype(np.intp)
+                a1, a2 = low[0].take(i_low), low[1].take(i_low)
+                b1, b2 = high[0].take(i_high), high[1].take(i_high)
+                u = (a1 | b2) ^ (a2 | b1)  # _bits_add
+                np.bitwise_xor(a2 | b2, u, out=ones[h + s:h + e])
+                np.bitwise_xor(a1 | b1, u, out=twos[h + s:h + e])
+            rows = field.rows(field.mul(rows[0], rows[0]))
+            h *= 2
+        # enc[mask] = encoding of the vector with trit 1 at the bits of mask
+        enc = np.zeros(1 << m, dtype=np.int32)
+        for j in range(m):
+            np.add(enc[:1 << j], 3 ** j, out=enc[1 << j:2 << j])
+        for s in range(0, n, _BLOCK_LEN):
+            e = min(s + _BLOCK_LEN, n)
+            block = exp2[s:e]
+            np.take(enc, twos[s:e], out=block)
+            block *= 2
+            block += enc.take(ones[s:e])
+            log_arr[block] = np.arange(s, e, dtype=np.int32)
+            # 1 + alpha^i flips only the constant trit: enc + 1, or enc - 2
+            # when that trit is 2
+            plus_one = zech[s:e]
+            plus_one[:] = twos[s:e] & 1
+            plus_one *= -3
+            plus_one += block
+            plus_one += 1
+        exp2[n:] = exp2[:n]
+        for s in range(0, n, _BLOCK_LEN):
+            e = min(s + _BLOCK_LEN, n)
+            if not np.array_equal(log_arr.take(exp2[s:e]), np.arange(s, e)):
+                raise ValueError("exp table is not a permutation; element not primitive")
+            zech[s:e] = log_arr.take(zech[s:e])
+        zech[log_arr[2]] = -1  # 1 + alpha^i = 0 at alpha^i = -1
 
     def _tables(self) -> tuple:
         """(exp2, log, zech) as int32 numpy views of the table buffers."""
@@ -479,36 +570,40 @@ class FieldCtx:
 
     # -- vector evaluation -------------------------------------------------
 
-    def power_sum_images(self, terms) -> "numpy.ndarray":
-        """Images of sum(c * x^e for c, e in terms) at x = alpha^i, i < n.
+    def power_sum_images(self, terms) -> Iterator:
+        """Images of sum(c * x^e for c, e in terms) at x = alpha^i, i < n,
+        yielded as int32 arrays over consecutive blocks of i.
 
         Coefficients c are nonzero encodings and exponents e >= 0.  Works in
         the log domain: c * x^e has log (i * e + log c) mod n, and each term
         joins the partial sum through the Zech table; a mask marks the x
-        where the partial sum is 0.  Returns an int32 array indexed by i.
+        where the partial sum is 0.
         """
         import numpy as np
         n = self._n
         exp2, log_arr, zech = self._tables()
-        acc = None  # log of the partial sum, valid where it is nonzero
-        zero = np.zeros(n, dtype=bool)
-        for c, e in terms:
-            term = np.arange(n, dtype=np.int64)  # i * e needs 64 bits
-            term *= e % n
-            term += log_arr[c]
-            term %= n
-            term = term.astype(np.int32)
-            if acc is None:
-                acc = term
-                continue
-            z = zech[(term - acc) % n]  # c x^e / acc = alpha^(term - acc)
-            acc += z
-            acc %= n
-            acc[zero] = term[zero]
-            zero = ~zero & (z < 0)
-        images = exp2[acc]
-        images[zero] = 0
-        return images
+        terms = [(e % n, int(log_arr[c])) for c, e in terms]
+        for start in range(0, n, _BLOCK_LEN):
+            i = np.arange(start, min(start + _BLOCK_LEN, n), dtype=np.int64)
+            acc = None  # log of the partial sum, valid where it is nonzero
+            zero = np.zeros(len(i), dtype=bool)
+            for e, log_c in terms:
+                term = i * e  # i * e needs 64 bits
+                term += log_c
+                term %= n
+                if acc is None:
+                    acc = term
+                    continue
+                # c x^e / acc = alpha^(term - acc); a difference in (-n, 0)
+                # indexes zech from its end, at term - acc + n
+                z = zech[term - acc]
+                acc += z
+                acc %= n
+                acc[zero] = term[zero]
+                zero = ~zero & (z < 0)
+            images = exp2[acc]
+            images[zero] = 0
+            yield images
 
     # -- distinguished constants -------------------------------------------
 

@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from trinolab import ctx_create
+from trinolab import ctx_create, gf3m
 
 # pytest finds the package through its pythonpath setting; child processes
 # (the demos, acceptance criterion 10) find it through PYTHONPATH
@@ -35,6 +35,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, passed in sorted(set(rows)):
             terminalreporter.write_line(
                 ("PASS  " if passed else "FAIL  ") + name)
+
+
+# blocks of a few indices split every field into many blocks, with a short
+# last one; None keeps the module's block length
+SPLIT_BLOCKS = (None, 7)
+
+
+def use_block(monkeypatch, block):
+    """Run gf3m's blocked numpy passes with the given block length."""
+    if block is not None:
+        monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
 
 
 @pytest.fixture(scope="session")

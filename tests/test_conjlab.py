@@ -1,7 +1,9 @@
 """Trinomial families, fiber analysis, case classification, and sweeps."""
 
+import gc
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +24,8 @@ from trinolab.conjlab import (LemmaCase, classify_septic_factor,
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
 from trinolab.polyring import Poly, poly_gcd, roots_in_set
+
+from conftest import SPLIT_BLOCKS, use_block
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -110,21 +114,25 @@ def test_trinomial_map_matches_polynomial():
             assert fn(x) == poly(x)
 
 
+@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_vector_images_match_the_scalar_map(ctx_for, k):
+def test_vector_images_match_the_scalar_map(ctx_for, monkeypatch, k, block):
     ctx = ctx_for(k)
+    use_block(monkeypatch, block)
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
             spec = trinomial_family(family, l, ctx)
             fn = trinomial_map(spec, ctx)
-            images = ctx.power_sum_images(conjlab._terms(spec))
-            assert images.tolist() == [fn(ctx.alpha_pow(i))
-                                       for i in range(ctx.order - 1)]
+            images = [v for images in ctx.power_sum_images(conjlab._terms(spec))
+                      for v in images.tolist()]
+            assert images == [fn(ctx.alpha_pow(i)) for i in range(ctx.order - 1)]
 
 
+@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_direct_route_matches_the_bijection_oracle(ctx_for, k):
+def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k, block):
     ctx = ctx_for(k)
+    use_block(monkeypatch, block)
     verdicts = set()
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
@@ -134,6 +142,26 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, k):
             assert direct is oracle.is_bijection, (family, l)
             verdicts.add(direct)
     assert verdicts == {True, False}
+
+
+def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkeypatch):
+    # blocks of 2^10 split the k = 5 field into 58; the route holds the bool
+    # hit array (n + 1 bytes) and a few int64 vectors of one block, where
+    # the one-pass form held int64 and int32 n-vectors (1.3 MB here)
+    ctx = ctx_for(5)
+    n = ctx.order - 1
+    block = 2 ** 10
+    use_block(monkeypatch, block)
+    spec = trinomial_family(3, 5, ctx)
+    conjlab._routes(spec, ctx)  # imports numpy before the trace
+    gc.collect()
+    tracemalloc.start()
+    try:
+        conjlab._routes(spec, ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n + 8 * 8 * block
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from trinolab import gf3m
 from trinolab.gf3m import ctx_create, default_modulus
 
-from conftest import (enc_to_trits, ref_add, ref_default_modulus,
-                      ref_irreducible, ref_mul, ref_neg, ref_pow,
-                      trits_to_enc)
+from conftest import (SPLIT_BLOCKS, enc_to_trits, ref_add,
+                      ref_default_modulus, ref_irreducible, ref_mul, ref_neg,
+                      ref_pow, trits_to_enc, use_block)
 
 # first monic irreducible per degree, in itertools.product order over the
 # low coefficients; re-derived by ref_default_modulus below
@@ -68,7 +68,7 @@ def test_default_modulus_skips_candidates_divisible_by_x(monkeypatch):
 
 def test_gf3_is_irreducible_agrees_with_reference():
     import itertools
-    for deg in (2, 3, 4):
+    for deg in range(8):
         for low in itertools.product(range(3), repeat=deg):
             cand = tuple(low) + (1,)
             assert gf3m.gf3_is_irreducible(cand) == ref_irreducible(cand), cand
@@ -93,7 +93,7 @@ def test_ctx_rejects_degree_outside_range(k):
                          ((10, None), (10, (2,) + (0,) * 19 + (1,)), (9, None)),
                          ids=("None", "modulus1", "k9"))
 def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
-    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 13 GB: refused
+    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 6.2 GB: refused
     # before the modulus search, the irreducibility test of a given modulus,
     # or any table allocation
     def forbidden(*args):
@@ -109,7 +109,7 @@ def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
 
 @pytest.mark.parametrize("k", (7, 8))
 def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
-    # about 143 MB and 1.4 GB of tables: both reach the modulus search,
+    # about 76 MB and 0.69 GB of tables: both reach the modulus search,
     # stopped here before any allocation
     class Reached(Exception):
         pass
@@ -310,15 +310,36 @@ def _use_fill(monkeypatch, fill):
     monkeypatch.setattr(gf3m, "_PURE_FILL_MAX_N", 3 ** 14 if fill == "pure" else 0)
 
 
+@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize(("k", "modulus"),
                          [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI)
-def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
+def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus, block):
+    use_block(monkeypatch, block)
     tables = {}
     for fill in ("pure", "numpy"):
         _use_fill(monkeypatch, fill)
         ctx = ctx_create(k, modulus)
         tables[fill] = [t.tobytes() for t in (ctx._exp2, ctx._log, ctx._zech)]
     assert tables["pure"] == tables["numpy"]
+
+
+def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
+    # the numpy fill keeps its bitsliced columns in the upper half of _exp2,
+    # so beyond the tables it holds only per-block buffers: less than the
+    # uint8 m x n trit planes it used to build (0.59 MB at k = 5)
+    import numpy  # noqa: F401  (imported before the trace)
+    k = 5
+    n, m = 3 ** (2 * k) - 1, 2 * k
+    _use_fill(monkeypatch, "numpy")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = ctx_create(k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.alpha == 34
+    assert peak - retained < n * m
 
 
 def test_ctx_tables_are_int32_buffers():
@@ -352,9 +373,11 @@ def test_zero_is_handled_before_the_log_table(ctx_for, k):
     assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
 
 
+@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_power_sum_images_match_scalar_evaluation(ctx_for, k):
+def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k, block):
     ctx = ctx_for(k)
+    use_block(monkeypatch, block)
     n = ctx.order - 1
     rng = random.Random(k)
     for _ in range(30):
@@ -369,7 +392,8 @@ def test_power_sum_images_match_scalar_evaluation(ctx_for, k):
             for c, e in terms:
                 value = ctx.add(value, ctx.mul(c, ctx.pow(x, e)))
             expected.append(value)
-        assert ctx.power_sum_images(terms).tolist() == expected
+        images = [v for block in ctx.power_sum_images(terms) for v in block.tolist()]
+        assert images == expected
 
 
 def test_alpha_pow_matches_pow(ctx_for):
