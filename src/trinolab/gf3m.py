@@ -20,7 +20,7 @@ by alpha, from which the tables are filled in one of two ways:
   these fields never import it.
 - k >= 6: numpy doubles bitsliced columns of alpha^i (columns h..2h-1 are
   columns 0..h-1 times alpha^h, read from lookup tables of that map),
-  where the pure loop would take ten times as long.
+  where the pure loop would take over ten times as long.
 
 Each table is one int32 buffer (array('i')), so fields whose multiplicative
 group has order 2^31 or more are refused, and so are fields whose tables
@@ -38,9 +38,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_MAX_K = 6
 # largest multiplicative group order n = 3^2k - 1 whose tables are filled in
-# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon (best of five): at
-# k = 5 the pure fill takes 24-32 ms against 5 ms for the numpy fill plus
-# 0.16 s to import numpy; at k = 6 it takes 0.32 s against 0.03 s.
+# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon (best of five, two
+# processes): at k = 5 the pure fill takes 28-37 ms against 7 ms for the
+# numpy fill plus 0.16 s to import numpy; at k = 6 it takes 0.38-0.40 s
+# against 0.03 s.
 _PURE_FILL_MAX_N = 3 ** 10 - 1
 # indices per block of the numpy passes over the field (the k >= 6 fill and
 # power_sum_images).  Measured on a 2-vCPU Xeon (medians at k = 6 and 7):

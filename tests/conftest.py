@@ -37,15 +37,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 ("PASS  " if passed else "FAIL  ") + name)
 
 
-# blocks of a few indices split every field into many blocks, with a short
-# last one; None keeps the module's block length
-SPLIT_BLOCKS = (None, 7)
-
-
-def use_block(monkeypatch, block):
-    """Run gf3m's blocked numpy passes with the given block length."""
-    if block is not None:
-        monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+# block lengths for gf3m's numpy passes: the module's own, and a few indices,
+# which split every field into many blocks with a short last one
+BLOCK_LENS = (gf3m._BLOCK_LEN, 7)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from trinolab import conjlab
+from trinolab import conjlab, gf3m
 from trinolab.conjlab import (LemmaCase, classify_septic_factor,
                               count_solutions_quintic, count_solutions_septic,
                               denominator_nonvanishing, distinct_root_exclusion,
@@ -25,7 +25,7 @@ from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
 from trinolab.polyring import Poly, poly_gcd, roots_in_set
 
-from conftest import SPLIT_BLOCKS, use_block
+from conftest import BLOCK_LENS
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -114,32 +114,33 @@ def test_trinomial_map_matches_polynomial():
             assert fn(x) == poly(x)
 
 
-@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_vector_images_match_the_scalar_map(ctx_for, monkeypatch, k, block):
+def test_vector_images_match_the_scalar_map(ctx_for, monkeypatch, k):
     ctx = ctx_for(k)
-    use_block(monkeypatch, block)
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
             spec = trinomial_family(family, l, ctx)
             fn = trinomial_map(spec, ctx)
-            images = [v for images in ctx.power_sum_images(conjlab._terms(spec))
-                      for v in images.tolist()]
-            assert images == [fn(ctx.alpha_pow(i)) for i in range(ctx.order - 1)]
+            expected = [fn(ctx.alpha_pow(i)) for i in range(ctx.order - 1)]
+            for block in BLOCK_LENS:
+                monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+                images = [v for part in ctx.power_sum_images(conjlab._terms(spec))
+                          for v in part.tolist()]
+                assert images == expected, (family, l, block)
 
 
-@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k, block):
+def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k):
     ctx = ctx_for(k)
-    use_block(monkeypatch, block)
     verdicts = set()
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
             spec = trinomial_family(family, l, ctx)
-            direct = conjlab._routes(spec, ctx)[2]
             oracle = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order))
-            assert direct is oracle.is_bijection, (family, l)
+            for block in BLOCK_LENS:
+                monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+                direct = conjlab._routes(spec, ctx)[2]
+                assert direct is oracle.is_bijection, (family, l, block)
             verdicts.add(direct)
     assert verdicts == {True, False}
 
@@ -151,7 +152,7 @@ def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkey
     ctx = ctx_for(5)
     n = ctx.order - 1
     block = 2 ** 10
-    use_block(monkeypatch, block)
+    monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
     spec = trinomial_family(3, 5, ctx)
     conjlab._routes(spec, ctx)  # imports numpy before the trace
     gc.collect()

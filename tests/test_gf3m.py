@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from trinolab import gf3m
 from trinolab.gf3m import ctx_create, default_modulus
 
-from conftest import (SPLIT_BLOCKS, enc_to_trits, ref_add,
+from conftest import (BLOCK_LENS, enc_to_trits, ref_add,
                       ref_default_modulus, ref_irreducible, ref_mul, ref_neg,
-                      ref_pow, trits_to_enc, use_block)
+                      ref_pow, trits_to_enc)
 
 # first monic irreducible per degree, in itertools.product order over the
 # low coefficients; re-derived by ref_default_modulus below
@@ -310,17 +310,19 @@ def _use_fill(monkeypatch, fill):
     monkeypatch.setattr(gf3m, "_PURE_FILL_MAX_N", 3 ** 14 if fill == "pure" else 0)
 
 
-@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize(("k", "modulus"),
                          [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI)
-def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus, block):
-    use_block(monkeypatch, block)
-    tables = {}
-    for fill in ("pure", "numpy"):
-        _use_fill(monkeypatch, fill)
+def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
+    def tables():
         ctx = ctx_create(k, modulus)
-        tables[fill] = [t.tobytes() for t in (ctx._exp2, ctx._log, ctx._zech)]
-    assert tables["pure"] == tables["numpy"]
+        return [t.tobytes() for t in (ctx._exp2, ctx._log, ctx._zech)]
+
+    _use_fill(monkeypatch, "pure")
+    pure = tables()
+    _use_fill(monkeypatch, "numpy")
+    for block in BLOCK_LENS:
+        monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+        assert tables() == pure, block
 
 
 def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
@@ -373,11 +375,9 @@ def test_zero_is_handled_before_the_log_table(ctx_for, k):
     assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
 
 
-@pytest.mark.parametrize("block", SPLIT_BLOCKS)
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k, block):
+def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k):
     ctx = ctx_for(k)
-    use_block(monkeypatch, block)
     n = ctx.order - 1
     rng = random.Random(k)
     for _ in range(30):
@@ -392,8 +392,10 @@ def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k, block
             for c, e in terms:
                 value = ctx.add(value, ctx.mul(c, ctx.pow(x, e)))
             expected.append(value)
-        images = [v for block in ctx.power_sum_images(terms) for v in block.tolist()]
-        assert images == expected
+        for block in BLOCK_LENS:
+            monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+            images = [v for part in ctx.power_sum_images(terms) for v in part.tolist()]
+            assert images == expected
 
 
 def test_alpha_pow_matches_pow(ctx_for):
