@@ -445,10 +445,11 @@ class FieldCtx:
         import numpy as np
         n, m, k = self._n, self.m, self.k
         exp2, log_arr, zech = self._tables()
-        ones, twos = exp2[n:].view(np.uint16).reshape(2, n)  # m <= 16 here
+        # uint16 holds the m trits: TABLE_BYTES_CEILING stops at m = 16
+        ones, twos = exp2[n:].view(np.uint16).reshape(2, n)
         ones[0], twos[0] = 1, 0
         field = _BitsField(self.modulus)
-        mask = (1 << k) - 1
+        mask = (1 << k) - 1  # the low half: trits 0..k-1
         h = 1
         while h < n:  # rows = alpha^h x^j for j < m
             low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
