@@ -3,8 +3,7 @@
 from .gf3m import (DEFAULT_MAX_K, FieldCtx, SpecialConstants, ctx_create,
                    default_modulus, format_modulus, parse_element, parse_modulus,
                    primitive_element, solve_epsilon, solve_theta)
-from .permtest import (MapReport, UnityGroup, is_bijection_on, mu_enumerate,
-                       zieve_criterion)
+from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, poly_gcd, pow_mod, quadratic_factors, roots_in_set
 from .conjlab import (ExclusionReport, FractionalMap, LemmaCase,
                       QuadFactorWitness, SweepReport, SweepRow, TrinomialSpec,

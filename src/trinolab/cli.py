@@ -6,8 +6,9 @@ are byte-identical across runs with the same arguments: JSON keys are sorted,
 CSV columns are fixed, and nothing time- or host-dependent enters the payload.
 
 Exit codes: 0 success, 1 usage or input error, 2 when a property the analysis
-asserts fails (a fiber of size >= 2 inside the claimed range, an unclassified
-quadratic factor, disagreeing permutation routes, a VerificationError).
+asserts fails (a fiber without exactly one root inside the claimed range, an
+unclassified quadratic factor, disagreeing permutation routes, a
+VerificationError).
 Every other exception (AssertionError, ValueError, ZeroDivisionError, ...)
 is an internal bug and is not caught: inputs are validated up front and
 turned into UsageError.
@@ -192,7 +193,7 @@ def _cmd_check_trinomial(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     r, h, direct, cond1, cond2 = conjlab._routes(spec, ctx)
-    g_bij = conjlab._g_bijection(conjlab._g_table(args.family, ctx))
+    g_bij = conjlab._g_bijection(conjlab._fiber_roots(args.family, ctx))
     report = {
         "family": args.family, "k": ctx.k, "l": args.l,
         "modulus": gf3m.format_modulus(ctx.modulus),
@@ -207,14 +208,14 @@ def _cmd_check_trinomial(args):
 
 def _cmd_check_g(args):
     ctx = _make_ctx(args)
-    table = conjlab._g_table(args.family, ctx)
-    g_bij = conjlab._g_bijection(table)
-    fibers = conjlab._fiber_roots(args.family, ctx, table)
+    fibers = conjlab._fiber_roots(args.family, ctx)
+    sizes = [len(roots) for roots in fibers.values()]
+    g_bij = conjlab._g_bijection(fibers)
     report = {
         "family": args.family, "k": ctx.k,
         "modulus": gf3m.format_modulus(ctx.modulus), "mu_size": ctx.q + 1,
-        "denominator_nonvanishing": None not in table.values(),
-        "g_bijection": g_bij, "max_fiber_size": max(map(len, fibers.values())),
+        "denominator_nonvanishing": sum(sizes) == ctx.q + 1,
+        "g_bijection": g_bij, "max_fiber_size": max(sizes),
     }
     failed = claimed_permutation(args.family, ctx.k) and not g_bij
     return (2 if failed else 0), report
@@ -228,7 +229,7 @@ def _cmd_count_roots(args):
     fibers = conjlab._fiber_roots(args.family, ctx)
     for t in _t_values(args, ctx):
         roots = fibers[t]
-        if claimed and len(roots) > 1:
+        if claimed and len(roots) != 1:
             violation = True
         rows.append({"family": args.family, "k": ctx.k, "t": t,
                      "count": len(roots), "roots": roots})
@@ -243,10 +244,9 @@ def _cmd_factors(args):
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
     elif args.family is not None and args.t is not None:
-        t = _t_values(args, ctx)[0] if args.t != "all" else None
-        if t is None:
+        if args.t == "all":
             raise UsageError("factors needs a single --t, not 'all'")
-        poly = conjlab.fiber_polynomial(args.family, t, ctx)
+        poly = conjlab.fiber_polynomial(args.family, _t_values(args, ctx)[0], ctx)
     else:
         raise UsageError("factors needs --poly or both --family and --t")
     try:
@@ -264,21 +264,16 @@ def _cmd_lemma_verify(args):
     failed = False
     witnesses = (w for t in _t_values(args, ctx)
                  for w in conjlab._fiber_witnesses(args.family, t, ctx))
+    derivation = (conjlab.verify_quintic_coefficient_system if args.family == 3
+                  else conjlab.verify_septic_coefficient_system)
     for w in witnesses:
-        if args.family == 3:
-            relation_ok = w.lemma_case is conjlab.LemmaCase.FIFTH_DEGREE
-            derivation_ok = conjlab.verify_quintic_coefficient_system(
-                w.a, w.b, w.t, ctx)
-        else:
-            relation_ok = w.lemma_case in (conjlab.LemmaCase.EPSILON,
-                                           conjlab.LemmaCase.THETA)
-            derivation_ok = conjlab.verify_septic_coefficient_system(
-                w.a, w.b, w.t, ctx)
+        relation_ok = w.lemma_case is not conjlab.LemmaCase.NO_MATCH
+        derivation_ok = derivation(w.a, w.b, w.t, ctx)
         if not relation_ok or not derivation_ok:
             failed = True
         rows.append({
             "family": args.family, "k": ctx.k, "t": w.t, "a": w.a, "b": w.b,
-            "lemma_case": w.lemma_case.value if w.lemma_case else None,
+            "lemma_case": w.lemma_case.value,
             "relation_ok": relation_ok, "derivation_ok": derivation_ok,
         })
     return (2 if failed else 0), rows
@@ -287,8 +282,7 @@ def _cmd_lemma_verify(args):
 def _cmd_uv_scan(args):
     ctx = _make_ctx(args)
     report = conjlab.uv_identity_check(ctx)
-    rows = [{"t": w.t, "a": w.a, "b": w.b, "u": w.u, "v": w.v}
-            for w in report.witnesses]
+    rows = [w._asdict() for w in report.witnesses]
     payload = {"k": ctx.k, "modulus": gf3m.format_modulus(ctx.modulus),
                "witness_count": len(rows), "all_identities_hold": report.ok,
                "witnesses": rows,

@@ -71,7 +71,7 @@ class QuadFactorWitness(NamedTuple):
     a: int
     b: int
     degree: int
-    lemma_case: Optional[LemmaCase]
+    lemma_case: LemmaCase
     x1: Optional[int]
     x2: Optional[int]
 
@@ -209,7 +209,8 @@ def denominator_nonvanishing(family: int, ctx: FieldCtx) -> bool:
 
 def _g_table(family: int, ctx: FieldCtx) -> dict:
     """{x: g(x)} over mu_{q+1} in increasing encoding order, from one
-    evaluation of the family's N and D per x; None marks D(x) = 0.
+    evaluation of the family's N and D per x; None marks D(x) = 0.  Commands
+    read it only through _fiber_roots; the public g_permutes_mu also builds it.
 
     Raises VerificationError if an image leaves mu_{q+1}.
     """
@@ -225,10 +226,12 @@ def _g_table(family: int, ctx: FieldCtx) -> dict:
     return table
 
 
-def _g_bijection(table: dict) -> bool:
-    """g's verdict from its table.  A None entry (D(x) = 0) leaves some point
-    of mu_{q+1} without a preimage, so the verdict is then False."""
-    return is_bijection_on(table.__getitem__, table).is_bijection
+def _g_bijection(fibers: dict) -> bool:
+    """g's verdict from its _fiber_roots.  Each x of mu_{q+1} with D(x) != 0
+    is filed in exactly one of the q + 1 fibers (at g(x), or 1/g(x) for
+    family 2, and inversion permutes mu_{q+1}), so g permutes mu_{q+1} iff
+    every fiber holds exactly one root."""
+    return all(len(roots) == 1 for roots in fibers.values())
 
 
 def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
@@ -248,7 +251,7 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
     """(r, h, direct, cond1, cond2): the two permutation routes that depend on
     l -- the direct bijection on the field and the index-form criterion on
     f = x^r h(x^(q-1)).  The third route, the family's g on mu_{q+1}, depends
-    only on (family, k); it is _g_bijection of the family's _g_table.
+    only on (family, k); it is _g_bijection of the family's _fiber_roots.
 
     The direct route evaluates f at every alpha^i block by block
     (FieldCtx.power_sum_images) and at 0 by trinomial_map, marking each image
@@ -294,16 +297,16 @@ def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
                       for n, d in zip_longest(num, den, fillvalue=0)])
 
 
-def _fiber_roots(family: int, ctx: FieldCtx, table: Optional[dict] = None) -> dict:
+def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
     """{t: sorted roots in mu_{q+1} of fiber_polynomial(family, t)} for every
-    t in mu_{q+1}, read off the family's _g_table (built when not given).
+    t in mu_{q+1}, read off the family's _g_table.
 
     x is a root at t iff N(x) = t D(x) for the fiber terms, that is t = g(x),
     or t = 1/g(x) for family 2.  gcd(N, D) = 1, so where g's denominator
-    vanishes x lies in no fiber.
+    vanishes x lies in no fiber, and the fiber sizes then sum to less than
+    q + 1.
     """
-    if table is None:
-        table = _g_table(family, ctx)
+    table = _g_table(family, ctx)
     fibers = {t: [] for t in table}
     for x, y in table.items():
         if y is not None:
@@ -471,42 +474,35 @@ def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> b
 _FIBER_DEGREE = {1: 7, 2: 7, 3: 5}
 
 
-def harvest_witnesses(family: int, ctx: FieldCtx,
-                      include_asymmetric: bool = False) -> list:
+def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
     """Quadratic factors (a, b nonzero) of the family's fiber polynomial over
     every t in mu_{q+1}, in (t, a, b) encoding order.
 
-    Degree-7 families keep only factors with a^q * b = a (the hypothesis all
-    degree-7 case analyses assume) unless include_asymmetric is set, in which
-    case the extra factors carry lemma_case None.  Degree-5 factors are
-    classified against the quintic relation; degree-7 ones against the
-    epsilon/theta cases (exploratory data for family 1).
+    Degree-7 families keep only factors with a^q * b = a, the hypothesis all
+    degree-7 case analyses assume.  Degree-5 factors are classified against
+    the quintic relation; degree-7 ones against the epsilon/theta cases
+    (exploratory data for family 1).
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
     mu = mu_enumerate(ctx, ctx.q + 1)
-    return [w for t in sorted(mu)
-            for w in _fiber_witnesses(family, t, ctx, include_asymmetric)]
+    return [w for t in sorted(mu) for w in _fiber_witnesses(family, t, ctx)]
 
 
-def _fiber_witnesses(family: int, t: int, ctx: FieldCtx,
-                     include_asymmetric: bool = False) -> list:
+def _fiber_witnesses(family: int, t: int, ctx: FieldCtx) -> list:
     """harvest_witnesses restricted to the one fiber at t."""
     degree = _FIBER_DEGREE[family]
     out = []
     for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
         if a == 0 or b == 0:
             continue
-        symmetric = ctx.mul(ctx.conjugate_q(a), b) == a
-        if degree == 7 and not symmetric and not include_asymmetric:
-            continue
         if degree == 5:
             case = (LemmaCase.FIFTH_DEGREE
                     if quintic_relation_holds(a, b, ctx) else LemmaCase.NO_MATCH)
-        elif symmetric:
+        elif ctx.mul(ctx.conjugate_q(a), b) == a:
             case = classify_septic_factor(a, b, ctx)
         else:
-            case = None
+            continue
         disc = ctx.sub(ctx.mul(a, a), b)
         s = ctx.sqrt(disc)
         x1 = x2 = None
@@ -610,14 +606,14 @@ def _uv_shifted_cubic(u: int, v: int, ctx: FieldCtx) -> int:
 
 def _fiber_stats(family: int, ctx: FieldCtx) -> tuple:
     """(g_bijection, max_fiber_size, witness_count, histogram) for one
-    (family, k): the g verdict and fiber sizes from one _g_table, then the
-    harvest."""
-    table = _g_table(family, ctx)
-    max_fiber = max(map(len, _fiber_roots(family, ctx, table).values()))
+    (family, k): the g verdict and the largest fiber from one _fiber_roots,
+    then the harvest."""
+    fibers = _fiber_roots(family, ctx)
     witnesses = harvest_witnesses(family, ctx)
-    hist = Counter(w.lemma_case.value for w in witnesses if w.lemma_case)
+    hist = Counter(w.lemma_case.value for w in witnesses)
     histogram = {case.value: hist.get(case.value, 0) for case in LemmaCase}
-    return _g_bijection(table), max_fiber, len(witnesses), histogram
+    return (_g_bijection(fibers), max(map(len, fibers.values())),
+            len(witnesses), histogram)
 
 
 def sweep(family: int, k_list, l_list, modulus: Optional[tuple] = None,

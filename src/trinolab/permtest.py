@@ -13,41 +13,14 @@ from .gf3m import FieldCtx
 from .polyring import Poly
 
 
-class UnityGroup:
-    """The subgroup mu_d of d-th roots of unity, enumerated once."""
-
-    __slots__ = ("ctx", "d", "elements", "_members")
-
-    def __init__(self, ctx: FieldCtx, d: int, elements: tuple):
-        self.ctx = ctx
-        self.d = d
-        self.elements = elements  # generation order: alpha^((n/d)*i)
-        self._members = frozenset(elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return self.d
-
-    def __contains__(self, enc):
-        return enc in self._members
-
-    @property
-    def generator(self) -> int:
-        return self.elements[1] if self.d > 1 else 1
-
-    def __repr__(self):
-        return f"UnityGroup(d={self.d}, GF(3^{self.ctx.m}))"
-
-
-def mu_enumerate(ctx: FieldCtx, d: int) -> UnityGroup:
-    """mu_d as alpha^((order-1)/d * i) for i in 0..d-1; d must divide order-1."""
+def mu_enumerate(ctx: FieldCtx, d: int) -> frozenset:
+    """mu_d, the d-th roots of unity alpha^((order-1)/d * i) for i in 0..d-1,
+    as a frozenset; d must divide order-1."""
     n = ctx.order - 1
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise ValueError(f"not a subgroup order: d={d} does not divide {n}")
     step = n // d
-    return UnityGroup(ctx, d, tuple(ctx.alpha_pow(step * i) for i in range(d)))
+    return frozenset(ctx.alpha_pow(step * i) for i in range(d))
 
 
 class MapReport(NamedTuple):

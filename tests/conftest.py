@@ -11,7 +11,8 @@ import pathlib
 
 import pytest
 
-from trinolab import ctx_create, gf3m
+from trinolab import conjlab, ctx_create, gf3m
+from trinolab.polyring import Poly
 
 # pytest finds the package through its pythonpath setting; child processes
 # (the demos, acceptance criterion 10) find it through PYTHONPATH
@@ -40,6 +41,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # block lengths for gf3m's numpy passes: the module's own, and a few indices,
 # which split every field into many blocks with a short last one
 BLOCK_LENS = (gf3m._BLOCK_LEN, 7)
+
+
+def vanishing_denominator_map(family, ctx):
+    """A stand-in for conjlab.fractional_map whose denominator vanishes on
+    mu_{q+1}: (x^q - 1) / (x - 1) = (x - 1)^(q-1), which is -1/x on mu_{q+1}
+    minus {1}; D vanishes at x = 1."""
+    return conjlab.FractionalMap(
+        family, Poly(ctx, (2,) + (0,) * (ctx.q - 1) + (1,)), Poly(ctx, (2, 1)))
 
 
 @pytest.fixture(scope="session")

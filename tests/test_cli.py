@@ -14,6 +14,8 @@ from trinolab.cli import main, parse_sweep_csv
 from trinolab.gf3m import ctx_create
 from trinolab.polyring import Poly
 
+from conftest import vanishing_denominator_map
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -324,6 +326,7 @@ def test_output_failure_exits_one(tmp_path, capsys):
     ("field-info", "--k", "1", "--format", "yaml"),
     ("sweep", "--family", "2", "--k", "1;2", "--l", "1"),
     ("sweep", "--family", "2", "--k", "1", "--l", "1", "--parallelism", "2"),
+    ("factors", "--k", "1", "--family", "3", "--t", "all"),
 ))
 def test_usage_errors_exit_one(capsys, argv):
     code = main(list(argv))
@@ -376,9 +379,7 @@ def test_verification_errors_exit_two(capsys, monkeypatch):
 
 def test_vanishing_denominator_is_reported(capsys, monkeypatch):
     # g = (x - 1)^q / (x - 1) = -1/x on mu_{q+1} \ {1}; D vanishes at x = 1
-    monkeypatch.setattr(conjlab, "fractional_map",
-                        lambda family, ctx: conjlab.FractionalMap(
-                            family, Poly(ctx, (2, 0, 0, 1)), Poly(ctx, (2, 1))))
+    monkeypatch.setattr(conjlab, "fractional_map", vanishing_denominator_map)
     ctx = ctx_create(1)
     assert conjlab._g_table(2, ctx)[1] is None
     with pytest.raises(ValueError, match="denominator vanishes at x=1"):
@@ -388,6 +389,28 @@ def test_vanishing_denominator_is_reported(capsys, monkeypatch):
     payload = json.loads(out)
     assert code == 2 and not payload["denominator_nonvanishing"]
     assert not payload["g_bijection"] and payload["max_fiber_size"] == 1
+    # x = 1 is in no fiber, so the family-2 fiber at t = 1/g(1) = -1 is empty
+    code, out, _ = run(capsys, "count-roots", "--k", "1", "--family", "2",
+                       "--t", "all", "--format", "json")
+    assert code == 2
+    assert [r["t"] for r in json.loads(out) if r["count"] == 0] == [2]
+
+
+@pytest.mark.parametrize("vanishing", (False, True), ids=("g", "vanishing-D"))
+def test_check_g_and_count_roots_agree_on_every_claim(capsys, monkeypatch,
+                                                       vanishing):
+    # one rule per claim: every fiber holds exactly one root
+    if vanishing:
+        monkeypatch.setattr(conjlab, "fractional_map", vanishing_denominator_map)
+    for k in (1, 2, 3, 4):
+        for family in ("1", "2", "3"):
+            code_g, _, _ = run(capsys, "check-g", "--k", str(k),
+                               "--family", family)
+            code_c, _, _ = run(capsys, "count-roots", "--k", str(k),
+                               "--family", family, "--t", "all")
+            assert code_g == code_c, (k, family, vanishing)
+            claimed = cli.claimed_permutation(int(family), k)
+            assert code_g == (2 if vanishing and claimed else 0), (k, family)
 
 
 def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):

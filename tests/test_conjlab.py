@@ -23,9 +23,9 @@ from trinolab.conjlab import (LemmaCase, classify_septic_factor,
                               verify_septic_factor_case)
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
-from trinolab.polyring import Poly, poly_gcd, roots_in_set
+from trinolab.polyring import Poly, poly_gcd, quadratic_factors, roots_in_set
 
-from conftest import BLOCK_LENS
+from conftest import BLOCK_LENS, vanishing_denominator_map
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -244,18 +244,29 @@ def test_g_bijection_table(ctx_for, family, k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_g_table_agrees_with_fibers_and_denominator_oracle(ctx_for, k):
-    # g permutes mu_{q+1} exactly when every fiber read off the g table holds
-    # one root and every x of mu_{q+1} is filed; the table's D(x) = 0 marks
-    # agree with the polynomial root scan of denominator_nonvanishing
+def test_g_table_agrees_with_fibers_and_denominator_oracle(ctx_for, monkeypatch, k):
+    # the g verdict read off the fiber sizes agrees with the bijection scan
+    # over the g table, and "the fiber sizes sum to q + 1" agrees with the
+    # polynomial root scan of denominator_nonvanishing; k <= 4 also repeats
+    # both with a map whose denominator vanishes on mu_{q+1}
     ctx = ctx_for(k)
-    for family in (1, 2, 3):
+
+    def compare(family):
+        fibers = conjlab._fiber_roots(family, ctx)
         table = conjlab._g_table(family, ctx)
-        sizes = [len(roots) for roots in conjlab._fiber_roots(family, ctx).values()]
-        one_root_each = all(n == 1 for n in sizes) and sum(sizes) == ctx.q + 1
-        assert conjlab._g_bijection(table) == one_root_each, (family, k)
-        assert ((None not in table.values())
+        assert (conjlab._g_bijection(fibers)
+                == is_bijection_on(table.__getitem__, table).is_bijection), (family, k)
+        sizes = [len(roots) for roots in fibers.values()]
+        assert ((sum(sizes) == ctx.q + 1)
                 == denominator_nonvanishing(family, ctx)), (family, k)
+        return sum(sizes) == ctx.q + 1
+
+    for family in (1, 2, 3):
+        assert compare(family)
+    if k <= 4:
+        monkeypatch.setattr(conjlab, "fractional_map", vanishing_denominator_map)
+        for family in (1, 2, 3):
+            assert not compare(family)
 
 
 def test_g_maps_mu_into_mu(ctx_for):
@@ -339,8 +350,12 @@ def test_harvest_k1_known_counts(ctx_for):
 
 
 def test_harvest_k2_septic_is_empty(ctx_for):
-    assert harvest_witnesses(2, ctx_for(2)) == []
-    assert harvest_witnesses(2, ctx_for(2), include_asymmetric=True) == []
+    ctx = ctx_for(2)
+    assert harvest_witnesses(2, ctx) == []
+    # not only the symmetric ones: no fiber has a factor with a, b nonzero
+    assert all(a == 0 or b == 0
+               for t in mu_enumerate(ctx, ctx.q + 1)
+               for a, b in quadratic_factors(fiber_polynomial(2, t, ctx)))
 
 
 def test_harvest_k2_quintic_counts(ctx_for):
@@ -374,14 +389,16 @@ def test_harvest_witness_structure(ctx_for):
 
 
 def test_harvest_degree7_keeps_only_symmetric_by_default(ctx_for):
+    # the family-1 harvest is exactly the nonzero factors with a^q b = a
+    # that quadratic_factors finds over every t
     ctx = ctx_for(2)
+    expected = [(t, a, b) for t in sorted(mu_enumerate(ctx, ctx.q + 1))
+                for a, b in quadratic_factors(fiber_polynomial(1, t, ctx))
+                if a and b and ctx.mul(ctx.conjugate_q(a), b) == a]
     sym = harvest_witnesses(1, ctx)
-    full = harvest_witnesses(1, ctx, include_asymmetric=True)
-    assert len(full) >= len(sym)
+    assert [(w.t, w.a, w.b) for w in sym] == expected != []
     for w in sym:
-        assert ctx.mul(ctx.conjugate_q(w.a), w.b) == w.a
-    extra = [w for w in full if ctx.mul(ctx.conjugate_q(w.a), w.b) != w.a]
-    assert all(w.lemma_case is None for w in extra)
+        assert w.lemma_case is classify_septic_factor(w.a, w.b, ctx)
 
 
 def test_harvest_order_is_deterministic(ctx_for):
@@ -458,12 +475,14 @@ def test_verifiers_enforce_preconditions(ctx_for):
 
 
 def test_septic_symmetry_precondition(ctx_for):
-    # a witness violating a^q b = a is rejected by the septic verifier
+    # a factor violating a^q b = a is left out of the harvest, and a witness
+    # built from it is rejected by the septic verifier
     ctx = ctx_for(3)
-    full = harvest_witnesses(2, ctx, include_asymmetric=True)
-    asym = next(w for w in full
-                if ctx.mul(ctx.conjugate_q(w.a), w.b) != w.a)
-    assert asym.lemma_case is None
+    t, a, b = next((t, a, b) for t in sorted(mu_enumerate(ctx, ctx.q + 1))
+                   for a, b in quadratic_factors(fiber_polynomial(2, t, ctx))
+                   if a and b and ctx.mul(ctx.conjugate_q(a), b) != a)
+    assert (t, a, b) not in {(w.t, w.a, w.b) for w in harvest_witnesses(2, ctx)}
+    asym = conjlab.QuadFactorWitness(t, a, b, 7, LemmaCase.NO_MATCH, None, None)
     with pytest.raises(ValueError, match="a\\^q"):
         verify_septic_factor_case(asym, ctx)
 
