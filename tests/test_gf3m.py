@@ -279,6 +279,22 @@ def test_bitsliced_mul_matches_reference(modulus):
             assert enc(field.pow(gf3m._bits(a), e)) == ref_pow(a, e, modulus)
 
 
+def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
+    # the table build must not hold an int64 n x m trit matrix (4.7 MB at
+    # k = 5) on top of the tables it keeps
+    k = 5
+    n, m = 3 ** (2 * k) - 1, 2 * k
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ctx = ctx_create(k)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.alpha == 34
+    assert peak - retained < n * m * 8
+
+
 @pytest.mark.parametrize("k", (1, 2))
 def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
     square = ctx_create(k).alpha_pow(2)  # order n / 2: no permutation
@@ -331,8 +347,7 @@ def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
 def test_ctx_tables_are_int32_buffers():
     # three int32 tables of 2n, n + 1 and n entries: 0.9 MB at k = 5, where
     # Python lists of ints took 7.5 MB; the build peaks below one int64
-    # n x m trit matrix (4.7 MB at k = 5), and does not hold one on top of
-    # the tables it keeps
+    # n x m trit matrix
     k = 5
     n, m = 3 ** (2 * k) - 1, 2 * k
     gc.collect()
@@ -342,9 +357,7 @@ def test_ctx_tables_are_int32_buffers():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ctx.alpha == 34
     assert peak < n * m * 8
-    assert peak - retained < n * m * 8
     assert retained < 2 * 2 ** 20
     assert [t.typecode for t in (ctx._exp2, ctx._log, ctx._zech)] == ["i"] * 3
     assert isinstance(ctx.mul(ctx.alpha, ctx.alpha), int)
