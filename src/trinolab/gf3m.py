@@ -5,14 +5,16 @@ in the polynomial basis: trits (c0, c1, ..., c_{2k-1}) with c0 least
 significant, so encoding = sum(c_i * 3^i).  The encoding order doubles as the
 canonical tie-breaking order everywhere in this package.
 
-A FieldCtx precomputes discrete-log tables for a primitive element together
-with Zech logarithms, so multiplication and addition of nonzero elements are
-single table lookups.  Before the tables exist, elements are bitsliced: a
-pair of bitmasks of the trits equal to 1 and to 2, added tritwise by a few
-bit operations and multiplied by shift-and-add.  On that form a
-square-and-multiply search finds the smallest primitive element alpha, and
-the products alpha x^j (j < m) give the GF(3)-linear map of multiplication
-by alpha, from which the tables are filled in one of two ways:
+A FieldCtx precomputes exp and log tables for a primitive element, so
+multiplication of nonzero elements is a single lookup.  Addition uses the
+one fact the tables need about encodings: adding 1 changes only the constant
+trit, so 1 + alpha^d is the encoding of alpha^d with that trit stepped, and
+a + b = a (1 + b/a) takes two lookups more than a product.  Before the tables exist,
+elements are bitsliced: a pair of bitmasks of the trits equal to 1 and to 2,
+added tritwise by a few bit operations and multiplied by shift-and-add.  On
+that form a square-and-multiply search finds the smallest primitive element
+alpha, and the products alpha x^j (j < m) give the GF(3)-linear map of
+multiplication by alpha, from which the tables are filled in one of two ways:
 
 - k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
   through two 2^m-entry lookup tables of that map.  It takes longer per
@@ -50,8 +52,8 @@ _PURE_FILL_MAX_N = 3 ** 10 - 1
 # the fill again.  The block buffers take about 40 bytes per index, 0.3 MB
 # at 2^13, below the L2 cache.
 _BLOCK_LEN = 2 ** 13
-# ceiling on the estimated table bytes, 16n for n = 3^m - 1 (see FieldCtx):
-# k = 8 (about 0.69 GB) passes, k = 9 (about 6.2 GB) is refused
+# ceiling on the estimated table bytes, 8n for n = 3^m - 1 (see FieldCtx):
+# k = 8 (about 0.34 GB) passes, k = 9 (about 3.1 GB) is refused
 TABLE_BYTES_CEILING = 2 * 2 ** 30
 
 
@@ -290,17 +292,19 @@ class SpecialConstants(NamedTuple):
 
 
 class FieldCtx:
-    """Arithmetic context for GF(3^2k) with log/exp and Zech-log tables.
+    """Arithmetic context for GF(3^2k) with exp and log tables.
 
     The tables are filled by stepping alpha^i in pure Python up to k = 5 and
     by blocked numpy doubling above (see the module docstring), and square
-    roots are read off the log table.  The tables are int32
-    array('i') buffers: _exp2 (alpha^i for i < 2n, doubled to skip a mod),
-    _log (_log[0] is an unused 0; every op branches on 0 first) and _zech
-    (log(1 + alpha^i), or -1 where 1 + alpha^i = 0), 16n bytes in all: 8.5 MB
-    at k = 6, 0.69 GB at k = 8.  The build holds nothing of size n beyond
-    them.  Scalar ops index them and get Python ints; power_sum_images reads
-    them as numpy views.
+    roots are read off the log table.  The tables are two int32 array('i')
+    buffers: _exp (alpha^i for i < n) and _log (the log of each encoding;
+    _log[0] is an unused 0, so every op branches on 0 first), 8n bytes in
+    all: 4.3 MB at k = 6, 0.34 GB at k = 8.  The build holds nothing of size
+    n beyond them.  Scalar ops index them and get Python ints.  A log sum or
+    difference shifted into (-n, 0) indexes _exp from its end, where Python
+    wraps it to the same power of alpha, so add, sub, neg, mul and inv
+    reduce nothing mod n.
+    power_sum_images reads the tables as numpy views.
 
     Public attributes: k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
     (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
@@ -318,9 +322,9 @@ class FieldCtx:
         if self._n >= 2 ** 31:
             raise ValueError(f"field order 3^{self.m} too large: its log tables "
                              f"are int32, so 3^(2k) - 1 must stay below 2^31")
-        # int32 exp2 (2n), log (n + 1) and Zech (n) tables; the numpy fill
-        # keeps its work columns inside exp2
-        table_bytes = 16 * self._n
+        # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
+        # columns inside log
+        table_bytes = 8 * self._n
         if table_bytes > TABLE_BYTES_CEILING:
             raise ValueError(f"field order 3^{self.m} too large: its tables would "
                              f"take about {table_bytes / 2 ** 30:.1f} GiB, above "
@@ -367,9 +371,11 @@ class FieldCtx:
     def _build_tables(self):
         n = self._n
         rows = _BitsField(self.modulus).rows(_bits(self.alpha))
-        self._exp2 = array("i", [0]) * (2 * n)
-        self._log = array("i", [0]) * self.order
-        self._zech = array("i", [0]) * n
+        self._exp = array("i", [0]) * n
+        # -1 marks a log not yet written: a fill scatters i to _log[e] for
+        # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
+        # encodings are the n nonzero ones, i.e. alpha is primitive
+        self._log = array("i", [-1]) * self.order
         if n <= _PURE_FILL_MAX_N:
             self._fill_pure(rows)
         else:
@@ -384,11 +390,11 @@ class FieldCtx:
         of -alpha^i = alpha^(i + n/2), and alpha^(i+1) from plus[ones],
         minus[twos] and one tritwise add.
 
-        The seen check covers all n entries.  It rejects a non-primitive
-        alpha: if the first half alpha^i, i < n/2, has no repeat, alpha has
-        order n or n/2, and in the second case the first half is the
-        subgroup of squares, which holds -1 (4 divides n) and so the
-        negatives that fill the second half.
+        The closing check, that no -1 is left in _log, rejects a
+        non-primitive alpha: if the first half alpha^i, i < n/2, has no
+        repeat, alpha has order n or n/2, and in the second case the first
+        half is the subgroup of squares, which holds -1 (4 divides n) and so
+        the negatives that fill the second half.
         """
         n = self._n
         half = n // 2
@@ -400,61 +406,50 @@ class FieldCtx:
                      for a1, a2, e, f in plus]
             minus += [(*_bits_add(a1, a2, r2, r1), e + 2 * w, f + w)
                       for a1, a2, e, f in minus]
-        exp2, log, zech = self._exp2, self._log, self._zech
-        seen = bytearray(self.order)
+        exp, log = self._exp, self._log
         ones, twos = 1, 0
         for i in range(half):
             a1, a2, e1, f1 = plus[ones]
             b1, b2, e2, f2 = minus[twos]
             enc = e1 + e2
             neg = f1 + f2
-            if seen[enc] or seen[neg]:
-                raise ValueError("exp table is not a permutation; element not primitive")
-            seen[enc] = seen[neg] = 1
-            exp2[i] = enc
-            exp2[i + half] = neg
+            exp[i] = enc
+            exp[i + half] = neg
             log[enc] = i
             log[neg] = i + half
             t = (a1 | b2) ^ (a2 | b1)  # _bits_add, inlined
             ones = (a2 | b2) ^ t
             twos = (a1 | b1) ^ t
-        exp2[n:] = exp2[:n]
-        # 1 + alpha^i adds 1 to the constant trit, so it cycles the encodings
-        # 3t -> 3t + 1 -> 3t + 2 -> 3t; the triple t = 0 is 0, 1 and 2 = -1
-        zech[0] = log[2]
-        zech[log[2]] = -1
-        for l0, l1, l2 in zip(log[3::3], log[4::3], log[5::3]):
-            zech[l0] = l1
-            zech[l1] = l2
-            zech[l2] = l0
+        log[0] = 0
+        if -1 in log:
+            raise ValueError("exp table is not a permutation; element not primitive")
 
     def _fill_numpy(self, rows: list):
         """Fill the tables from bitsliced uint16 columns (ones, twos) of
         alpha^i, every pass in blocks of _BLOCK_LEN indices.
 
-        The columns live in the upper half of _exp2 (n int32 entries hold
-        2n uint16), which is free until it is copied from the lower half, so
-        the build holds no array of size n besides the tables.  Doubling:
-        columns h..2h-1 are columns 0..h-1 times alpha^h, read for each half
-        of the trits from a _half_tables lookup of that map.  The columns are
-        then encoded into the lower half of _exp2 and scattered into _log,
-        with the encodings of 1 + alpha^i parked in _zech; a second pass
-        checks that the scatter lost nothing (alpha primitive) and turns
-        those into Zech logs.
+        The columns live in _log (n + 1 int32 entries hold 2n uint16), which
+        is free until the scatter, so the build holds no array of size n
+        besides the tables.  Doubling: columns h..2h-1 are columns 0..h-1
+        times alpha^h, read for each half of the trits from a _half_tables
+        lookup of that map.  Every column is then encoded into _exp before
+        _log is reset to -1 and scattered, and a last pass checks that the
+        scatter left no -1 (alpha primitive).
         """
         import numpy as np
         n, m, k = self._n, self.m, self.k
-        exp2, log_arr, zech = self._tables()
+        exp, log_arr = self._tables()
         # uint16 holds the m trits: TABLE_BYTES_CEILING stops at m = 16
-        ones, twos = exp2[n:].view(np.uint16).reshape(2, n)
+        ones, twos = log_arr[:n].view(np.uint16).reshape(2, n)
         ones[0], twos[0] = 1, 0
         field = _BitsField(self.modulus)
         mask = (1 << k) - 1  # the low half: trits 0..k-1
         h = 1
         while h < n:  # rows = alpha^h x^j for j < m
             low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
-            for s in range(0, min(h, n - h), _BLOCK_LEN):
-                e = min(s + _BLOCK_LEN, n - h)
+            width = min(h, n - h)  # columns h..h+width-1 come from 0..width-1
+            for s in range(0, width, _BLOCK_LEN):
+                e = min(s + _BLOCK_LEN, width)
                 o, t = ones[s:e], twos[s:e]
                 i_low = (o & mask | (t & mask) << k).astype(np.intp)
                 i_high = (o >> k | (t >> k) << k).astype(np.intp)
@@ -471,31 +466,22 @@ class FieldCtx:
             np.add(enc[:1 << j], 3 ** j, out=enc[1 << j:2 << j])
         for s in range(0, n, _BLOCK_LEN):
             e = min(s + _BLOCK_LEN, n)
-            block = exp2[s:e]
+            block = exp[s:e]
             np.take(enc, twos[s:e], out=block)
             block *= 2
             block += enc.take(ones[s:e])
-            log_arr[block] = np.arange(s, e, dtype=np.int32)
-            # 1 + alpha^i flips only the constant trit: enc + 1, or enc - 2
-            # when that trit is 2
-            plus_one = zech[s:e]
-            plus_one[:] = twos[s:e] & 1
-            plus_one *= -3
-            plus_one += block
-            plus_one += 1
-        exp2[n:] = exp2[:n]
+        log_arr.fill(-1)
         for s in range(0, n, _BLOCK_LEN):
             e = min(s + _BLOCK_LEN, n)
-            if not np.array_equal(log_arr.take(exp2[s:e]), np.arange(s, e)):
-                raise ValueError("exp table is not a permutation; element not primitive")
-            zech[s:e] = log_arr.take(zech[s:e])
-        zech[log_arr[2]] = -1  # 1 + alpha^i = 0 at alpha^i = -1
+            log_arr[exp[s:e]] = np.arange(s, e, dtype=np.int32)
+        log_arr[0] = 0
+        if log_arr.min() < 0:
+            raise ValueError("exp table is not a permutation; element not primitive")
 
     def _tables(self) -> tuple:
-        """(exp2, log, zech) as int32 numpy views of the table buffers."""
+        """(exp, log) as int32 numpy views of the table buffers."""
         import numpy as np
-        return tuple(np.frombuffer(t, dtype=np.int32)
-                     for t in (self._exp2, self._log, self._zech))
+        return tuple(np.frombuffer(t, dtype=np.int32) for t in (self._exp, self._log))
 
     # -- element arithmetic on encodings -----------------------------------
 
@@ -505,29 +491,40 @@ class FieldCtx:
         if b == 0:
             return a
         la = self._log[a]
-        d = self._log[b] - la
-        z = self._zech[d if d >= 0 else d + self._n]
-        if z < 0:
+        s = self._exp[self._log[b] - la]  # b / a
+        s += (1, 1, -2)[s % 3]  # 1 + b / a: the constant trit steps by one
+        if s == 0:
             return 0
-        return self._exp2[la + z]
+        return self._exp[la + self._log[s] - self._n]
 
     def neg(self, a: int) -> int:
         if a == 0:
             return 0
-        return self._exp2[self._log[a] + self._n // 2]
+        return self._exp[self._log[a] - self._n // 2]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if b == 0:
+            return a
+        if a == 0:
+            return self.neg(b)
+        la = self._log[a]
+        d = self._log[b] - la
+        half = self._n // 2  # -b / a = alpha^(d +- n/2), kept inside (-n, n)
+        s = self._exp[d - half if d >= 0 else d + half]
+        s += (1, 1, -2)[s % 3]
+        if s == 0:
+            return 0
+        return self._exp[la + self._log[s] - self._n]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp2[self._log[a] + self._log[b]]
+        return self._exp[self._log[a] + self._log[b] - self._n]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("division by zero")
-        return self._exp2[self._n - self._log[a]]
+        return self._exp[-self._log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -537,13 +534,13 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("division by zero")
             return 0 if e else 1
-        return self._exp2[self._log[a] * e % self._n]
+        return self._exp[self._log[a] * e % self._n]
 
     def frobenius(self, a: int, e: int = 1) -> int:
         """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
         if a == 0:
             return 0
-        return self._exp2[self._log[a] * pow(3, e, self._n) % self._n]
+        return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
 
     def conjugate_q(self, a: int) -> int:
         """x -> x^q; on the norm-1 subgroup mu_{q+1} this is inversion."""
@@ -551,7 +548,7 @@ class FieldCtx:
 
     def alpha_pow(self, i: int) -> int:
         """Encoding of alpha^i for any integer i."""
-        return self._exp2[i % self._n]
+        return self._exp[i % self._n]
 
     def is_square(self, a: int) -> bool:
         """a is a square iff it is 0 or an even power of alpha."""
@@ -567,7 +564,7 @@ class FieldCtx:
             return 0
         if not self.is_square(a):
             return None
-        r = self._exp2[self._log[a] // 2]
+        r = self._exp[self._log[a] // 2]
         return min(r, self.neg(r))
 
     # -- vector evaluation -------------------------------------------------
@@ -578,12 +575,15 @@ class FieldCtx:
 
         Coefficients c are nonzero encodings and exponents e >= 0.  Works in
         the log domain: c * x^e has log (i * e + log c) mod n, and each term
-        joins the partial sum through the Zech table; a mask marks the x
-        where the partial sum is 0.
+        joins the partial sum as acc * (1 + c x^e / acc), with 1 + c x^e / acc
+        read off _exp and stepped in its constant trit as in add; a mask
+        marks the x where the partial sum is 0.  Residues and trits come by
+        floor division, which numpy runs several times faster than its
+        remainder when the divisor is a scalar.
         """
         import numpy as np
         n = self._n
-        exp2, log_arr, zech = self._tables()
+        exp, log_arr = self._tables()
         terms = [(e % n, int(log_arr[c])) for c, e in terms]
         for start in range(0, n, _BLOCK_LEN):
             i = np.arange(start, min(start + _BLOCK_LEN, n), dtype=np.int64)
@@ -592,18 +592,23 @@ class FieldCtx:
             for e, log_c in terms:
                 term = i * e  # i * e needs 64 bits
                 term += log_c
-                term %= n
+                term -= term // n * n
                 if acc is None:
                     acc = term
                     continue
                 # c x^e / acc = alpha^(term - acc); a difference in (-n, 0)
-                # indexes zech from its end, at term - acc + n
-                z = zech[term - acc]
-                acc += z
-                acc %= n
-                acc[zero] = term[zero]
-                zero = ~zero & (z < 0)
-            images = exp2[acc]
+                # indexes exp from its end, at term - acc + n
+                s = exp[term - acc]
+                carry = s // 3
+                s += 1
+                carry -= s // 3  # -1 where the constant trit was 2
+                carry *= 3
+                s += carry  # that trit steps to 0, not 3
+                acc += log_arr.take(s)
+                acc -= acc // n * n
+                np.copyto(acc, term, where=zero)
+                zero = ~zero & (s == 0)
+            images = exp.take(acc)
             images[zero] = 0
             yield images
 

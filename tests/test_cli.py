@@ -413,6 +413,24 @@ def test_check_g_and_count_roots_agree_on_every_claim(capsys, monkeypatch,
             assert code_g == (2 if vanishing and claimed else 0), (k, family)
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # in-process callers pay for the nine subparsers once, not per main call
+    calls = []
+    plain_build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return plain_build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["field-info", "--k", "1"], ["mu", "--k", "1", "--d", "2"],
+                 ["field-info", "--k", "0"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):
     # only UsageError (exit 1) and VerificationError (exit 2) are caught
     for exc_type in (AssertionError, ValueError, ZeroDivisionError):

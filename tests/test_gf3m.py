@@ -4,6 +4,7 @@ import gc
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +94,7 @@ def test_ctx_rejects_degree_outside_range(k):
                          ((10, None), (10, (2,) + (0,) * 19 + (1,)), (9, None)),
                          ids=("None", "modulus1", "k9"))
 def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
-    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 6.2 GB: refused
+    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 3.1 GB: refused
     # before the modulus search, the irreducibility test of a given modulus,
     # or any table allocation
     def forbidden(*args):
@@ -109,7 +110,7 @@ def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
 
 @pytest.mark.parametrize("k", (7, 8))
 def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
-    # about 76 MB and 0.69 GB of tables: both reach the modulus search,
+    # about 38 MB and 0.34 GB of tables: both reach the modulus search,
     # stopped here before any allocation
     class Reached(Exception):
         pass
@@ -160,6 +161,24 @@ def test_mul_add_exhaustive_k1(ctx_for):
             assert ctx.mul(a, b) == ref_mul(a, b, ctx.modulus)
             assert ctx.add(a, b) == ref_add(a, b, ctx.m)
         assert ctx.neg(a) == ref_neg(a, ctx.m)
+
+
+def test_scalar_ops_exhaustive_k2(ctx_for):
+    # every pair of GF(81): every log sum and difference that wraps past n,
+    # every a + (-a) = 0 and every 1 + b/a = 0 of the constant-trit step
+    ctx = ctx_for(2)
+    m, modulus = ctx.m, ctx.modulus
+    inverse = {b: ref_pow(b, ctx.order - 2, modulus) for b in range(1, ctx.order)}
+    for a in range(ctx.order):
+        assert ctx.neg(a) == ref_neg(a, m)
+        if a:
+            assert ctx.inv(a) == inverse[a]
+        for b in range(ctx.order):
+            assert ctx.add(a, b) == ref_add(a, b, m), (a, b)
+            assert ctx.sub(a, b) == ref_add(a, ref_neg(b, m), m), (a, b)
+            assert ctx.mul(a, b) == ref_mul(a, b, modulus), (a, b)
+            if b:
+                assert ctx.div(a, b) == ref_mul(a, inverse[b], modulus), (a, b)
 
 
 @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
@@ -310,12 +329,14 @@ def _use_fill(monkeypatch, fill):
     monkeypatch.setattr(gf3m, "_PURE_FILL_MAX_N", 3 ** 14 if fill == "pure" else 0)
 
 
+# k = 6 comes last so that the ids of the other moduli stay as they were;
+# it is the first field the numpy fill builds by default
 @pytest.mark.parametrize(("k", "modulus"),
-                         [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI)
+                         [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI + [(6, None)])
 def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
     def tables():
         ctx = ctx_create(k, modulus)
-        return [t.tobytes() for t in (ctx._exp2, ctx._log, ctx._zech)]
+        return [t.tobytes() for t in (ctx._exp, ctx._log)]
 
     _use_fill(monkeypatch, "pure")
     pure = tables()
@@ -326,8 +347,9 @@ def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
 
 
 def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
-    # the numpy fill keeps its bitsliced columns in the upper half of _exp2,
-    # so beyond the tables it holds only per-block buffers: less than the
+    # the numpy fill keeps its bitsliced columns in the _log buffer until it
+    # scatters _log, so beyond the tables it holds only per-block buffers:
+    # less than the
     # uint8 m x n trit planes it used to build (0.59 MB at k = 5)
     import numpy  # noqa: F401  (imported before the trace)
     k = 5
@@ -345,9 +367,11 @@ def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
 
 
 def test_ctx_tables_are_int32_buffers():
-    # three int32 tables of 2n, n + 1 and n entries: 0.9 MB at k = 5, where
-    # Python lists of ints took 7.5 MB; the build peaks below one int64
-    # n x m trit matrix
+    # exactly two int32 tables, _exp of n and _log of n + 1 entries: 0.47 MB
+    # at k = 5, where Python lists of ints once took 7.5 MB; the build peaks
+    # below one int64 n x m trit matrix.  Once a collect has cleared the
+    # interpreter's free lists (about 150 KB of tuples left by the pure
+    # fill), the ctx keeps 8n bytes and a few small objects
     k = 5
     n, m = 3 ** (2 * k) - 1, 2 * k
     gc.collect()
@@ -355,11 +379,17 @@ def test_ctx_tables_are_int32_buffers():
     try:
         ctx = ctx_create(k)
         retained, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
     assert retained < 2 * 2 ** 20
-    assert [t.typecode for t in (ctx._exp2, ctx._log, ctx._zech)] == ["i"] * 3
+    assert kept <= 8 * n + 2 ** 12
+    tables = {name: t for name, t in vars(ctx).items() if isinstance(t, array)}
+    assert sorted(tables) == ["_exp", "_log"]
+    assert [t.typecode for t in tables.values()] == ["i"] * 2
+    assert (len(ctx._exp), len(ctx._log)) == (n, n + 1)
     assert isinstance(ctx.mul(ctx.alpha, ctx.alpha), int)
 
 
