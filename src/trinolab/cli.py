@@ -226,8 +226,9 @@ def _cmd_count_roots(args):
     rows = []
     violation = False
     claimed = claimed_permutation(args.family, ctx.k)
+    t_values = _t_values(args, ctx)  # a bad --t exits before the fibers are built
     fibers = conjlab._fiber_roots(args.family, ctx)
-    for t in _t_values(args, ctx):
+    for t in t_values:
         roots = fibers[t]
         if claimed and len(roots) != 1:
             violation = True

@@ -29,13 +29,19 @@ group has order 2^31 or more are refused, and so are fields whose tables
 would exceed TABLE_BYTES_CEILING (2 GiB).  Elements are plain ints
 throughout: the ctx methods take and return encodings, and
 FieldCtx.power_sum_images evaluates a sparse polynomial at every nonzero
-element with numpy over the same tables.  numpy is imported only there and
-in the k >= 6 fill, and both work in blocks of _BLOCK_LEN indices, so they
-hold no array of size n beyond the tables.
+element with numpy over the same tables.  It does the additions on one
+period of the index only (q + 1 points for the trinomial families, which
+have the shape x^r h(x^(q-1))) and reaches every other element by one
+product with a power of alpha, that is one gather from _exp.  numpy is
+imported only there and in the k >= 6 fill, and both work in blocks of
+_BLOCK_LEN indices, so they hold no array of size n beyond the tables
+(power_sum_images also holds two arrays over one period, of length n only
+when the exponent gaps have no common factor with n).
 """
 
 import itertools
 from array import array
+from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 DEFAULT_MAX_K = 6
@@ -49,8 +55,10 @@ _PURE_FILL_MAX_N = 3 ** 10 - 1
 # power_sum_images).  Measured on a 2-vCPU Xeon (medians at k = 6 and 7):
 # 2^13 to 2^15 take the same time within noise, 2^12 takes 10-20% longer
 # and 2^10 1.5-2 times as long (per-block overhead), and 2^16 and up slow
-# the fill again.  The block buffers take about 40 bytes per index, 0.3 MB
-# at 2^13, below the L2 cache.
+# the fill again.  The block buffers take about 35 bytes per index in the
+# fill and 40 in the direct route (conjlab._routes marking the images of
+# power_sum_images; tracemalloc at k = 5), 0.3 MB at 2^13, below the L2
+# cache.
 _BLOCK_LEN = 2 ** 13
 # ceiling on the estimated table bytes, 8n for n = 3^m - 1 (see FieldCtx):
 # k = 8 (about 0.34 GB) passes, k = 9 (about 3.1 GB) is refused
@@ -570,33 +578,58 @@ class FieldCtx:
     # -- vector evaluation -------------------------------------------------
 
     def power_sum_images(self, terms) -> Iterator:
-        """Images of sum(c * x^e for c, e in terms) at x = alpha^i, i < n,
+        """Images of f = sum(c * x^e for c, e in terms) at x = alpha^i, i < n,
         yielded as int32 arrays over consecutive blocks of i.
 
-        Coefficients c are nonzero encodings and exponents e >= 0.  Works in
-        the log domain: c * x^e has log (i * e + log c) mod n, and each term
-        joins the partial sum as acc * (1 + c x^e / acc), with 1 + c x^e / acc
-        read off _exp and stepped in its constant trit as in add; a mask
-        marks the x where the partial sum is 0.  Residues and trits come by
-        floor division, which numpy runs several times faster than its
-        remainder when the divisor is a scalar.
+        Coefficients c are nonzero encodings and exponents e >= 0; at x != 0
+        only e mod n matters.  Let r be the smallest e mod n, d_j = (e_j mod
+        n) - r for each term, g = gcd(n, d_1, d_2, ...) and P = n / g, so
+        that f(x) = x^r H(x) with H = sum c_j x^(d_j).  H(alpha^i) depends
+        only on i mod P: g divides every d_j, so P d_j is a multiple of n
+        and alpha^((i + P) d_j) = alpha^(i d_j) alpha^(P d_j) = alpha^(i d_j),
+        as alpha^n = 1.  Writing i = a P + j with j < P,
+
+            f(alpha^i) = alpha^(r P a) * f(alpha^j),
+
+        so the images on the coset a are those of the first period times
+        alpha^(r P a).  For the trinomial families every d_j is a multiple
+        of q - 1, so P divides q + 1 (730 points at k = 6, against n =
+        531,440); when the gaps have no common factor with n, P = n.
+
+        The first period is evaluated in the log domain: c x^d has log
+        (j d + log c) mod n, and each term joins the partial sum of H as
+        acc * (1 + c x^d / acc), with 1 + c x^d / acc read off _exp and
+        stepped in its constant trit as in add; a mask marks the j where
+        the partial sum is 0, and f(alpha^i) = 0 exactly where H(alpha^j)
+        = 0.  Residues and trits come by floor division, which numpy runs
+        several times faster than its remainder when the divisor is a
+        scalar.  The pass over i is then one addition of log alpha^(r P a)
+        to the period's logs, one _exp gather and the mask, a block of
+        whole periods at a time (or a block of one period when P exceeds
+        _BLOCK_LEN).  Beyond the tables it holds the period's logs and mask
+        (9P bytes) and the vectors of one block.
         """
         import numpy as np
         n = self._n
         exp, log_arr = self._tables()
         terms = [(e % n, int(log_arr[c])) for c, e in terms]
-        for start in range(0, n, _BLOCK_LEN):
-            i = np.arange(start, min(start + _BLOCK_LEN, n), dtype=np.int64)
+        r = min(e for e, _ in terms)
+        terms = [(e - r, log_c) for e, log_c in terms]
+        period = n // gcd(n, *(d for d, _ in terms))
+        log_f = np.empty(period, dtype=np.int64)
+        h_zero = np.empty(period, dtype=bool)
+        for start in range(0, period, _BLOCK_LEN):
+            j = np.arange(start, min(start + _BLOCK_LEN, period), dtype=np.int64)
             acc = None  # log of the partial sum, valid where it is nonzero
-            zero = np.zeros(len(i), dtype=bool)
-            for e, log_c in terms:
-                term = i * e  # i * e needs 64 bits
+            zero = np.zeros(len(j), dtype=bool)
+            for d, log_c in terms:
+                term = j * d  # j * d needs 64 bits
                 term += log_c
                 term -= term // n * n
                 if acc is None:
                     acc = term
                     continue
-                # c x^e / acc = alpha^(term - acc); a difference in (-n, 0)
+                # c x^d / acc = alpha^(term - acc); a difference in (-n, 0)
                 # indexes exp from its end, at term - acc + n
                 s = exp[term - acc]
                 carry = s // 3
@@ -608,9 +641,23 @@ class FieldCtx:
                 acc -= acc // n * n
                 np.copyto(acc, term, where=zero)
                 zero = ~zero & (s == 0)
-            images = exp.take(acc)
-            images[zero] = 0
-            yield images
+            acc += j * r  # log f(alpha^j) = r j + log H(alpha^j)
+            acc -= acc // n * n + n  # shifted into [-n, 0)
+            log_f[start:start + len(j)] = acc
+            h_zero[start:start + len(j)] = zero
+        cosets = n // period
+        rows = max(1, _BLOCK_LEN // period)  # whole periods per block
+        for a in range(0, cosets, rows):
+            # log alpha^(r P a) for the cosets a .. a + rows - 1, in [0, n)
+            shift = np.arange(a, min(a + rows, cosets), dtype=np.int64)
+            shift *= r * period % n
+            shift -= shift // n * n
+            for start in range(0, period, _BLOCK_LEN):
+                end = min(start + _BLOCK_LEN, period)
+                # a sum in [-n, 0) indexes exp from its end
+                images = exp.take(shift[:, None] + log_f[start:end])
+                images[:, h_zero[start:end]] = 0
+                yield images.ravel()
 
     # -- distinguished constants -------------------------------------------
 

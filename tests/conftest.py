@@ -157,3 +157,37 @@ def ref_default_modulus(m):
         if ref_irreducible(cand):
             return cand
     raise AssertionError("no irreducible of degree %d" % m)
+
+
+# ---------------------------------------------------------------------------
+# reference vector evaluation: one log-domain Zech step per term and per x
+
+def zech_power_sum_images(ctx, terms):
+    """sum(c * x^e for c, e in terms) at every x = alpha^i, i < n, as one
+    list, with the Zech work done at every i and no period: c * x^e has log
+    (i * e + log c) mod n, and each term joins the partial sum as
+    acc * (1 + c x^e / acc), with 1 + c x^e / acc read off _exp and stepped
+    in its constant trit; a mask marks the x where the partial sum is 0.
+    The reference for FieldCtx.power_sum_images, which runs these steps on
+    one period of i only."""
+    import numpy as np
+    n = ctx.order - 1
+    exp, log_arr = ctx._tables()
+    terms = [(e % n, int(log_arr[c])) for c, e in terms]
+    i = np.arange(n, dtype=np.int64)
+    acc = None  # log of the partial sum, valid where it is nonzero
+    zero = np.zeros(n, dtype=bool)
+    for e, log_c in terms:
+        term = i * e % n
+        term = (term + log_c) % n
+        if acc is None:
+            acc = term
+            continue
+        s = exp[(term - acc) % n]  # c x^e / acc
+        s = s - s % 3 + (s % 3 + 1) % 3  # 1 + c x^e / acc: step the constant trit
+        acc = (acc + log_arr.take(s)) % n
+        acc = np.where(zero, term, acc)
+        zero = ~zero & (s == 0)
+    images = exp.take(acc)
+    images[zero] = 0
+    return images.tolist()

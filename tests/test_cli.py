@@ -366,6 +366,19 @@ def test_t_outside_mu_exits_one(capsys):
     assert code == 1 and "--t expects" in err
 
 
+def test_count_roots_validates_t_before_building_the_fibers(capsys, monkeypatch):
+    # a bad --t is a usage error found before any fiber work, as in factors
+    # and lemma-verify
+    def no_fibers(family, ctx):
+        raise AssertionError("fibers built before --t was validated")
+
+    monkeypatch.setattr(conjlab, "_fiber_roots", no_fibers)
+    for t, message in (("4", "not in mu"), ("soon", "--t expects")):
+        code, _, err = run(capsys, "count-roots", "--k", "1", "--family", "2",
+                           "--t", t)
+        assert code == 1 and message in err
+
+
 def test_verification_errors_exit_two(capsys, monkeypatch):
     # g(x) = x + 1 sends x = -1 to 0, outside mu_{q+1}
     monkeypatch.setattr(conjlab, "fractional_map",

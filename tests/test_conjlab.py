@@ -146,23 +146,44 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k):
 
 
 def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkeypatch):
-    # blocks of 2^10 split the k = 5 field into 58; the route holds the bool
-    # hit array (n + 1 bytes) and a few int64 vectors of one block, where
-    # the one-pass form held int64 and int32 n-vectors (1.3 MB here)
+    # blocks of 2^10 split the k = 5 field into 58.  The direct route holds
+    # the bitmap (n / 8 bytes), the period table and the vectors of one
+    # block.  Measured beyond the bitmap: 47-52 bytes per block index at
+    # 2^10 (39-40 at 2^12, where 6-11 KB of small objects weigh less), so
+    # 56 bytes per index bound it.  One bool per field element (n bytes,
+    # 59 KB) on top of the same blocks exceeds the bound.  The index-form
+    # criterion is stubbed out: its q + 1 = 244 dict and set entries peak
+    # about as high as the route itself
     ctx = ctx_for(5)
     n = ctx.order - 1
     block = 2 ** 10
     monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-    spec = trinomial_family(3, 5, ctx)
-    conjlab._routes(spec, ctx)  # imports numpy before the trace
-    gc.collect()
-    tracemalloc.start()
-    try:
-        conjlab._routes(spec, ctx)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * n + 8 * 8 * block
+    monkeypatch.setattr(conjlab, "zieve_criterion", lambda ctx, r, d, h: (True, True))
+    for family, l in ((1, 2), (3, 5)):
+        spec = trinomial_family(family, l, ctx)
+        conjlab._routes(spec, ctx)  # imports numpy before the trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            conjlab._routes(spec, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n // 8 + 56 * block, (family, l)
+
+
+def test_direct_route_does_not_read_the_index_form(ctx_for, monkeypatch):
+    # power_sum_images takes r and the period off the spec's own terms, so
+    # a wrong decomposition moves only the index-form verdicts
+    specs = [(ctx, trinomial_family(family, l, ctx))
+             for ctx in map(ctx_for, (1, 2, 3))
+             for family in (1, 2, 3)
+             for l in valid_ls(family, ctx, range(0, 13))]
+    direct = [conjlab._routes(spec, ctx)[2] for ctx, spec in specs]
+    assert set(direct) == {True, False}
+    monkeypatch.setattr(conjlab, "trinomial_decompose",
+                        lambda spec, ctx: (1, Poly(ctx, (1,))))
+    assert [conjlab._routes(spec, ctx)[2] for ctx, spec in specs] == direct
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Field engine checks against an independent reference implementation."""
 
 import gc
+import math
 import random
 import time
 import tracemalloc
@@ -15,7 +16,7 @@ from trinolab.gf3m import ctx_create, default_modulus
 
 from conftest import (BLOCK_LENS, enc_to_trits, ref_add,
                       ref_default_modulus, ref_irreducible, ref_mul, ref_neg,
-                      ref_pow, trits_to_enc)
+                      ref_pow, trits_to_enc, zech_power_sum_images)
 
 # first monic irreducible per degree, in itertools.product order over the
 # low coefficients; re-derived by ref_default_modulus below
@@ -298,18 +299,28 @@ def test_bitsliced_mul_matches_reference(modulus):
             assert enc(field.pow(gf3m._bits(a), e)) == ref_pow(a, e, modulus)
 
 
-def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
-    # the table build must not hold an int64 n x m trit matrix (4.7 MB at
-    # k = 5) on top of the tables it keeps
-    k = 5
-    n, m = 3 ** (2 * k) - 1, 2 * k
+@pytest.fixture(scope="module")
+def traced_k5_build():
+    """One ctx_create(5) under tracemalloc, shared by the memory tests below:
+    (ctx, retained, peak, kept), where kept is the traced size after a
+    gc.collect has cleared the interpreter's free lists."""
     gc.collect()
     tracemalloc.start()
     try:
-        ctx = ctx_create(k)
+        ctx = ctx_create(5)
         retained, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return ctx, retained, peak, kept
+
+
+def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix(traced_k5_build):
+    # the table build must not hold an int64 n x m trit matrix (4.7 MB at
+    # k = 5) on top of the tables it keeps
+    ctx, retained, peak, _ = traced_k5_build
+    n, m = ctx.order - 1, ctx.m
     assert ctx.alpha == 34
     assert peak - retained < n * m * 8
 
@@ -366,23 +377,14 @@ def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
     assert peak - retained < n * m
 
 
-def test_ctx_tables_are_int32_buffers():
+def test_ctx_tables_are_int32_buffers(traced_k5_build):
     # exactly two int32 tables, _exp of n and _log of n + 1 entries: 0.47 MB
     # at k = 5, where Python lists of ints once took 7.5 MB; the build peaks
     # below one int64 n x m trit matrix.  Once a collect has cleared the
     # interpreter's free lists (about 150 KB of tuples left by the pure
     # fill), the ctx keeps 8n bytes and a few small objects
-    k = 5
-    n, m = 3 ** (2 * k) - 1, 2 * k
-    gc.collect()
-    tracemalloc.start()
-    try:
-        ctx = ctx_create(k)
-        retained, peak = tracemalloc.get_traced_memory()
-        gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    ctx, retained, peak, kept = traced_k5_build
+    n, m = ctx.order - 1, ctx.m
     assert peak < n * m * 8
     assert retained < 2 * 2 ** 20
     assert kept <= 8 * n + 2 ** 12
@@ -426,6 +428,44 @@ def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k):
             monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
             images = [v for part in ctx.power_sum_images(terms) for v in part.tolist()]
             assert images == expected
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
+def test_power_sum_images_match_the_per_term_zech_oracle(ctx_for, monkeypatch, k):
+    # power_sum_images runs the Zech steps on one period P = n / gcd(n, gaps)
+    # of the index; the oracle runs them at every index
+    ctx = ctx_for(k)
+    n = ctx.order - 1
+    rng = random.Random(100 + k)
+
+    def coeff():
+        return rng.randrange(1, ctx.order)
+
+    cases = [
+        [(coeff(), 0), (coeff(), 1)],  # gap 1, prime to n: P = n
+        [(coeff(), rng.randrange(3 * n))],  # one term: P = 1
+        [(coeff(), 0), (coeff(), n), (coeff(), 2 * n + 2)],  # x^0, x^n, x^(2n + 2)
+        [(1, 5), (2, 5 + 2 * (ctx.q - 1))],  # x^5 - x^(5 + 2(q - 1)) vanishes at 1
+    ]
+    for _ in range(4):  # gaps that are multiples of a random divisor of n
+        step, r = rng.choice(_divisors(n)), rng.randrange(2 * n)
+        cases.append([(coeff(), r + step * rng.randrange(3 * n // step))
+                      for _ in range(rng.randrange(2, 5))])
+    periods = set()
+    for terms in cases:
+        exps = [e % n for _, e in terms]
+        periods.add(n // math.gcd(n, *(e - min(exps) for e in exps)))
+        expected = zech_power_sum_images(ctx, terms)
+        for block in BLOCK_LENS:
+            monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+            images = [v for part in ctx.power_sum_images(terms) for v in part.tolist()]
+            assert images == expected, (terms, block)
+    assert {1, n} <= periods
+    assert zech_power_sum_images(ctx, cases[3])[0] == 0
 
 
 def test_alpha_pow_matches_pow(ctx_for):
