@@ -15,6 +15,13 @@ mu_{q+1}; on mu_{q+1} that reduced map coincides with the family's g.  The
 module also harvests quadratic factors x^2 + ax + b of the per-t fiber
 polynomials, classifies them against the closed-form relations that the
 uniqueness arguments rest on, and runs deterministic sweeps.
+
+A harvest searches one fiber per orbit.  The fiber polynomial is
+p_t = t D - N with N, D over GF(3), so the Frobenius y -> y^3 maps p_t to
+p_(t^3) for every family, and when one of N, D is odd and the other even
+(families 2 and 3), x -> -x maps p_t to +/-p_(-t).  The factors of every
+other fiber of the orbit are the searched fiber's factors under the same
+maps (Lidl and Niederreiter, Finite Fields, ch. 2).
 """
 
 import enum
@@ -274,6 +281,7 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
         marks[w] |= bit
         lost = marks.take(w) & bit == 0
         np.bitwise_or.at(marks, w[lost], bit[lost])
+        del images, w, bit, lost  # freed before the next block is built
     # 3^2k = 1 (mod 8): the last byte holds the one element ctx.order - 1
     direct = bool(np.bitwise_and.reduce(marks[:-1]) == 255 and marks[-1] == 1)
     r, h = trinomial_decompose(spec, ctx)
@@ -498,15 +506,53 @@ def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
-    mu = mu_enumerate(ctx, ctx.q + 1)
-    return [w for t in sorted(mu) for w in _fiber_witnesses(family, t, ctx)]
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    return [w for t, pairs in _fiber_factors(family, mu, ctx)
+            for w in _fiber_witnesses(family, t, pairs, ctx)]
 
 
-def _fiber_witnesses(family: int, t: int, ctx: FieldCtx) -> list:
-    """harvest_witnesses restricted to the one fiber at t."""
+def _fiber_factors(family: int, ts: list, ctx: FieldCtx):
+    """(t, quadratic_factors(fiber_polynomial(family, t, ctx))) for each t of
+    ts, in the order of ts, with one factor search per orbit of fibers.
+
+    N and D have coefficients in GF(3), so the Frobenius y -> y^3, applied
+    coefficient-wise, maps p_t = t D - N to p_(t^3): x^2 + a x + b divides
+    p_t iff x^2 + a^3 x + b^3 divides p_(t^3).  When one of N, D is odd and
+    the other even, p_t(-x) = +/-p_(-t)(x), so x^2 + a x + b divides p_t iff
+    x^2 - a x + b divides p_(-t).  The orbit of t is then t^(3^i) for
+    i < 2k (t^q = 1/t among them), with their negatives under negation.  The
+    first t of each orbit met in ts is searched, and its pairs are kept, one
+    list per orbit.  Every later t walks its own orbit to the searched t0
+    and gets t0's pairs mapped back and re-sorted.
+    """
+    num, den = _fiber_terms(family)
+    parities = [{i % 2 for i, c in enumerate(terms) if c} for terms in (num, den)]
+    negation = parities in ([{0}, {1}], [{1}, {0}])
+    m, frob, neg = ctx.m, ctx.frobenius, ctx.neg
+    searched = {}  # t0 -> quadratic_factors at t0, one t0 per orbit met
+    for t in ts:
+        for i in range(m):  # y -> y^(3^m) is the identity
+            t0 = frob(t, i)
+            if t0 in searched:
+                negated = False
+                break
+            if negation and neg(t0) in searched:
+                t0, negated = neg(t0), True
+                break
+        else:
+            t0, i, negated = t, 0, False
+            searched[t] = quadratic_factors(fiber_polynomial(family, t, ctx))
+        e = -i % m  # t = (+/-t0)^(3^e)
+        mapped = ((frob(a, e), frob(b, e)) for a, b in searched[t0])
+        yield t, sorted((neg(a), b) if negated else (a, b) for a, b in mapped)
+
+
+def _fiber_witnesses(family: int, t: int, pairs: list, ctx: FieldCtx) -> list:
+    """harvest_witnesses restricted to the one fiber at t, whose
+    quadratic_factors are pairs."""
     degree = _FIBER_DEGREE[family]
     out = []
-    for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
+    for a, b in pairs:
         if a == 0 or b == 0:
             continue
         if degree == 5:

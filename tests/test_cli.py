@@ -192,6 +192,21 @@ def test_lemma_verify_single_t_factors_one_fiber(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1
 
 
+def test_lemma_verify_all_searches_one_fiber_per_orbit(capsys, monkeypatch):
+    # the q + 1 = 82 fibers at k = 4 fall into 6 orbits under Frobenius and
+    # negation, and each orbit is searched once
+    calls = []
+    plain = conjlab.quadratic_factors
+
+    def counted(poly):
+        calls.append(poly)
+        return plain(poly)
+    monkeypatch.setattr(conjlab, "quadratic_factors", counted)
+    code, _, _ = run(capsys, "lemma-verify", "--k", "4", "--family", "3",
+                     "--format", "json")
+    assert code == 0 and len(calls) == 6
+
+
 def test_lemma_verify_family3(capsys):
     code, out, _ = run(capsys, "lemma-verify", "--k", "1", "--family", "3",
                        "--format", "json")

@@ -148,12 +148,13 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k):
 def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkeypatch):
     # blocks of 2^10 split the k = 5 field into 58.  The direct route holds
     # the bitmap (n / 8 bytes), the period table and the vectors of one
-    # block.  Measured beyond the bitmap: 47-52 bytes per block index at
-    # 2^10 (39-40 at 2^12, where 6-11 KB of small objects weigh less), so
-    # 56 bytes per index bound it.  One bool per field element (n bytes,
-    # 59 KB) on top of the same blocks exceeds the bound.  The index-form
-    # criterion is stubbed out: its q + 1 = 244 dict and set entries peak
-    # about as high as the route itself
+    # block.  Measured beyond the bitmap: 37-42 bytes per block index at
+    # 2^10 (30 at 2^12, where 6-11 KB of small objects weigh less), so 46
+    # bytes per index bound it.  Keeping the previous block's vectors alive
+    # while the next is built (47-52) exceeds the bound, and so does one
+    # bool per field element (n bytes, 59 KB) on top of the same blocks.
+    # The index-form criterion is stubbed out: its q + 1 = 244 dict and set
+    # entries peak about as high as the route itself
     ctx = ctx_for(5)
     n = ctx.order - 1
     block = 2 ** 10
@@ -169,7 +170,7 @@ def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkey
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n // 8 + 56 * block, (family, l)
+        assert peak < n // 8 + 46 * block, (family, l)
 
 
 def test_direct_route_does_not_read_the_index_form(ctx_for, monkeypatch):
@@ -428,6 +429,41 @@ def test_harvest_order_is_deterministic(ctx_for):
     b = harvest_witnesses(3, ctx)
     assert a == b
     assert a == sorted(a, key=lambda w: (w.t, w.a, w.b))
+
+
+@pytest.mark.parametrize("k, family", [(k, family) for k in (1, 2, 3, 4, 5)
+                                       for family in (1, 2, 3)] + [(6, 2)])
+def test_fiber_factors_match_the_search_on_every_fiber(ctx_for, k, family):
+    # the orbit-mapped factor lists against a direct search of every fiber
+    ctx = ctx_for(k)
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    got = list(conjlab._fiber_factors(family, mu, ctx))
+    assert [t for t, _ in got] == mu
+    for t, pairs in got:
+        poly = fiber_polynomial(family, t, ctx)
+        assert pairs == quadratic_factors(poly), t
+        if k <= 4:
+            for a, b in pairs:
+                assert (poly % Poly(ctx, (b, a, 1))).is_zero, (t, a, b)
+
+
+@pytest.mark.parametrize("k, searches", [(4, {1: 12, 2: 6, 3: 6}),
+                                         (5, {1: 27, 2: 14, 3: 14})],
+                         ids=("k4", "k5"))
+def test_harvest_searches_one_fiber_per_orbit(ctx_for, monkeypatch, k, searches):
+    # Frobenius orbits for family 1; families 2 and 3 add negation, which
+    # halves the count again
+    calls = []
+    plain = conjlab.quadratic_factors
+
+    def counted(poly):
+        calls.append(poly)
+        return plain(poly)
+    monkeypatch.setattr(conjlab, "quadratic_factors", counted)
+    for family, expected in searches.items():
+        calls.clear()
+        harvest_witnesses(family, ctx_for(k))
+        assert len(calls) == expected, family
 
 
 # ---------------------------------------------------------------------------
