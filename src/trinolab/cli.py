@@ -283,9 +283,11 @@ def _cmd_lemma_verify(args):
 
 def _cmd_uv_scan(args):
     ctx = _make_ctx(args)
+    k, modulus = ctx.k, gf3m.format_modulus(ctx.modulus)
     report = conjlab.uv_identity_check(ctx)
+    del ctx  # as in lemma-verify, the row dicts are built after the tables go
     rows = [w._asdict() for w in report.witnesses]
-    payload = {"k": ctx.k, "modulus": gf3m.format_modulus(ctx.modulus),
+    payload = {"k": k, "modulus": modulus,
                "witness_count": len(rows), "all_identities_hold": report.ok,
                "witnesses": rows,
                "failures": [list(f) for f in report.failures]}
