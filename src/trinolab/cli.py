@@ -136,10 +136,16 @@ def parse_sweep_csv(text: str) -> list:
 # ---------------------------------------------------------------------------
 # command handlers; each returns (exit_code, report)
 
-def _make_ctx(args) -> gf3m.FieldCtx:
+# the context factors builds: its search touches a few thousand elements, so
+# the exp and log tables would cost more than the search (see gf3m); tests
+# swap in gf3m.FieldCtx to compare the two
+_FACTORS_CTX = gf3m._TableFreeCtx
+
+
+def _make_ctx(args, make=gf3m.ctx_create):
     modulus = parse_modulus_arg(args.modulus)
     try:
-        return gf3m.ctx_create(args.k, modulus, args.max_k)
+        return make(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -154,15 +160,16 @@ def parse_modulus_arg(text: Optional[str]):
 
 
 def _t_values(args, ctx) -> list:
-    mu = permtest.mu_enumerate(ctx, ctx.q + 1)
     if args.t == "all":
-        return sorted(mu)
+        return sorted(permtest.mu_enumerate(ctx, ctx.q + 1))
     try:
         t = int(args.t)
     except ValueError:
         raise UsageError(f"--t expects an element encoding or 'all', got {args.t!r}")
-    if t not in mu:
-        raise UsageError(f"t={t} not in mu_(q+1)")
+    try:
+        conjlab._require_in_mu(t, ctx)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return [t]
 
 
@@ -238,7 +245,7 @@ def _cmd_count_roots(args):
 
 
 def _cmd_factors(args):
-    ctx = _make_ctx(args)
+    ctx = _make_ctx(args, _FACTORS_CTX)
     if args.poly is not None:
         try:
             poly = Poly.from_text(ctx, args.poly)
@@ -262,17 +269,21 @@ def _cmd_factors(args):
 def _cmd_lemma_verify(args):
     ctx = _make_ctx(args)
     k = ctx.k
-    derivation = (conjlab.verify_quintic_coefficient_system if args.family == 3
-                  else conjlab.verify_septic_coefficient_system)
+    derivation = (conjlab._quintic_coefficient_system if args.family == 3
+                  else conjlab._septic_coefficient_system)
     checked = []  # (t, a, b, case, relation_ok, derivation_ok) per witness
     for t, pairs in conjlab._fiber_factors(args.family, _t_values(args, ctx), ctx):
-        for w in conjlab._fiber_witnesses(args.family, t, pairs, ctx):
+        witnesses = conjlab._fiber_witnesses(args.family, t, pairs, ctx)
+        # one fiber polynomial, divided exactly by each of its witnesses
+        fiber = conjlab.fiber_polynomial(args.family, t, ctx) if witnesses else None
+        for w in witnesses:
             checked.append((t, w.a, w.b, w.lemma_case.value,
                             w.lemma_case is not conjlab.LemmaCase.NO_MATCH,
-                            derivation(w.a, w.b, t, ctx)))
-    # the field's tables (8n bytes, 344 MB at k = 8) are freed before the
-    # row dicts, each about three times the size of its tuple, are built
-    del ctx
+                            derivation(w.a, w.b, t, fiber, ctx)))
+    # the field's tables (8n bytes, 344 MB at k = 8), held by ctx and by the
+    # last fiber polynomial, are freed before the row dicts, each about three
+    # times the size of its tuple, are built
+    del ctx, fiber
     rows = [{"family": args.family, "k": k, "t": t, "a": a, "b": b,
              "lemma_case": case, "relation_ok": relation_ok,
              "derivation_ok": derivation_ok}

@@ -425,8 +425,15 @@ def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> 
     """Divide the degree-5 fiber polynomial by x^2 + ax + b and check every
     coefficient identity of the cubic cofactor, the two eliminated identities,
     and the discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4."""
+    return _quintic_coefficient_system(a, b, t, fiber_polynomial(3, t, ctx), ctx)
+
+
+def _quintic_coefficient_system(a: int, b: int, t: int, fiber: Poly,
+                                ctx: FieldCtx) -> bool:
+    """verify_quintic_coefficient_system on the fiber polynomial at t, built
+    once by the caller for all of that fiber's witnesses."""
     quad = Poly(ctx, (b, a, 1))
-    quo, rem = divmod(fiber_polynomial(3, t, ctx), quad)
+    quo, rem = divmod(fiber, quad)
     if not rem.is_zero:
         raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
     s3, s2, s1, lead = quo.coeffs
@@ -465,8 +472,15 @@ def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> b
     coefficient identities of the quintic cofactor plus the two eliminated
     identities; the cofactor tail is also recomputed backward from the
     constant-term equations."""
+    return _septic_coefficient_system(a, b, t, fiber_polynomial(2, t, ctx), ctx)
+
+
+def _septic_coefficient_system(a: int, b: int, t: int, fiber: Poly,
+                               ctx: FieldCtx) -> bool:
+    """verify_septic_coefficient_system on the fiber polynomial at t, built
+    once by the caller for all of that fiber's witnesses."""
     quad = Poly(ctx, (b, a, 1))
-    quo, rem = divmod(fiber_polynomial(2, t, ctx), quad)
+    quo, rem = divmod(fiber, quad)
     if not rem.is_zero:
         raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
     s5, s4, s3, s2, s1, lead = quo.coeffs

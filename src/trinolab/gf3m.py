@@ -5,16 +5,29 @@ in the polynomial basis: trits (c0, c1, ..., c_{2k-1}) with c0 least
 significant, so encoding = sum(c_i * 3^i).  The encoding order doubles as the
 canonical tie-breaking order everywhere in this package.
 
-A FieldCtx precomputes exp and log tables for a primitive element, so
-multiplication of nonzero elements is a single lookup.  Addition uses the
-one fact the tables need about encodings: adding 1 changes only the constant
-trit, so 1 + alpha^d is the encoding of alpha^d with that trit stepped, and
-a + b = a (1 + b/a) takes two lookups more than a product.  Before the tables exist,
-elements are bitsliced: a pair of bitmasks of the trits equal to 1 and to 2,
-added tritwise by a few bit operations and multiplied by shift-and-add.  On
-that form a square-and-multiply search finds the smallest primitive element
-alpha, and the products alpha x^j (j < m) give the GF(3)-linear map of
-multiplication by alpha, from which the tables are filled in one of two ways:
+Two contexts implement the same element operations, and which one a command
+builds depends only on the command, traded set-up cost against cost per
+operation:
+
+- FieldCtx precomputes exp and log tables of a primitive element, 8 bytes
+  per element: 24-40 ms at k = 5 in a fresh process, 2.6 s and 358 MB at
+  k = 8.  A scalar op is then one or two lookups, 0.3-0.9 us, and numpy
+  passes over the whole field read the same tables.  Every command that
+  touches every element of the field, or of mu_{q+1}, builds it.
+- _TableFreeCtx keeps only tables of 3^k entries (about 1 ms of set-up at
+  k = 5, 4 ms at k = 8) and multiplies by one Python int product of packed
+  trits (Kronecker substitution): 2.3-4.6 us a product and 1-2 us a sum at
+  k = 1..10 on a 2-vCPU Xeon.  factors builds it: one fiber's search takes a
+  few thousand operations, far less than a table build, and it runs
+  without numpy up to k = 10, where the tables would not fit.
+
+In FieldCtx, addition uses the one fact the tables need about encodings: adding 1 changes only the constant trit, so 1 + alpha^d is the
+encoding of alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two
+lookups more than a product.  The table-free context's pow finds the
+smallest primitive element alpha, and its products alpha x^j (j < m),
+bitsliced as a pair of bitmasks of the trits equal to 1 and to 2, give the
+GF(3)-linear map of multiplication by alpha, from which the tables are
+filled in one of two ways:
 
 - k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
   through two 2^m-entry lookup tables of that map.  It takes longer per
@@ -209,61 +222,6 @@ def _bits_add(a1: int, a2: int, b1: int, b2: int) -> tuple:
     return (a2 | b2) ^ t, (a1 | b1) ^ t
 
 
-class _BitsField:
-    """Multiplication mod a monic GF(3) modulus on bitsliced vectors."""
-
-    def __init__(self, modulus):
-        self.m = m = len(modulus) - 1
-        self.top = 1 << m
-        # x^m = -(f_0 + ... + f_{m-1} x^(m-1)): its ones are the f_i = 2
-        self.x_m = tuple(sum(1 << i for i, f in enumerate(modulus[:m]) if f == t)
-                         for t in (2, 1))
-
-    def times_x(self, a1: int, a2: int) -> tuple:
-        """x a, reduced by x^m."""
-        a1 <<= 1
-        a2 <<= 1
-        top = self.top
-        if a1 & top:
-            return _bits_add(a1 ^ top, a2, *self.x_m)
-        if a2 & top:
-            r1, r2 = self.x_m
-            return _bits_add(a1, a2 ^ top, r2, r1)
-        return a1, a2
-
-    def rows(self, a: tuple) -> list:
-        """a x^j for j < m: the images of the basis under multiplication by a."""
-        rows = [a]
-        while len(rows) < self.m:
-            rows.append(self.times_x(*rows[-1]))
-        return rows
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        """a * b by shift-and-add over the trits of a, high first."""
-        a1, a2 = a
-        b1, b2 = b
-        c1 = c2 = 0
-        times_x = self.times_x
-        bit = self.top
-        while bit > 1:
-            bit >>= 1
-            c1, c2 = times_x(c1, c2)
-            if a1 & bit:
-                c1, c2 = _bits_add(c1, c2, b1, b2)
-            elif a2 & bit:
-                c1, c2 = _bits_add(c1, c2, b2, b1)
-        return c1, c2
-
-    def pow(self, a: tuple, e: int) -> tuple:
-        """a^e for e >= 1 by square-and-multiply."""
-        r = a
-        for digit in bin(e)[3:]:
-            r = self.mul(r, r)
-            if digit == "1":
-                r = self.mul(r, a)
-        return r
-
-
 def _half_tables(rows: list) -> tuple:
     """Lookup tables of a GF(3)-linear map on the trits of one half.
 
@@ -287,6 +245,193 @@ def _half_tables(rows: list) -> tuple:
     return t1, t2
 
 
+def _checked_modulus(k: int, modulus, max_k: int, refusal) -> tuple:
+    """The modulus of GF(3^2k), checked for either context.
+
+    k must lie in 1..max_k, and refusal(m) names why the context will not
+    build a field of degree m = 2k (None when it will); both are checked
+    before any work.  A given modulus must be monic of degree m and
+    irreducible; None picks default_modulus(m).
+    """
+    if not isinstance(k, int) or not 1 <= k <= max_k:
+        raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
+    m = 2 * k
+    problem = refusal(m)
+    if problem is not None:
+        raise ValueError(problem)
+    if modulus is None:
+        return default_modulus(m)
+    modulus = _gf3_trim(modulus)
+    if len(modulus) != m + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {m}, got {format_modulus(modulus)}")
+    if not gf3_is_irreducible(modulus):
+        raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
+    return modulus
+
+
+# ---------------------------------------------------------------------------
+# the table-free context: trits packed as base-256 digits of one Python int
+
+# bytes.translate tables on base-256 digits: the digit mod 3, and that
+# residue as the ASCII character int(., 3) reads
+_MOD3 = bytes(v % 3 for v in range(256))
+_TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
+# largest k the table-free context builds.  Its set-up holds about 6 * 3^k
+# Python ints: 0.06 s at k = 10 on a 2-vCPU Xeon, and each k above triples it
+_TABLE_FREE_MAX_K = 10
+
+
+def _digit_sums(rows: list) -> list:
+    """sum(c_j rows[j]) for every trit vector (c_j), indexed by sum(c_j 3^j)."""
+    sums = [0]
+    for r in rows:
+        sums += [s + r for s in sums] + [s + 2 * r for s in sums]
+    return sums
+
+
+def _x_powers(modulus, count: int) -> list:
+    """Trit lists of x^i mod the monic modulus for i < count."""
+    m = len(modulus) - 1
+    row = [1] + [0] * (m - 1)
+    powers = []
+    for _ in range(count):
+        powers.append(row)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [(r - top * f) % 3 for r, f in zip(row, modulus)]
+    return powers
+
+
+def _packed(trits) -> int:
+    return sum(c << 8 * i for i, c in enumerate(trits))
+
+
+def _table_free_refusal(m: int) -> Optional[str]:
+    if m > 2 * _TABLE_FREE_MAX_K:
+        return (f"field order 3^{m} too large: the table-free set-up grows as "
+                f"3^k and stops at k = {_TABLE_FREE_MAX_K}")
+    return None
+
+
+class _TableFreeCtx:
+    """GF(3^2k) arithmetic without exp and log tables, for searches that
+    touch a few thousand elements (see the module docstring).
+
+    An element's trits become the base-256 digits of one int, packed from
+    3^k-entry tables of each half of its encoding.  A product is one int
+    product of the packed operands (Kronecker substitution; von zur Gathen
+    and Gerhard, Modern Computer Algebra, section 8.4): its 2m - 1 digits
+    are at most 4m < 256, so none carries.  One bytes.translate takes them
+    mod 3, and the top m - 1 digits fold back through two lookups of
+    x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
+    int sum, -b is 2b, and a last translate turns the digits into the
+    encoding's base-3 string.  The Frobenius y -> y^3 is GF(3)-linear,
+    applied by the same half tables on the images x^(3j) mod f; its e-fold
+    powers for e != 1 are memoised in the context (trace splitting asks for
+    the conjugates of each basis element 3^j).  a^(-1) = a^q N(a)^(q-2),
+    where the norm N(a) = a^(q+1) lies in GF(q).
+
+    Public attributes: k, m, q, order and modulus, as in FieldCtx.
+    """
+
+    def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
+        self.modulus = modulus = _checked_modulus(k, modulus, max_k, _table_free_refusal)
+        self.k = k
+        self.m = m = 2 * k
+        self.q = 3 ** k
+        self.order = self.q ** 2
+        powers = _x_powers(modulus, 3 * m - 2)
+        self._low = low = _digit_sums([1 << 8 * j for j in range(k)])
+        self._high = [v << 8 * k for v in low]
+        # the top m - 1 product digits, highest first: k of them, then k - 1
+        fold = [_packed(row) for row in powers[m:2 * m - 1]]
+        self._fold_top = dict(zip([v.to_bytes(k, "big") for v in low],
+                                  _digit_sums(fold[k - 1:])))
+        self._fold_next = dict(zip([v.to_bytes(k - 1, "big") for v in low[:3 ** (k - 1)]],
+                                   _digit_sums(fold[:k - 1])))
+        cubes = [_packed(powers[3 * j]) for j in range(m)]
+        self._cube_low = _digit_sums(cubes[:k])
+        self._cube_high = _digit_sums(cubes[k:])
+        self._conjugates = {}  # (a, e) -> a^(3^e) for e not in (0, 1)
+
+    def _encoding(self, packed: int) -> int:
+        """The encoding whose trits are the digits of packed, mod 3."""
+        return int(packed.to_bytes(self.m, "big").translate(_TRIT_CHARS), 3)
+
+    def add(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        if not a:
+            return b
+        q, low, high = self.q, self._low, self._high
+        return self._encoding(low[a % q] + high[a // q] + low[b % q] + high[b // q])
+
+    def sub(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        q, low, high = self.q, self._low, self._high
+        return self._encoding(low[a % q] + high[a // q] + 2 * (low[b % q] + high[b // q]))
+
+    def neg(self, a: int) -> int:
+        q = self.q
+        return self._encoding(2 * (self._low[a % q] + self._high[a // q]))
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        q, low, high, k = self.q, self._low, self._high, self.k
+        product = (low[a % q] + high[a // q]) * (low[b % q] + high[b // q])
+        digits = product.to_bytes(4 * k - 1, "big").translate(_MOD3)
+        return self._encoding(int.from_bytes(digits[2 * k - 1:], "big")
+                              + self._fold_top[digits[:k]]
+                              + self._fold_next[digits[k:2 * k - 1]])
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        conj = self.frobenius(a, self.k)
+        return self.mul(conj, self.pow(self.mul(conj, a), self.q - 2))
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("division by zero")
+            return 0 if e else 1
+        e %= self.order - 1
+        if e == 0:
+            return 1
+        mul = self.mul
+        r = a
+        for digit in bin(e)[3:]:  # square-and-multiply below the top bit
+            r = mul(r, r)
+            if digit == "1":
+                r = mul(r, a)
+        return r
+
+    def frobenius(self, a: int, e: int = 1) -> int:
+        """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
+        e %= self.m
+        if e == 1:
+            q = self.q
+            return self._encoding(self._cube_low[a % q] + self._cube_high[a // q])
+        if e == 0:
+            return a
+        conj = self._conjugates.get((a, e))
+        if conj is None:
+            conj = a
+            for _ in range(e):
+                conj = self.frobenius(conj)
+            self._conjugates[a, e] = conj
+        return conj
+
+    def __repr__(self):
+        return f"_TableFreeCtx(k={self.k}, modulus={format_modulus(self.modulus)})"
+
+
 class SpecialConstants(NamedTuple):
     """Distinguished constants of a ctx, all as integer encodings.
 
@@ -297,6 +442,20 @@ class SpecialConstants(NamedTuple):
     epsilon: int
     theta: Optional[int]
     sqrt_eps_minus_1: Optional[int]
+
+
+def _table_refusal(m: int) -> Optional[str]:
+    n = 3 ** m - 1
+    if n >= 2 ** 31:
+        return (f"field order 3^{m} too large: its log tables are int32, so "
+                f"3^(2k) - 1 must stay below 2^31")
+    # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
+    # columns inside log
+    if 8 * n > TABLE_BYTES_CEILING:
+        return (f"field order 3^{m} too large: its tables would take about "
+                f"{8 * n / 2 ** 30:.1f} GiB, above the "
+                f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
+    return None
 
 
 class FieldCtx:
@@ -320,34 +479,16 @@ class FieldCtx:
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        if not isinstance(k, int) or not 1 <= k <= max_k:
-            raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
+        self.modulus = _checked_modulus(k, modulus, max_k, _table_refusal)
         self.k = k
         self.m = 2 * k
         self.q = 3 ** k
         self.order = 3 ** self.m
         self._n = self.order - 1
-        if self._n >= 2 ** 31:
-            raise ValueError(f"field order 3^{self.m} too large: its log tables "
-                             f"are int32, so 3^(2k) - 1 must stay below 2^31")
-        # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
-        # columns inside log
-        table_bytes = 8 * self._n
-        if table_bytes > TABLE_BYTES_CEILING:
-            raise ValueError(f"field order 3^{self.m} too large: its tables would "
-                             f"take about {table_bytes / 2 ** 30:.1f} GiB, above "
-                             f"the {TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
-        if modulus is None:
-            modulus = default_modulus(self.m)
-        else:
-            modulus = _gf3_trim(modulus)
-            if len(modulus) != self.m + 1 or modulus[-1] != 1:
-                raise ValueError(
-                    f"modulus must be monic of degree {self.m}, got {format_modulus(modulus)}")
-            if not gf3_is_irreducible(modulus):
-                raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
-        self.modulus = modulus
         self._n_primes = _factorize(self._n)
+        # the table-free context of the same modulus: its pow finds alpha and
+        # its mul gives the fills' rows (_build_tables drops it)
+        self._field = _TableFreeCtx(k, self.modulus, max_k)
         self.alpha = self._find_primitive()
         self._build_tables()
         self._special: Optional[SpecialConstants] = None
@@ -369,25 +510,38 @@ class FieldCtx:
         return sum(c * 3 ** i for i, c in enumerate(trits))
 
     def _find_primitive(self) -> int:
-        field = _BitsField(self.modulus)
+        pow_ = self._field.pow
         for cand in range(2, self.order):
-            c = _bits(cand)
-            if all(field.pow(c, self._n // p) != (1, 0) for p in self._n_primes):
+            if all(pow_(cand, self._n // p) != 1 for p in self._n_primes):
                 return cand
         raise ValueError("no primitive element found")  # unreachable
 
+    def _rows(self, a: int) -> list:
+        """a x^j for j < m, bitsliced: the GF(3)-linear map y -> a y."""
+        mul = self._field.mul
+        return [_bits(mul(a, 3 ** j)) for j in range(self.m)]
+
     def _build_tables(self):
         n = self._n
-        rows = _BitsField(self.modulus).rows(_bits(self.alpha))
+        pure = n <= _PURE_FILL_MAX_N
+        # the rows of y -> alpha^h y for each h = 2^i < n the numpy fill
+        # doubles by (h = 1 alone for the pure fill), taken before the
+        # table-free field is dropped and the tables are allocated
+        doublings = []
+        a, mul = self.alpha, self._field.mul
+        for _ in range(1 if pure else (n - 1).bit_length()):
+            doublings.append(self._rows(a))
+            a = mul(a, a)
+        del self._field
         self._exp = array("i", [0]) * n
         # -1 marks a log not yet written: a fill scatters i to _log[e] for
         # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
         # encodings are the n nonzero ones, i.e. alpha is primitive
         self._log = array("i", [-1]) * self.order
-        if n <= _PURE_FILL_MAX_N:
-            self._fill_pure(rows)
+        if pure:
+            self._fill_pure(doublings[0])
         else:
-            self._fill_numpy(rows)
+            self._fill_numpy(doublings)
 
     def _fill_pure(self, rows: list):
         """Fill the tables by stepping alpha^i, one Python loop of n / 2 steps.
@@ -432,7 +586,7 @@ class FieldCtx:
         if -1 in log:
             raise ValueError("exp table is not a permutation; element not primitive")
 
-    def _fill_numpy(self, rows: list):
+    def _fill_numpy(self, doublings: list):
         """Fill the tables from bitsliced uint16 columns (ones, twos) of
         alpha^i, every pass in blocks of _BLOCK_LEN indices.
 
@@ -450,10 +604,9 @@ class FieldCtx:
         # uint16 holds the m trits: TABLE_BYTES_CEILING stops at m = 16
         ones, twos = log_arr[:n].view(np.uint16).reshape(2, n)
         ones[0], twos[0] = 1, 0
-        field = _BitsField(self.modulus)
         mask = (1 << k) - 1  # the low half: trits 0..k-1
         h = 1
-        while h < n:  # rows = alpha^h x^j for j < m
+        for rows in doublings:  # rows = alpha^h x^j for j < m
             low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
             width = min(h, n - h)  # columns h..h+width-1 come from 0..width-1
             for s in range(0, width, _BLOCK_LEN):
@@ -466,7 +619,6 @@ class FieldCtx:
                 u = (a1 | b2) ^ (a2 | b1)  # _bits_add
                 np.bitwise_xor(a2 | b2, u, out=ones[h + s:h + e])
                 np.bitwise_xor(a1 | b1, u, out=twos[h + s:h + e])
-            rows = field.rows(field.mul(rows[0], rows[0]))
             h *= 2
         # enc[mask] = encoding of the vector with trit 1 at the bits of mask
         enc = np.zeros(1 << m, dtype=np.int32)

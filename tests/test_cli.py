@@ -1,7 +1,9 @@
 """Command-line behavior: payloads, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +11,10 @@ import tracemalloc
 
 import pytest
 
-from trinolab import cli, conjlab
+from trinolab import cli, conjlab, gf3m
 from trinolab.cli import main, parse_sweep_csv
 from trinolab.gf3m import ctx_create
+from trinolab.permtest import mu_enumerate
 from trinolab.polyring import Poly
 
 from conftest import vanishing_denominator_map
@@ -176,6 +179,128 @@ def test_factors_fiber_polynomial(capsys):
 def test_factors_requires_poly_or_family_t(capsys):
     code, _, err = run(capsys, "factors", "--k", "1")
     assert code == 1 and "factors needs" in err
+
+
+# ---------------------------------------------------------------------------
+# factors runs on the table-free context
+
+def _factors_both_ways(capsys, monkeypatch, ctx_for, argv):
+    """(exit, stdout, stderr) of factors on the table-free context and on
+    the memoised table context, swapped in through cli._FACTORS_CTX."""
+    monkeypatch.setattr(cli, "_FACTORS_CTX", gf3m._TableFreeCtx)
+    free = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_FACTORS_CTX", ctx_for)
+    return free, run(capsys, *argv)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_factors_matches_the_table_path(capsys, monkeypatch, ctx_for, k):
+    # every fiber of every family up to k = 4, twelve sampled ones above
+    ctx = ctx_for(k)
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    if k >= 5:
+        mu = sorted(random.Random(k).sample(mu, 12))
+    for family in (1, 2, 3):
+        for t in mu:
+            free, tables = _factors_both_ways(
+                capsys, monkeypatch, ctx_for,
+                ["factors", "--k", str(k), "--family", str(family), "--t", str(t),
+                 "--format", "json"])
+            assert free == tables and free[0] == 0, (family, t)
+    poly = ",".join(str(random.Random(k).randrange(ctx.order)) for _ in range(9))
+    free, tables = _factors_both_ways(capsys, monkeypatch, ctx_for,
+                                      ["factors", "--k", str(k), "--poly", poly + ",1"])
+    assert free == tables and free[0] == 0
+
+
+# sha1 of the stdout of each command, as the table path printed it
+FACTORS_SHA1 = {
+    "factors --k 6 --max-k 8 --family 2 --t 188086 --format json":
+        "37bcc6b93b4437ce81a80b77925674e2a3df5c88",
+    "factors --k 6 --max-k 8 --family 3 --t 188590 --format json":
+        "45b21710ce3e4676eb1ef39649901666cda3bff5",
+    "factors --k 7 --max-k 8 --family 2 --t 2341032 --format json":
+        "eac9f7f3f6022e347c9b4447110bff29f3dc1d15",
+    "factors --k 7 --max-k 8 --family 3 --t 1587648 --format json":
+        "dbea3b452ed8ad6791c53c9ee612bcc922c23728",
+    "factors --k 8 --max-k 8 --family 2 --t 21250000 --format json":
+        "1bb50e2035561aacc2a0ad0940144ea074be6c30",
+    "factors --k 8 --max-k 8 --family 3 --t 14221417 --format json":
+        "d9b9062ce28f26862243b95188bcef35396bc047",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FACTORS_SHA1))
+def test_factors_reports_are_unchanged_at_k6_to_k8(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha1(out.encode()).hexdigest() == FACTORS_SHA1[argv]
+
+
+@pytest.mark.parametrize("source", (("--family", "3", "--t", "188590"),
+                                    ("--poly", "369863,2,188590,2,188590,1")))
+def test_factors_builds_no_field_tables(capsys, monkeypatch, source):
+    def no_tables(self, *args):
+        raise AssertionError("factors built a FieldCtx")
+
+    monkeypatch.setattr(gf3m.FieldCtx, "__init__", no_tables)
+    code, out, err = run(capsys, "factors", "--k", "6", *source, "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["quadratic_factors"]
+
+
+@pytest.mark.parametrize(("argv", "stderr"), (
+    ("--k 0 --family 3 --t 1", "unsupported degree: k=0 outside 1..6"),
+    ("--k 7 --family 3 --t 1", "unsupported degree: k=7 outside 1..6"),
+    ("--k 2 --modulus 1,0,0,0,1 --family 3 --t 1", "reducible modulus: 1,0,0,0,1"),
+    ("--k 2 --modulus 1,0,1,1,2 --family 3 --t 1",
+     "modulus must be monic of degree 4, got 1,0,1,1,2"),
+    ("--k 2 --modulus 1,0,1 --family 3 --t 1", "modulus must be monic of degree 4, got 1,0,1"),
+    ("--k 2 --family 3 --t soon", "--t expects an element encoding or 'all', got 'soon'"),
+    ("--k 2 --family 3 --t 4", "t=4 not in mu_(q+1)"),
+    ("--k 2 --family 3 --t -1", "t=-1 not in mu_(q+1)"),
+    ("--k 2 --family 3 --t 81", "t=81 not in mu_(q+1)"),
+    ("--k 2 --family 3 --t all", "factors needs a single --t, not 'all'"),
+    ("--k 2 --poly 1,x,2", "malformed polynomial '1,x,2'"),
+    ("--k 2 --poly 1,81,1", "bad coefficient 81"),
+    ("--k 2 --poly 1,1", "degree must be at least 2"),
+))
+def test_factors_usage_errors_are_unchanged(capsys, argv, stderr):
+    # the exit codes and messages the table path gave
+    code, out, err = run(capsys, "factors", *argv.split())
+    assert (code, out, err) == (1, "", f"error: {stderr}\n")
+
+
+@pytest.mark.parametrize(("k", "family", "t"), ((9, 2, 342420908), (10, 3, 78105026)))
+def test_factors_runs_past_the_table_wall(capsys, k, family, t):
+    # t = 4^(q-1) and 5^(q-1): x^(q-1) lies in mu_(q+1) for every x != 0
+    code, out, err = run(capsys, "factors", "--k", str(k), "--max-k", str(k),
+                         "--family", str(family), "--t", str(t), "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    ctx = gf3m._TableFreeCtx(k, max_k=k)
+    fiber = conjlab.fiber_polynomial(family, t, ctx)
+    assert payload["poly"] == fiber.to_text()
+    assert payload["quadratic_factors"]
+    for pair in payload["quadratic_factors"]:
+        assert (fiber % Poly(ctx, (pair["b"], pair["a"], 1))).is_zero, pair
+
+
+def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
+    k = str(gf3m._TABLE_FREE_MAX_K + 1)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "factors", "--k", k, "--max-k", k, "--family", "3",
+                       "--t", "1")
+    assert code == 1 and "too large" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", (("field-info",), ("lemma-verify", "--family", "3"),
+                                  ("uv-scan",), ("check-g", "--family", "2"),
+                                  ("count-roots", "--family", "2", "--t", "1")))
+def test_only_factors_runs_at_k9(capsys, argv):
+    code, _, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:])
+    assert code == 1 and "too large" in err
 
 
 def test_lemma_verify_single_t_factors_one_fiber(capsys, monkeypatch):
@@ -579,6 +704,7 @@ dataclasses_preloaded = "dataclasses" in sys.modules
 import trinolab
 from trinolab import cli
 for argv in (["factors", "--k", "5", "--family", "3", "--t", "1"],
+             ["factors", "--k", "6", "--family", "3", "--t", "188590"],
              ["lemma-verify", "--k", "4", "--family", "2"], ["uv-scan", "--k", "4"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv

@@ -281,11 +281,12 @@ def test_alpha_is_the_smallest_primitive_element(ctx_for, monkeypatch):
 
 @pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
                                      (1, 0, 1, 2, 1)))
-def test_bitsliced_mul_matches_reference(modulus):
-    field = gf3m._BitsField(modulus)
+def test_table_free_mul_matches_reference(modulus):
+    # the multiply and power FieldCtx finds alpha and fills its tables with
+    field = gf3m._TableFreeCtx((len(modulus) - 1) // 2, modulus)
     m = len(modulus) - 1
 
-    def enc(bits):
+    def enc(bits):  # the fills' bitsliced rows
         return sum((bits[0] >> i & 1) * 3 ** i + (bits[1] >> i & 1) * 2 * 3 ** i
                    for i in range(m))
 
@@ -293,10 +294,75 @@ def test_bitsliced_mul_matches_reference(modulus):
     for _ in range(200):
         a, b = rng.randrange(3 ** m), rng.randrange(3 ** m)
         assert enc(gf3m._bits(a)) == a
-        assert enc(field.mul(gf3m._bits(a), gf3m._bits(b))) == ref_mul(a, b, modulus)
+        assert field.mul(a, b) == ref_mul(a, b, modulus)
         if a:
             e = rng.randrange(1, 3 ** m)
-            assert enc(field.pow(gf3m._bits(a), e)) == ref_pow(a, e, modulus)
+            assert field.pow(a, e) == ref_pow(a, e, modulus)
+
+
+@pytest.mark.parametrize(("k", "modulus"),
+                         [(k, None) for k in (1, 2, 3, 4, 5, 6)] + OTHER_MODULI)
+def test_table_free_ctx_agrees_with_the_tables(ctx_for, k, modulus):
+    tables = ctx_for(k, modulus)
+    free = gf3m._TableFreeCtx(k, modulus)
+    assert ((free.k, free.m, free.q, free.order, free.modulus)
+            == (tables.k, tables.m, tables.q, tables.order, tables.modulus))
+    rng = random.Random(f"table-free:{k}:{modulus}")
+    operands = [0, 1, 2] + [rng.randrange(tables.order) for _ in range(60)]
+    for a in operands:
+        assert free.neg(a) == tables.neg(a)
+        for e in range(-tables.m, 2 * tables.m + 1):
+            assert free.frobenius(a, e) == tables.frobenius(a, e), (a, e)
+        assert free.frobenius(a) == tables.frobenius(a)
+        for e in (0, 1, 2, 3, tables.q + 1, rng.randrange(tables.order ** 2)):
+            assert free.pow(a, e) == tables.pow(a, e), (a, e)
+        if a:
+            assert free.inv(a) == tables.inv(a)
+            for e in (-1, -2, -tables.q, -rng.randrange(tables.order ** 2)):
+                assert free.pow(a, e) == tables.pow(a, e), (a, e)
+        for b in operands:
+            assert free.add(a, b) == tables.add(a, b), (a, b)
+            assert free.sub(a, b) == tables.sub(a, b), (a, b)
+            assert free.mul(a, b) == tables.mul(a, b), (a, b)
+            if b:
+                assert free.div(a, b) == tables.div(a, b), (a, b)
+    for ctx in (free, tables):
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            ctx.pow(0, -1)
+
+
+@pytest.mark.parametrize(("k", "modulus", "max_k", "message"), (
+    (0, None, 6, "unsupported degree: k=0 outside 1..6"),
+    (7, None, 6, "unsupported degree: k=7 outside 1..6"),
+    (2, (1, 0, 0, 0, 1), 6, "reducible modulus: 1,0,0,0,1"),
+    (2, (1, 0, 1, 1, 2), 6, "modulus must be monic of degree 4, got 1,0,1,1,2"),
+    (2, (1, 0, 1), 6, "modulus must be monic of degree 4, got 1,0,1"),
+))
+def test_both_contexts_validate_alike(k, modulus, max_k, message):
+    for make in (gf3m.FieldCtx, gf3m._TableFreeCtx):
+        with pytest.raises(ValueError) as info:
+            make(k, modulus, max_k)
+        assert str(info.value) == message
+
+
+def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    for name in ("default_modulus", "gf3_is_irreducible", "_digit_sums"):
+        monkeypatch.setattr(gf3m, name, reached)
+    k = gf3m._TABLE_FREE_MAX_K
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        gf3m._TableFreeCtx(k + 1, max_k=k + 1)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(Reached):  # k = 10 reaches the modulus search
+        gf3m._TableFreeCtx(k, max_k=k)
 
 
 @pytest.fixture(scope="module")
