@@ -138,7 +138,7 @@ def parse_sweep_csv(text: str) -> list:
 
 # the context factors builds: its search touches a few thousand elements, so
 # the exp and log tables would cost more than the search (see gf3m); tests
-# swap in gf3m.FieldCtx to compare the two
+# swap in a table context to compare the two
 _FACTORS_CTX = gf3m._TableFreeCtx
 
 

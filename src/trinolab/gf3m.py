@@ -323,8 +323,8 @@ class _TableFreeCtx:
     product of the packed operands (Kronecker substitution; von zur Gathen
     and Gerhard, Modern Computer Algebra, section 8.4): its 2m - 1 digits
     are at most 4m < 256, so none carries.  One bytes.translate takes them
-    mod 3, and the top m - 1 digits fold back through two lookups of
-    x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
+    mod 3, and the top m - 1 digits fold back through two lookups of sums
+    of x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
     int sum, -b is 2b, and a last translate turns the digits into the
     encoding's base-3 string.  The Frobenius y -> y^3 is GF(3)-linear,
     applied by the same half tables on the images x^(3j) mod f; its e-fold
@@ -344,15 +344,17 @@ class _TableFreeCtx:
         powers = _x_powers(modulus, 3 * m - 2)
         self._low = low = _digit_sums([1 << 8 * j for j in range(k)])
         self._high = [v << 8 * k for v in low]
-        # the top m - 1 product digits, highest first: k of them, then k - 1
+        # a product's 2m - 1 digits, highest first: the top k and the next
+        # k - 1 fold back, keyed by their packed values, onto the low m
         fold = [_packed(row) for row in powers[m:2 * m - 1]]
-        self._fold_top = dict(zip([v.to_bytes(k, "big") for v in low],
-                                  _digit_sums(fold[k - 1:])))
-        self._fold_next = dict(zip([v.to_bytes(k - 1, "big") for v in low[:3 ** (k - 1)]],
-                                   _digit_sums(fold[:k - 1])))
-        cubes = [_packed(powers[3 * j]) for j in range(m)]
-        self._cube_low = _digit_sums(cubes[:k])
-        self._cube_high = _digit_sums(cubes[k:])
+        self._fold_top = dict(zip(low, _digit_sums(fold[k - 1:])))
+        self._fold_next = dict(zip(low[:3 ** (k - 1)], _digit_sums(fold[:k - 1])))
+        self._low_digits = (1 << 8 * m) - 1
+        self._next_digits = (1 << 8 * (k - 1)) - 1
+        # x^(3j) mod f; their half tables are built by the first frobenius
+        # call (FieldCtx's use needs none)
+        self._cubes = [_packed(powers[3 * j]) for j in range(m)]
+        self._cube_low = self._cube_high = None
         self._conjugates = {}  # (a, e) -> a^(3^e) for e not in (0, 1)
 
     def _encoding(self, packed: int) -> int:
@@ -382,10 +384,9 @@ class _TableFreeCtx:
             return 0
         q, low, high, k = self.q, self._low, self._high, self.k
         product = (low[a % q] + high[a // q]) * (low[b % q] + high[b // q])
-        digits = product.to_bytes(4 * k - 1, "big").translate(_MOD3)
-        return self._encoding(int.from_bytes(digits[2 * k - 1:], "big")
-                              + self._fold_top[digits[:k]]
-                              + self._fold_next[digits[k:2 * k - 1]])
+        p = int.from_bytes(product.to_bytes(4 * k - 1, "big").translate(_MOD3), "big")
+        return self._encoding((p & self._low_digits) + self._fold_top[p >> 8 * (3 * k - 1)]
+                              + self._fold_next[p >> 16 * k & self._next_digits])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -416,6 +417,9 @@ class _TableFreeCtx:
         """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
         e %= self.m
         if e == 1:
+            if self._cube_low is None:
+                self._cube_low = _digit_sums(self._cubes[:self.k])
+                self._cube_high = _digit_sums(self._cubes[self.k:])
             q = self.q
             return self._encoding(self._cube_low[a % q] + self._cube_high[a // q])
         if e == 0:

@@ -332,6 +332,25 @@ def test_lemma_verify_all_searches_one_fiber_per_orbit(capsys, monkeypatch):
     assert code == 0 and len(calls) == 6
 
 
+@pytest.mark.parametrize("family", (2, 3))
+def test_lemma_verify_builds_each_fiber_polynomial_once_for_its_witnesses(
+        capsys, monkeypatch, family):
+    # at most one build for the orbit search and one for the derivation
+    # checks of every witness at t, each of which still divides it exactly
+    built = []
+    plain = conjlab.fiber_polynomial
+
+    def counted(family, t, ctx):
+        built.append(t)
+        return plain(family, t, ctx)
+    monkeypatch.setattr(conjlab, "fiber_polynomial", counted)
+    code, out, _ = run(capsys, "lemma-verify", "--k", "3", "--family", str(family),
+                       "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and len(rows) > len({r["t"] for r in rows})
+    assert max(built.count(t) for t in built) <= 2
+
+
 def test_lemma_verify_family3(capsys):
     code, out, _ = run(capsys, "lemma-verify", "--k", "1", "--family", "3",
                        "--format", "json")
