@@ -142,10 +142,11 @@ def parse_sweep_csv(text: str) -> list:
 _FACTORS_CTX = gf3m._TableFreeCtx
 
 
-def _make_ctx(args, make=gf3m.ctx_create):
+def _make_ctx(args, make=None):
     modulus = parse_modulus_arg(args.modulus)
     try:
-        return make(args.k, modulus, args.max_k)
+        # gf3m.ctx_create is looked up per call, as the handlers are in main
+        return (make or gf3m.ctx_create)(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -585,6 +585,20 @@ def test_check_g_and_count_roots_agree_on_every_claim(capsys, monkeypatch,
             assert code_g == (2 if vanishing and claimed else 0), (k, family)
 
 
+def test_commands_build_fields_through_the_current_ctx_create(capsys, monkeypatch):
+    # a wrapper installed after import (a tracer, a test double) sees every
+    # field a command builds
+    calls = []
+    plain = gf3m.ctx_create
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+    monkeypatch.setattr(gf3m, "ctx_create", counted)
+    code, _, _ = run(capsys, "field-info", "--k", "1")
+    assert code == 0 and calls == [(1, None, 6)]
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     # in-process callers pay for the nine subparsers once, not per main call
     calls = []
