@@ -10,20 +10,22 @@ builds depends only on the command, traded set-up cost against cost per
 operation:
 
 - FieldCtx precomputes exp and log tables of a primitive element, 8 bytes
-  per element: 24-40 ms at k = 5 in a fresh process, 2.6 s and 358 MB at
-  k = 8.  A scalar op is then one or two lookups, 0.3-0.9 us, and numpy
+  per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB
+  at k = 8.  A scalar op is then one or two lookups, 0.2-0.6 us, and numpy
   passes over the whole field read the same tables.  Every command that
   touches every element of the field, or of mu_{q+1}, builds it.
-- _TableFreeCtx keeps only tables of 3^k entries (about 1 ms of set-up at
-  k = 5, 4 ms at k = 8) and multiplies by one Python int product of packed
-  trits (Kronecker substitution): 2.3-4.6 us a product and 1-2 us a sum at
-  k = 1..10 on a 2-vCPU Xeon.  factors builds it: one fiber's search takes a
-  few thousand operations, far less than a table build, and it runs
-  without numpy up to k = 10, where the tables would not fit.
+- _TableFreeCtx keeps only tables of 3^k entries (0.2 ms of set-up at
+  k = 5, 3 ms at k = 8, 29 ms at k = 10) and multiplies by one Python int
+  product of packed trits (Kronecker substitution): 1.1-3.3 us a product
+  and 0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  factors builds it:
+  one fiber's search takes a few thousand operations, far less than a
+  table build, and it runs without numpy up to k = 10, where the tables
+  would not fit.
 
-In FieldCtx, addition uses the one fact the tables need about encodings: adding 1 changes only the constant trit, so 1 + alpha^d is the
-encoding of alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two
-lookups more than a product.  The table-free context's pow finds the
+In FieldCtx, addition uses the one fact the tables need about encodings:
+adding 1 changes only the constant trit, so 1 + alpha^d is the encoding of
+alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two lookups
+more than a product.  The table-free context's pow finds the
 smallest primitive element alpha, and its products alpha x^j (j < m),
 bitsliced as a pair of bitmasks of the trits equal to 1 and to 2, give the
 GF(3)-linear map of multiplication by alpha, from which the tables are
@@ -263,7 +265,8 @@ def _checked_modulus(k: int, modulus, max_k: int, refusal) -> tuple:
         return default_modulus(m)
     modulus = _gf3_trim(modulus)
     if len(modulus) != m + 1 or modulus[-1] != 1:
-        raise ValueError(f"modulus must be monic of degree {m}, got {format_modulus(modulus)}")
+        raise ValueError(
+            f"modulus must be monic of degree {m}, got {format_modulus(modulus)}")
     if not gf3_is_irreducible(modulus):
         raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
     return modulus
@@ -277,7 +280,8 @@ def _checked_modulus(k: int, modulus, max_k: int, refusal) -> tuple:
 _MOD3 = bytes(v % 3 for v in range(256))
 _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
 # largest k the table-free context builds.  Its set-up holds about 6 * 3^k
-# Python ints: 0.06 s at k = 10 on a 2-vCPU Xeon, and each k above triples it
+# Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
+# k = 10 on a 2-vCPU Xeon, and each k above triples it
 _TABLE_FREE_MAX_K = 10
 
 

@@ -255,7 +255,8 @@ def test_factors_builds_no_field_tables(capsys, monkeypatch, source):
     ("--k 2 --modulus 1,0,0,0,1 --family 3 --t 1", "reducible modulus: 1,0,0,0,1"),
     ("--k 2 --modulus 1,0,1,1,2 --family 3 --t 1",
      "modulus must be monic of degree 4, got 1,0,1,1,2"),
-    ("--k 2 --modulus 1,0,1 --family 3 --t 1", "modulus must be monic of degree 4, got 1,0,1"),
+    ("--k 2 --modulus 1,0,1 --family 3 --t 1",
+     "modulus must be monic of degree 4, got 1,0,1"),
     ("--k 2 --family 3 --t soon", "--t expects an element encoding or 'all', got 'soon'"),
     ("--k 2 --family 3 --t 4", "t=4 not in mu_(q+1)"),
     ("--k 2 --family 3 --t -1", "t=-1 not in mu_(q+1)"),
