@@ -246,6 +246,8 @@ def _cmd_count_roots(args):
 
 
 def _cmd_factors(args):
+    if args.poly is not None and (args.family is not None or args.t is not None):
+        raise UsageError("factors takes --poly or --family and --t, not both")
     ctx = _make_ctx(args, _FACTORS_CTX)
     if args.poly is not None:
         try:

@@ -22,14 +22,14 @@ operation:
   table build, and it runs without numpy up to k = 10, where the tables
   would not fit.
 
-In FieldCtx, addition uses the one fact the tables need about encodings:
-adding 1 changes only the constant trit, so 1 + alpha^d is the encoding of
-alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two lookups
-more than a product.  The table-free context's pow finds the
-smallest primitive element alpha, and its products alpha x^j (j < m),
-bitsliced as a pair of bitmasks of the trits equal to 1 and to 2, give the
-GF(3)-linear map of multiplication by alpha, from which the tables are
-filled in one of two ways:
+Every field is built through _TableFreeCtx, the core: it alone checks k
+against max_k, picks or checks the modulus (one Rabin test per modulus) and,
+when asked, finds the smallest primitive element alpha.  FieldCtx adds a
+bound on its table size, checked before any work, and the tables.  It builds
+the core once, reads alpha from it, and takes the core's products alpha x^j
+(j < m), bitsliced as a pair of bitmasks of the trits equal to 1 and to 2,
+as the GF(3)-linear map of multiplication by alpha.  Then it drops the core
+and fills the tables from that map in one of two ways:
 
 - k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
   through two 2^m-entry lookup tables of that map.  It takes longer per
@@ -38,6 +38,11 @@ filled in one of two ways:
 - k >= 6: numpy doubles bitsliced columns of alpha^i (columns h..2h-1 are
   columns 0..h-1 times alpha^h, read from lookup tables of that map),
   where the pure loop would take over ten times as long.
+
+In FieldCtx, addition uses the one fact the tables need about encodings:
+adding 1 changes only the constant trit, so 1 + alpha^d is the encoding of
+alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two lookups
+more than a product.
 
 Each table is one int32 buffer (array('i')), so fields whose multiplicative
 group has order 2^31 or more are refused, and so are fields whose tables
@@ -247,31 +252,6 @@ def _half_tables(rows: list) -> tuple:
     return t1, t2
 
 
-def _checked_modulus(k: int, modulus, max_k: int, refusal) -> tuple:
-    """The modulus of GF(3^2k), checked for either context.
-
-    k must lie in 1..max_k, and refusal(m) names why the context will not
-    build a field of degree m = 2k (None when it will); both are checked
-    before any work.  A given modulus must be monic of degree m and
-    irreducible; None picks default_modulus(m).
-    """
-    if not isinstance(k, int) or not 1 <= k <= max_k:
-        raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
-    m = 2 * k
-    problem = refusal(m)
-    if problem is not None:
-        raise ValueError(problem)
-    if modulus is None:
-        return default_modulus(m)
-    modulus = _gf3_trim(modulus)
-    if len(modulus) != m + 1 or modulus[-1] != 1:
-        raise ValueError(
-            f"modulus must be monic of degree {m}, got {format_modulus(modulus)}")
-    if not gf3_is_irreducible(modulus):
-        raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
-    return modulus
-
-
 # ---------------------------------------------------------------------------
 # the table-free context: trits packed as base-256 digits of one Python int
 
@@ -311,13 +291,6 @@ def _packed(trits) -> int:
     return sum(c << 8 * i for i, c in enumerate(trits))
 
 
-def _table_free_refusal(m: int) -> Optional[str]:
-    if m > 2 * _TABLE_FREE_MAX_K:
-        return (f"field order 3^{m} too large: the table-free set-up grows as "
-                f"3^k and stops at k = {_TABLE_FREE_MAX_K}")
-    return None
-
-
 class _TableFreeCtx:
     """GF(3^2k) arithmetic without exp and log tables, for searches that
     touch a few thousand elements (see the module docstring).
@@ -336,13 +309,31 @@ class _TableFreeCtx:
     the conjugates of each basis element 3^j).  a^(-1) = a^q N(a)^(q-2),
     where the norm N(a) = a^(q+1) lies in GF(q).
 
+    It builds every field, FieldCtx's too.  k must lie in 1..max_k and
+    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must be
+    monic of degree m and pass one Rabin test, and None picks
+    default_modulus(m).
+
     Public attributes: k, m, q, order and modulus, as in FieldCtx.
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        self.modulus = modulus = _checked_modulus(k, modulus, max_k, _table_free_refusal)
+        m = self._degree(k, max_k)
+        if k > _TABLE_FREE_MAX_K:
+            raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
+                             f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
+        if modulus is None:
+            modulus = default_modulus(m)
+        else:
+            modulus = _gf3_trim(modulus)
+            if len(modulus) != m + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {m}, "
+                                 f"got {format_modulus(modulus)}")
+            if not gf3_is_irreducible(modulus):
+                raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
+        self.modulus = modulus
         self.k = k
-        self.m = m = 2 * k
+        self.m = m
         self.q = 3 ** k
         self.order = self.q ** 2
         powers = _x_powers(modulus, 3 * m - 2)
@@ -360,6 +351,22 @@ class _TableFreeCtx:
         self._cubes = [_packed(powers[3 * j]) for j in range(m)]
         self._cube_low = self._cube_high = None
         self._conjugates = {}  # (a, e) -> a^(3^e) for e not in (0, 1)
+
+    @staticmethod
+    def _degree(k: int, max_k: int) -> int:
+        """m = 2k, once k is checked to lie in 1..max_k."""
+        if not isinstance(k, int) or not 1 <= k <= max_k:
+            raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
+        return 2 * k
+
+    def _smallest_primitive(self) -> int:
+        """Encoding of the smallest generator of the multiplicative group."""
+        n = self.order - 1
+        cofactors = [n // p for p in _factorize(n)]
+        for cand in range(2, self.order):
+            if all(self.pow(cand, c) != 1 for c in cofactors):
+                return cand
+        raise ValueError("no primitive element found")  # unreachable
 
     def _encoding(self, packed: int) -> int:
         """The encoding whose trits are the digits of packed, mod 3."""
@@ -452,22 +459,9 @@ class SpecialConstants(NamedTuple):
     sqrt_eps_minus_1: Optional[int]
 
 
-def _table_refusal(m: int) -> Optional[str]:
-    n = 3 ** m - 1
-    if n >= 2 ** 31:
-        return (f"field order 3^{m} too large: its log tables are int32, so "
-                f"3^(2k) - 1 must stay below 2^31")
-    # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
-    # columns inside log
-    if 8 * n > TABLE_BYTES_CEILING:
-        return (f"field order 3^{m} too large: its tables would take about "
-                f"{8 * n / 2 ** 30:.1f} GiB, above the "
-                f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
-    return None
-
-
 class FieldCtx:
-    """Arithmetic context for GF(3^2k) with exp and log tables.
+    """Arithmetic context for GF(3^2k) with exp and log tables, built on
+    the table-free core (see the module docstring).
 
     The tables are filled by stepping alpha^i in pure Python up to k = 5 and
     by blocked numpy doubling above (see the module docstring), and square
@@ -487,19 +481,42 @@ class FieldCtx:
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        self.modulus = _checked_modulus(k, modulus, max_k, _table_refusal)
-        self.k = k
-        self.m = 2 * k
-        self.q = 3 ** k
-        self.order = 3 ** self.m
-        self._n = self.order - 1
-        self._n_primes = _factorize(self._n)
-        # the table-free context of the same modulus: its pow finds alpha and
-        # its mul gives the fills' rows (_build_tables drops it)
-        self._field = _TableFreeCtx(k, self.modulus, max_k)
-        self.alpha = self._find_primitive()
-        self._build_tables()
+        m = _TableFreeCtx._degree(k, max_k)
+        n = 3 ** m - 1
+        if n >= 2 ** 31:
+            raise ValueError(f"field order 3^{m} too large: its log tables are int32, "
+                             f"so 3^(2k) - 1 must stay below 2^31")
+        # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
+        # columns inside log
+        if 8 * n > TABLE_BYTES_CEILING:
+            raise ValueError(f"field order 3^{m} too large: its tables would take "
+                             f"about {8 * n / 2 ** 30:.1f} GiB, above the "
+                             f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
+        field = _TableFreeCtx(k, modulus, max_k)
+        self.k, self.m, self.q, self.order = field.k, field.m, field.q, field.order
+        self.modulus = field.modulus
+        self.alpha = a = field._smallest_primitive()
+        self._n = n
         self._special: Optional[SpecialConstants] = None
+        # the rows of y -> alpha^h y, that is alpha^h x^j for j < m
+        # bitsliced, for each h = 2^i < n the numpy fill doubles by (h = 1
+        # alone for the pure fill); the core is dropped before the tables
+        # are allocated
+        pure = n <= _PURE_FILL_MAX_N
+        doublings = []
+        for _ in range(1 if pure else (n - 1).bit_length()):
+            doublings.append([_bits(field.mul(a, 3 ** j)) for j in range(m)])
+            a = field.mul(a, a)
+        del field
+        self._exp = array("i", [0]) * n
+        # -1 marks a log not yet written: a fill scatters i to _log[e] for
+        # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
+        # encodings are the n nonzero ones, i.e. alpha is primitive
+        self._log = array("i", [-1]) * self.order
+        if pure:
+            self._fill_pure(doublings[0])
+        else:
+            self._fill_numpy(doublings)
 
     # -- construction ------------------------------------------------------
 
@@ -516,40 +533,6 @@ class FieldCtx:
         if len(trits) > self.m or any(t not in (0, 1, 2) for t in trits):
             raise ValueError(f"bad trit vector {trits}")
         return sum(c * 3 ** i for i, c in enumerate(trits))
-
-    def _find_primitive(self) -> int:
-        pow_ = self._field.pow
-        for cand in range(2, self.order):
-            if all(pow_(cand, self._n // p) != 1 for p in self._n_primes):
-                return cand
-        raise ValueError("no primitive element found")  # unreachable
-
-    def _rows(self, a: int) -> list:
-        """a x^j for j < m, bitsliced: the GF(3)-linear map y -> a y."""
-        mul = self._field.mul
-        return [_bits(mul(a, 3 ** j)) for j in range(self.m)]
-
-    def _build_tables(self):
-        n = self._n
-        pure = n <= _PURE_FILL_MAX_N
-        # the rows of y -> alpha^h y for each h = 2^i < n the numpy fill
-        # doubles by (h = 1 alone for the pure fill), taken before the
-        # table-free field is dropped and the tables are allocated
-        doublings = []
-        a, mul = self.alpha, self._field.mul
-        for _ in range(1 if pure else (n - 1).bit_length()):
-            doublings.append(self._rows(a))
-            a = mul(a, a)
-        del self._field
-        self._exp = array("i", [0]) * n
-        # -1 marks a log not yet written: a fill scatters i to _log[e] for
-        # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
-        # encodings are the n nonzero ones, i.e. alpha is primitive
-        self._log = array("i", [-1]) * self.order
-        if pure:
-            self._fill_pure(doublings[0])
-        else:
-            self._fill_numpy(doublings)
 
     def _fill_pure(self, rows: list):
         """Fill the tables by stepping alpha^i, one Python loop of n / 2 steps.

@@ -265,9 +265,13 @@ def test_factors_builds_no_field_tables(capsys, monkeypatch, source):
     ("--k 2 --poly 1,x,2", "malformed polynomial '1,x,2'"),
     ("--k 2 --poly 1,81,1", "bad coefficient 81"),
     ("--k 2 --poly 1,1", "degree must be at least 2"),
+    ("--k 2 --poly 1,0,1 --family 3 --t 1",
+     "factors takes --poly or --family and --t, not both"),
+    ("--k 2 --poly 1,0,1 --t 1", "factors takes --poly or --family and --t, not both"),
 ))
 def test_factors_usage_errors_are_unchanged(capsys, argv, stderr):
-    # the exit codes and messages the table path gave
+    # the exit codes and messages the table path gave; --poly mixed with
+    # --family or --t, once silently ignored, is refused too
     code, out, err = run(capsys, "factors", *argv.split())
     assert (code, out, err) == (1, "", f"error: {stderr}\n")
 

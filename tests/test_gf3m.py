@@ -124,6 +124,25 @@ def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
         ctx_create(k, max_k=k)
 
 
+@pytest.mark.parametrize(("k", "modulus"), [(k, None) for k in (1, 2, 6)] + OTHER_MODULI[:2])
+def test_ctx_build_runs_rabins_test_once_per_modulus(monkeypatch, k, modulus):
+    calls = 0
+    original = gf3m.gf3_is_irreducible
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return original(f)
+
+    monkeypatch.setattr(gf3m, "gf3_is_irreducible", counting)
+    if modulus is None:
+        default_modulus(2 * k)
+        search, calls = calls, 0
+    ctx_create(k, modulus)
+    # a given modulus is tested once, and the default one only by its search
+    assert calls == (search if modulus is None else 1)
+
+
 def test_ctx_max_k_is_adjustable():
     assert ctx_create(3, max_k=3).k == 3
     with pytest.raises(ValueError, match="unsupported degree"):
@@ -265,7 +284,7 @@ def _has_full_order(c, n, modulus):
             and all(ref_pow(c, n // p, modulus) != 1 for p in _prime_divisors(n)))
 
 
-def test_alpha_is_the_smallest_primitive_element(ctx_for, monkeypatch):
+def test_alpha_is_the_smallest_primitive_element(ctx_for):
     for k, modulus in [(k, None) for k in (1, 2, 3)] + OTHER_MODULI[:4]:
         ctx = ctx_for(k, modulus)
         n = ctx.order - 1
@@ -275,8 +294,8 @@ def test_alpha_is_the_smallest_primitive_element(ctx_for, monkeypatch):
     # pinned: another alpha would change every table and every report
     assert [ctx_for(k).alpha for k in (4, 5, 6)] == [4, 34, 4]
     assert ctx_create(1, (2, 1, 1)).alpha == 3
-    monkeypatch.setattr(gf3m.FieldCtx, "_build_tables", lambda self: None)
-    assert ctx_create(7, max_k=7).alpha == 4
+    # FieldCtx takes alpha from this search; k = 7 without the table fill
+    assert gf3m._TableFreeCtx(7, max_k=7)._smallest_primitive() == 4
 
 
 @pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
@@ -394,7 +413,7 @@ def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix(traced_k5_bui
 @pytest.mark.parametrize("k", (1, 2))
 def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
     square = ctx_create(k).alpha_pow(2)  # order n / 2: no permutation
-    monkeypatch.setattr(gf3m.FieldCtx, "_find_primitive", lambda self: square)
+    monkeypatch.setattr(gf3m._TableFreeCtx, "_smallest_primitive", lambda self: square)
     for fill in ("pure", "numpy"):
         _use_fill(monkeypatch, fill)
         with pytest.raises(ValueError, match="not a permutation"):
