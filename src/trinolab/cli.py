@@ -246,20 +246,21 @@ def _cmd_count_roots(args):
 
 
 def _cmd_factors(args):
+    # the source is checked before the field is built
     if args.poly is not None and (args.family is not None or args.t is not None):
         raise UsageError("factors takes --poly or --family and --t, not both")
+    if args.poly is None and (args.family is None or args.t is None):
+        raise UsageError("factors needs --poly or both --family and --t")
+    if args.t == "all":
+        raise UsageError("factors needs a single --t, not 'all'")
     ctx = _make_ctx(args, _FACTORS_CTX)
     if args.poly is not None:
         try:
             poly = Poly.from_text(ctx, args.poly)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-    elif args.family is not None and args.t is not None:
-        if args.t == "all":
-            raise UsageError("factors needs a single --t, not 'all'")
-        poly = conjlab.fiber_polynomial(args.family, _t_values(args, ctx)[0], ctx)
     else:
-        raise UsageError("factors needs --poly or both --family and --t")
+        poly = conjlab.fiber_polynomial(args.family, _t_values(args, ctx)[0], ctx)
     try:
         pairs = quadratic_factors(poly)
     except ValueError as exc:

@@ -22,6 +22,14 @@ operation:
   table build, and it runs without numpy up to k = 10, where the tables
   would not fit.
 
+The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
+2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module
+does no GF(3)[x] arithmetic of its own: Rabin's irreducibility test
+(gf3_is_irreducible) reads x^(3^i) mod f off polyring's Frobenius chain and
+takes polyring's gcds, and the core reduces the powers x^i mod f its tables
+start from with polyring's division.  default_modulus(2k) searches for the
+lexicographically smallest f.
+
 Every field is built through _TableFreeCtx, the core: it alone checks k
 against max_k, picks or checks the modulus (one Rabin test per modulus) and,
 when asked, finds the smallest primitive element alpha.  FieldCtx adds a
@@ -64,6 +72,8 @@ from array import array
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+from .polyring import Poly, _frobenius_chain, poly_gcd
+
 DEFAULT_MAX_K = 6
 # largest multiplicative group order n = 3^2k - 1 whose tables are filled in
 # pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon (best of five, two
@@ -86,76 +96,61 @@ TABLE_BYTES_CEILING = 2 * 2 ** 30
 
 
 # ---------------------------------------------------------------------------
-# GF(3)[x] helpers for modulus handling (coefficient tuples, low degree first)
+# the modulus: a polyring.Poly over GF(3)
 
-def _gf3_trim(p) -> tuple:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
+class _GF3:
+    """GF(3) as a polyring ctx: the encodings 0, 1, 2 are the elements,
+    every nonzero a is its own inverse, and the Frobenius is the identity."""
 
+    order = 3
+    m = 1
 
-def _gf3_divmod(a, b):
-    a = list(a)
-    b = _gf3_trim(b)
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    inv_lead = b[-1]  # over GF(3): 1->1, 2->2
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = (a[i + len(b) - 1] * inv_lead) % 3
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = (a[i + j] - c * bj) % 3
-    return _gf3_trim(q), _gf3_trim(a)
+    @staticmethod
+    def add(a: int, b: int) -> int:
+        return (a + b) % 3
 
+    @staticmethod
+    def sub(a: int, b: int) -> int:
+        return (a - b) % 3
 
-def _gf3_gcd(a, b) -> tuple:
-    a, b = _gf3_trim(a), _gf3_trim(b)
-    while b:
-        a, b = b, _gf3_divmod(a, b)[1]
-    return a
+    @staticmethod
+    def neg(a: int) -> int:
+        return -a % 3
+
+    @staticmethod
+    def mul(a: int, b: int) -> int:
+        return a * b % 3
+
+    @staticmethod
+    def inv(a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        return a
+
+    @staticmethod
+    def frobenius(a: int, e: int = 1) -> int:
+        return a
 
 
 def gf3_is_irreducible(f) -> bool:
-    """Rabin's test for a GF(3) polynomial f of degree d >= 1: f is
-    irreducible iff x^(3^d) = x mod f and gcd(x^(3^(d/p)) - x, f) = 1 for
-    every prime p dividing d.
+    """Rabin's test for a GF(3) polynomial f, a trit sequence low degree
+    first, of degree d >= 1: f is irreducible iff x^(3^d) = x mod f and
+    gcd(f, x^(3^(d/p)) - x) = 1 for every prime p dividing d (Rabin 1980,
+    Probabilistic algorithms in finite fields).
 
-    Residues mod f are length-d coefficient lists.  In characteristic 3 the
-    cube of sum c_j x^j is sum c_j x^(3j), so each cube is a GF(3)
-    combination of the rows x^(3j) mod f.
+    x^(3^i) mod f for i <= d is polyring's Frobenius chain over GF(3), and
+    the gcds are polyring's.
     """
-    f = _gf3_trim(f)
-    d = len(f) - 1
+    f = Poly(_GF3, f)
+    d = f.degree
     if d < 1:
         return False
-
-    def residue(p) -> list:
-        r = _gf3_divmod(p, f)[1]
-        return list(r) + [0] * (d - len(r))
-
-    rows = [residue((1,))]  # x^(3j) mod f for j < d
-    while len(rows) < d:
-        rows.append(residue([0, 0, 0] + rows[-1]))
-    x = residue((0, 1))
-    frobenius = [x]  # x^(3^i) mod f for i <= d
-    for _ in range(d):
-        acc = [0] * d
-        for c, row in zip(frobenius[-1], rows):
-            if c == 1:
-                acc = [u + v for u, v in zip(acc, row)]
-            elif c == 2:
-                acc = [u - v for u, v in zip(acc, row)]
-        frobenius.append([u % 3 for u in acc])
-    if frobenius[d] != x:
+    chain = _frobenius_chain(f, d)
+    x = chain[0]
+    if chain[d] != x:
         return False
-    for p in _factorize(d):
-        diff = [(u - v) % 3 for u, v in zip(frobenius[d // p], x)]
-        if len(_gf3_gcd(f, diff)) != 1:  # a factor of degree dividing d/p
-            return False
-    return True
+    # a nontrivial gcd is a factor of degree dividing d / p
+    return all(poly_gcd(f, chain[d // p] - x).degree == 0 for p in _factorize(d))
 
 
 def default_modulus(degree: int) -> tuple:
@@ -273,18 +268,13 @@ def _digit_sums(rows: list) -> list:
     return sums
 
 
-def _x_powers(modulus, count: int) -> list:
-    """Trit lists of x^i mod the monic modulus for i < count."""
-    m = len(modulus) - 1
-    row = [1] + [0] * (m - 1)
-    powers = []
-    for _ in range(count):
-        powers.append(row)
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [(r - top * f) % 3 for r, f in zip(row, modulus)]
-    return powers
+def _x_powers(modulus: Poly, count: int) -> list:
+    """Trits of x^i mod the modulus (a Poly over GF(3)) for i < count, each
+    from the last by a shift and one reduction step."""
+    powers = [Poly(_GF3, (1,))]  # the modulus has degree 2k >= 2
+    while len(powers) < count:
+        powers.append(Poly._trusted(_GF3, [0, *powers[-1].coeffs]) % modulus)
+    return [p.coeffs for p in powers]
 
 
 def _packed(trits) -> int:
@@ -304,15 +294,14 @@ class _TableFreeCtx:
     of x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
     int sum, -b is 2b, and a last translate turns the digits into the
     encoding's base-3 string.  The Frobenius y -> y^3 is GF(3)-linear,
-    applied by the same half tables on the images x^(3j) mod f; its e-fold
-    powers for e != 1 are memoised in the context (trace splitting asks for
-    the conjugates of each basis element 3^j).  a^(-1) = a^q N(a)^(q-2),
-    where the norm N(a) = a^(q+1) lies in GF(q).
+    applied by the same half tables on the images x^(3j) mod f, and its
+    e-fold power by e single cubes.  a^(-1) = a^q N(a)^(q-2), where the norm
+    N(a) = a^(q+1) lies in GF(q).
 
     It builds every field, FieldCtx's too.  k must lie in 1..max_k and
-    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must be
-    monic of degree m and pass one Rabin test, and None picks
-    default_modulus(m).
+    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must have
+    trits in 0..2, be monic of degree m and pass one Rabin test, and None
+    picks default_modulus(m).
 
     Public attributes: k, m, q, order and modulus, as in FieldCtx.
     """
@@ -323,20 +312,24 @@ class _TableFreeCtx:
             raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
                              f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
         if modulus is None:
-            modulus = default_modulus(m)
+            f = Poly(_GF3, default_modulus(m))
         else:
-            modulus = _gf3_trim(modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
+            try:
+                f = Poly(_GF3, modulus)  # trims, and checks every trit
+            except ValueError:
+                raise ValueError(f"modulus trits must be 0, 1 or 2, "
+                                 f"got {format_modulus(modulus)}") from None
+            if f.degree != m or f.leading != 1:
                 raise ValueError(f"modulus must be monic of degree {m}, "
-                                 f"got {format_modulus(modulus)}")
-            if not gf3_is_irreducible(modulus):
-                raise ValueError(f"reducible modulus: {format_modulus(modulus)}")
-        self.modulus = modulus
+                                 f"got {format_modulus(f.coeffs)}")
+            if not gf3_is_irreducible(f.coeffs):
+                raise ValueError(f"reducible modulus: {format_modulus(f.coeffs)}")
+        self.modulus = f.coeffs
         self.k = k
         self.m = m
         self.q = 3 ** k
         self.order = self.q ** 2
-        powers = _x_powers(modulus, 3 * m - 2)
+        powers = _x_powers(f, 3 * m - 2)
         self._low = low = _digit_sums([1 << 8 * j for j in range(k)])
         self._high = [v << 8 * k for v in low]
         # a product's 2m - 1 digits, highest first: the top k and the next
@@ -350,7 +343,6 @@ class _TableFreeCtx:
         # call (FieldCtx's use needs none)
         self._cubes = [_packed(powers[3 * j]) for j in range(m)]
         self._cube_low = self._cube_high = None
-        self._conjugates = {}  # (a, e) -> a^(3^e) for e not in (0, 1)
 
     @staticmethod
     def _degree(k: int, max_k: int) -> int:
@@ -433,15 +425,9 @@ class _TableFreeCtx:
                 self._cube_high = _digit_sums(self._cubes[self.k:])
             q = self.q
             return self._encoding(self._cube_low[a % q] + self._cube_high[a // q])
-        if e == 0:
-            return a
-        conj = self._conjugates.get((a, e))
-        if conj is None:
-            conj = a
-            for _ in range(e):
-                conj = self.frobenius(conj)
-            self._conjugates[a, e] = conj
-        return conj
+        for _ in range(e):
+            a = self.frobenius(a)
+        return a
 
     def __repr__(self):
         return f"_TableFreeCtx(k={self.k}, modulus={format_modulus(self.modulus)})"

@@ -1,8 +1,12 @@
-"""Dense univariate polynomials over a GF(3^2k) ctx.
+"""Dense univariate polynomials over a field ctx: GF(3^2k), or GF(3) itself.
 
 Coefficients are stored as integer encodings, low degree first, with trailing
 zeros trimmed; the zero polynomial has an empty coefficient tuple and degree
--1.  eval takes and returns encodings too.
+-1.  eval takes and returns encodings too.  A ctx is any object with order,
+m (its degree over GF(3)) and the scalar ops add, sub, neg, mul, inv and
+frobenius on encodings; both gf3m contexts serve, and so does gf3m's GF(3),
+over which the Frobenius chain and poly_gcd below run Rabin's
+irreducibility test of the field modulus.
 
 Quadratic factor extraction never scans the field and makes no pow_mod call.
 One Frobenius chain x^(3^i) mod p, i <= 4k, is built by cubing, which is
@@ -18,9 +22,7 @@ Cantor-Zassenhaus splitting with pow_mod, the candidate scan roots_in_set
 and a brute-force divisor search as oracles.
 """
 
-from typing import Iterable, Optional
-
-from .gf3m import FieldCtx
+from typing import Iterable
 
 
 class Poly:
@@ -28,7 +30,7 @@ class Poly:
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: FieldCtx, coeffs: Iterable = ()):
+    def __init__(self, ctx, coeffs: Iterable = ()):
         encs = []
         for c in coeffs:
             if not isinstance(c, int) or not 0 <= c < ctx.order:
@@ -40,7 +42,7 @@ class Poly:
         self.coeffs = tuple(encs)
 
     @classmethod
-    def _trusted(cls, ctx: FieldCtx, encs: list) -> "Poly":
+    def _trusted(cls, ctx, encs: list) -> "Poly":
         """Poly of a list of valid encodings, without __init__'s per-coefficient
         check; for results of the arithmetic below.  Trims encs in place."""
         while encs and encs[-1] == 0:
@@ -51,11 +53,11 @@ class Poly:
         return poly
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, degree: int, coeff: int = 1) -> "Poly":
+    def monomial(cls, ctx, degree: int, coeff: int = 1) -> "Poly":
         return cls(ctx, (0,) * degree + (coeff,))
 
     @classmethod
-    def from_text(cls, ctx: FieldCtx, text: str) -> "Poly":
+    def from_text(cls, ctx, text: str) -> "Poly":
         """Parse the "c0,c1,...,cn" format of decimal element encodings."""
         try:
             parts = [int(p) for p in text.split(",")]
@@ -205,7 +207,7 @@ def roots_in_set(p: Poly, candidates) -> list:
     return [x for x in sorted(candidates) if p.eval(x) == 0]
 
 
-def _combine(ctx: FieldCtx, scalars, polys, size: int) -> Poly:
+def _combine(ctx, scalars, polys, size: int) -> Poly:
     """sum(s * P for s, P in zip(scalars, polys)); every P has degree < size."""
     add, mul = ctx.add, ctx.mul
     out = [0] * size
@@ -250,7 +252,9 @@ def _trace_tries(w: Poly, d: int, chain: list):
         if y_degree == 2:
             powers = [(y * y) % w for y in powers]
         for j in range(ctx.m):
-            conjugates = [ctx.frobenius(3 ** j, i) for i in range(len(powers))]
+            conjugates = [3 ** j]  # c^(3^i), one cube at a time
+            while len(conjugates) < len(powers):
+                conjugates.append(ctx.frobenius(conjugates[-1]))
             yield _combine(ctx, conjugates, powers, w.degree)
 
 

@@ -181,6 +181,21 @@ def test_factors_requires_poly_or_family_t(capsys):
     assert code == 1 and "factors needs" in err
 
 
+def test_factors_validates_its_source_before_building_the_field(capsys, monkeypatch):
+    # a missing source or --t all is a usage error found before the field
+    # is built, as in count-roots
+    def no_field(*args):
+        raise AssertionError("field built before the source was validated")
+
+    monkeypatch.setattr(cli, "_FACTORS_CTX", no_field)
+    for argv, message in (
+            (("--k", "2"), "factors needs --poly or both --family and --t"),
+            (("--k", "2", "--family", "3", "--t", "all"),
+             "factors needs a single --t, not 'all'")):
+        code, out, err = run(capsys, "factors", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # factors runs on the table-free context
 

@@ -69,11 +69,14 @@ def test_default_modulus_skips_candidates_divisible_by_x(monkeypatch):
 
 
 def test_gf3_is_irreducible_agrees_with_reference():
+    # leading coefficient 2 too: the division by a non-monic f goes through
+    # GF(3)'s inv(2)
     import itertools
     for deg in range(8):
         for low in itertools.product(range(3), repeat=deg):
-            cand = tuple(low) + (1,)
-            assert gf3m.gf3_is_irreducible(cand) == ref_irreducible(cand), cand
+            for lead in (1, 2):
+                cand = tuple(low) + (lead,)
+                assert gf3m.gf3_is_irreducible(cand) == ref_irreducible(cand), cand
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +361,8 @@ def test_table_free_ctx_agrees_with_the_tables(ctx_for, k, modulus):
     (2, (1, 0, 0, 0, 1), 6, "reducible modulus: 1,0,0,0,1"),
     (2, (1, 0, 1, 1, 2), 6, "modulus must be monic of degree 4, got 1,0,1,1,2"),
     (2, (1, 0, 1), 6, "modulus must be monic of degree 4, got 1,0,1"),
+    (1, (2, -1, 1), 6, "modulus trits must be 0, 1 or 2, got 2,-1,1"),
+    (1, (1, 5, 1), 6, "modulus trits must be 0, 1 or 2, got 1,5,1"),
 ))
 def test_both_contexts_validate_alike(k, modulus, max_k, message):
     for make in (gf3m.FieldCtx, gf3m._TableFreeCtx):
