@@ -273,21 +273,18 @@ def _cmd_factors(args):
 def _cmd_lemma_verify(args):
     ctx = _make_ctx(args)
     k = ctx.k
-    derivation = (conjlab._quintic_coefficient_system if args.family == 3
-                  else conjlab._septic_coefficient_system)
+    derivation = (conjlab.verify_quintic_coefficient_system if args.family == 3
+                  else conjlab.verify_septic_coefficient_system)
     checked = []  # (t, a, b, case, relation_ok, derivation_ok) per witness
     for t, pairs in conjlab._fiber_factors(args.family, _t_values(args, ctx), ctx):
-        witnesses = conjlab._fiber_witnesses(args.family, t, pairs, ctx)
-        # one fiber polynomial, divided exactly by each of its witnesses
-        fiber = conjlab.fiber_polynomial(args.family, t, ctx) if witnesses else None
-        for w in witnesses:
+        for w in conjlab._fiber_witnesses(args.family, t, pairs, ctx):
             checked.append((t, w.a, w.b, w.lemma_case.value,
                             w.lemma_case is not conjlab.LemmaCase.NO_MATCH,
-                            derivation(w.a, w.b, t, fiber, ctx)))
-    # the field's tables (8n bytes, 344 MB at k = 8), held by ctx and by the
-    # last fiber polynomial, are freed before the row dicts, each about three
-    # times the size of its tuple, are built
-    del ctx, fiber
+                            derivation(w.a, w.b, t, ctx)))
+    # the field's tables (8n bytes, 344 MB at k = 8), held by ctx alone, are
+    # freed before the row dicts, each about three times the size of its
+    # tuple, are built
+    del ctx
     rows = [{"family": args.family, "k": k, "t": t, "a": a, "b": b,
              "lemma_case": case, "relation_ok": relation_ok,
              "derivation_ok": derivation_ok}

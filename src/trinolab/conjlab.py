@@ -350,14 +350,6 @@ def count_solutions_septic(t: int, ctx: FieldCtx):
 # ---------------------------------------------------------------------------
 # quadratic-factor relations
 
-def _scale(ctx: FieldCtx, n: int, x: int) -> int:
-    # integer scalar times field element; only the residue mod 3 matters
-    n %= 3
-    if n == 0:
-        return 0
-    return x if n == 1 else ctx.neg(x)
-
-
 def quintic_relation_holds(a: int, b: int, ctx: FieldCtx) -> bool:
     """a^2 = (eps-1) b^2 - (eps+1) b + (eps-1) for one of the roots of X^2+1."""
     eps = ctx.special_constants().epsilon
@@ -386,11 +378,46 @@ def classify_septic_factor(a: int, b: int, ctx: FieldCtx) -> LemmaCase:
     return LemmaCase.NO_MATCH
 
 
-def _check_witness(w: QuadFactorWitness, ctx: FieldCtx, family: int,
+def _quintic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
+    """(s1, s2, s3) with (x^2 + ax + b)(x^3 + s1 x^2 + s2 x + s3) the degree-5
+    fiber polynomial x^5 + t x^4 - x^3 + t x^2 - x - t.
+
+    The x^4, x^3 and x^2 coefficient equations give the cofactor by synthetic
+    division; the x^1 and x^0 equations say the remainder is 0, and
+    ValueError is raised when either fails.
+    """
+    mul, add, sub = ctx.mul, ctx.add, ctx.sub
+    s1 = sub(t, a)                            # a + s1 = t
+    s2 = sub(sub(2, b), mul(a, s1))           # b + a s1 + s2 = -1
+    s3 = sub(sub(t, mul(b, s1)), mul(a, s2))  # b s1 + a s2 + s3 = t
+    if add(mul(a, s3), mul(b, s2)) != 2 or mul(b, s3) != ctx.neg(t):
+        raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
+    return s1, s2, s3
+
+
+def _septic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
+    """(s1, ..., s5) with (x^2 + ax + b)(x^5 + s1 x^4 + ... + s5) the degree-7
+    fiber polynomial x^7 + t x^6 + t x^4 - x^3 - x - t, as _quintic_cofactor
+    does it: the x^6..x^2 equations give the cofactor, and the x^1 and x^0
+    equations are the zero remainder."""
+    mul, add, sub, neg = ctx.mul, ctx.add, ctx.sub, ctx.neg
+    s1 = sub(t, a)                                  # a + s1 = t
+    s2 = neg(add(b, mul(a, s1)))                    # b + a s1 + s2 = 0
+    s3 = sub(sub(t, mul(b, s1)), mul(a, s2))        # b s1 + a s2 + s3 = t
+    s4 = sub(sub(2, mul(b, s2)), mul(a, s3))        # b s2 + a s3 + s4 = -1
+    s5 = neg(add(mul(b, s3), mul(a, s4)))           # b s3 + a s4 + s5 = 0
+    if add(mul(b, s4), mul(a, s5)) != 2 or mul(b, s5) != neg(t):
+        raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
+    return s1, s2, s3, s4, s5
+
+
+def _check_witness(w: QuadFactorWitness, ctx: FieldCtx, cofactor,
                    require_symmetry: bool):
-    quad = Poly(ctx, (w.b, w.a, 1))
-    if not (fiber_polynomial(family, w.t, ctx) % quad).is_zero:
-        raise ValueError(f"witness fails divisibility: (a={w.a}, b={w.b}) at t={w.t}")
+    """Raise ValueError unless x^2 + ax + b divides the fiber polynomial at
+    w.t, by the recurrence cofactor (_quintic_cofactor or _septic_cofactor),
+    a and b are nonzero, and, when asked, a^q b = a."""
+    _require_in_mu(w.t, ctx)
+    cofactor(w.a, w.b, w.t, ctx)
     if w.a == 0 or w.b == 0:
         raise ValueError(f"witness needs a, b nonzero, got (a={w.a}, b={w.b})")
     if require_symmetry and ctx.mul(ctx.conjugate_q(w.a), w.b) != w.a:
@@ -399,13 +426,13 @@ def _check_witness(w: QuadFactorWitness, ctx: FieldCtx, family: int,
 
 def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: FieldCtx) -> bool:
     """Precondition-checked form of quintic_relation_holds for a witness."""
-    _check_witness(w, ctx, 3, require_symmetry=False)
+    _check_witness(w, ctx, _quintic_cofactor, require_symmetry=False)
     return quintic_relation_holds(w.a, w.b, ctx)
 
 
 def verify_septic_factor_case(w: QuadFactorWitness, ctx: FieldCtx) -> LemmaCase:
     """Precondition-checked form of classify_septic_factor for a witness."""
-    _check_witness(w, ctx, 2, require_symmetry=True)
+    _check_witness(w, ctx, _septic_cofactor, require_symmetry=True)
     return classify_septic_factor(w.a, w.b, ctx)
 
 
@@ -422,36 +449,17 @@ def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> 
 
 
 def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
-    """Divide the degree-5 fiber polynomial by x^2 + ax + b and check every
-    coefficient identity of the cubic cofactor, the two eliminated identities,
-    and the discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4."""
-    return _quintic_coefficient_system(a, b, t, fiber_polynomial(3, t, ctx), ctx)
-
-
-def _quintic_coefficient_system(a: int, b: int, t: int, fiber: Poly,
-                                ctx: FieldCtx) -> bool:
-    """verify_quintic_coefficient_system on the fiber polynomial at t, built
-    once by the caller for all of that fiber's witnesses."""
-    quad = Poly(ctx, (b, a, 1))
-    quo, rem = divmod(fiber, quad)
-    if not rem.is_zero:
-        raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
-    s3, s2, s1, lead = quo.coeffs
-    assert lead == 1
-    mul, add, sub, pw, neg = ctx.mul, ctx.add, ctx.sub, ctx.pow, ctx.neg
-    m1 = 2
-    coeff_system = (
-        add(a, s1) == t,
-        add(add(b, s2), mul(a, s1)) == m1,
-        add(add(mul(b, s1), mul(a, s2)), s3) == t,
-        add(mul(a, s3), mul(b, s2)) == m1,
-        mul(b, s3) == neg(t),
-    )
-    delta_lhs = add(pw(sub(b, 1), 4), _scale(ctx, 4, add(pw(b, 4), 1)))
-    delta_rhs = neg(pw(add(b, 1), 4))
-    return (all(coeff_system)
-            and quintic_displayed_identities_hold(a, b, t, ctx)
-            and delta_lhs == delta_rhs)
+    """Replay the degree-5 coefficient equations at t: _quintic_cofactor
+    reads the cubic cofactor off them and raises ValueError unless the
+    remainder is 0.  Then check the two eliminated identities and the
+    discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4, in which 4 = 1 in
+    GF(3)."""
+    _require_in_mu(t, ctx)
+    _quintic_cofactor(a, b, t, ctx)
+    add, sub, pw = ctx.add, ctx.sub, ctx.pow
+    delta_lhs = add(pw(sub(b, 1), 4), add(pw(b, 4), 1))
+    return (quintic_displayed_identities_hold(a, b, t, ctx)
+            and delta_lhs == ctx.neg(pw(add(b, 1), 4)))
 
 
 def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
@@ -468,38 +476,16 @@ def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> b
 
 
 def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
-    """Divide the degree-7 fiber polynomial by x^2 + ax + b and check the seven
-    coefficient identities of the quintic cofactor plus the two eliminated
-    identities; the cofactor tail is also recomputed backward from the
-    constant-term equations."""
-    return _septic_coefficient_system(a, b, t, fiber_polynomial(2, t, ctx), ctx)
-
-
-def _septic_coefficient_system(a: int, b: int, t: int, fiber: Poly,
-                               ctx: FieldCtx) -> bool:
-    """verify_septic_coefficient_system on the fiber polynomial at t, built
-    once by the caller for all of that fiber's witnesses."""
-    quad = Poly(ctx, (b, a, 1))
-    quo, rem = divmod(fiber, quad)
-    if not rem.is_zero:
-        raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
-    s5, s4, s3, s2, s1, lead = quo.coeffs
-    assert lead == 1
-    mul, add, sub, neg, div = ctx.mul, ctx.add, ctx.sub, ctx.neg, ctx.div
-    m1 = 2
-    coeff_system = (
-        add(a, s1) == t,
-        add(add(b, mul(a, s1)), s2) == 0,
-        add(add(mul(b, s1), mul(a, s2)), s3) == t,
-        add(add(mul(b, s2), mul(a, s3)), s4) == m1,
-        add(add(mul(b, s3), mul(a, s4)), s5) == 0,
-        add(mul(a, s5), mul(b, s4)) == m1,
-        mul(b, s5) == neg(t),
-    )
+    """Replay the degree-7 coefficient equations at t: _septic_cofactor reads
+    the quintic cofactor off them and raises ValueError unless the remainder
+    is 0.  Then recompute its tail s5, s4 backward from the constant-term
+    equations and check the two eliminated identities."""
+    _require_in_mu(t, ctx)
+    *_, s4, s5 = _septic_cofactor(a, b, t, ctx)
+    mul, sub, neg, div = ctx.mul, ctx.sub, ctx.neg, ctx.div
     back_s5 = div(neg(t), b)
     back_s4 = div(sub(mul(a, t), b), mul(b, b))
-    return (all(coeff_system)
-            and back_s5 == s5 and back_s4 == s4
+    return (back_s5 == s5 and back_s4 == s4
             and septic_displayed_identities_hold(a, b, t, ctx))
 
 

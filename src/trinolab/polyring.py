@@ -140,7 +140,7 @@ class Poly:
             return Poly(self.ctx), self
         ctx = self.ctx
         sub, mul = ctx.sub, ctx.mul
-        inv_lead = ctx.inv(other.leading)
+        inv_lead = 1 if other.leading == 1 else ctx.inv(other.leading)
         rem = list(self.coeffs)
         dq = other.degree
         quot = [0] * (len(rem) - dq)

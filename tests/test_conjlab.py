@@ -319,6 +319,19 @@ def test_fiber_polynomial_requires_t_in_mu():
         fiber_polynomial(2, 4, CTX9)  # 4 generates all of GF(9)*
 
 
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_fiber_polynomials_match_the_paper(ctx_for, k):
+    # the cofactor recurrences of the witness replay are written against
+    # these two polynomials, not against _FRACTIONAL_COEFFS
+    ctx = ctx_for(k)
+    for t in mu_enumerate(ctx, ctx.q + 1):
+        mt = ctx.neg(t)
+        # x^5 + t x^4 - x^3 + t x^2 - x - t, low degree first, 2 == -1
+        assert fiber_polynomial(3, t, ctx).coeffs == (mt, 2, t, 2, t, 1)
+        # x^7 + t x^6 + t x^4 - x^3 - x - t
+        assert fiber_polynomial(2, t, ctx).coeffs == (mt, 2, 0, 2, t, 0, t, 1)
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_fiber_roots_are_the_g_fibers(ctx_for, k):
     # family 1 and 3: roots in mu of the t-polynomial = g^{-1}(t);
@@ -508,6 +521,53 @@ def test_epsilon_case_is_exactly_b_minus_one_a_pm_eps(ctx_for):
     assert classify_septic_factor(eps, 2, ctx) is LemmaCase.EPSILON
     assert classify_septic_factor(ctx.neg(eps), 2, ctx) is LemmaCase.EPSILON
     assert classify_septic_factor(eps, 1, ctx) is LemmaCase.NO_MATCH
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("family", (2, 3))
+def test_cofactor_recurrences_match_exact_division(ctx_for, k, family):
+    # exact division by x^2 + ax + b is the oracle: a helper raises exactly
+    # when the remainder is nonzero, and otherwise returns the quotient's
+    # coefficients below its leading 1, top down
+    ctx = ctx_for(k)
+    cofactor = {2: conjlab._septic_cofactor, 3: conjlab._quintic_cofactor}[family]
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    factors = [(a, b, t) for t in mu
+               for a, b in quadratic_factors(fiber_polynomial(family, t, ctx))]
+    if k == 1:
+        cases = [(a, b, t) for t in mu for a in range(ctx.order)
+                 for b in range(1, ctx.order)]
+    else:
+        rng = random.Random(k)
+        cases = factors + [(rng.randrange(ctx.order), rng.randrange(1, ctx.order),
+                            rng.choice(mu)) for _ in range(1000)]
+    divided = 0
+    for a, b, t in cases:
+        quo, rem = divmod(fiber_polynomial(family, t, ctx), Poly(ctx, (b, a, 1)))
+        if rem.is_zero:
+            divided += 1
+            assert cofactor(a, b, t, ctx) == quo.coeffs[-2::-1], (a, b, t)
+        else:
+            with pytest.raises(ValueError, match="fails divisibility"):
+                cofactor(a, b, t, ctx)
+    assert divided >= len(factors)
+
+
+def test_witness_replay_builds_and_divides_no_polynomial(ctx_for, monkeypatch):
+    ctx = ctx_for(3)
+    quintic, septic = harvest_witnesses(3, ctx), harvest_witnesses(2, ctx)
+    assert quintic and septic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness replay touched a Poly")
+    for name in ("__init__", "_trusted", "__divmod__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for w in quintic:
+        assert verify_quintic_coefficient_system(w.a, w.b, w.t, ctx)
+        assert verify_quintic_factor_relation(w, ctx)
+    for w in septic:
+        assert verify_septic_coefficient_system(w.a, w.b, w.t, ctx)
+        assert verify_septic_factor_case(w, ctx) is not LemmaCase.NO_MATCH
 
 
 def test_verifiers_enforce_preconditions(ctx_for):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from trinolab.conjlab import FAMILIES, fiber_polynomial
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import mu_enumerate
-from trinolab import polyring
+from trinolab import gf3m, polyring
 from trinolab.polyring import (Poly, _frobenius_chain, _trace_split,
                                _trace_tries, poly_gcd, pow_mod,
                                quadratic_factors, roots_in_set)
@@ -208,6 +208,22 @@ def test_divmod_example():
     assert q.coeffs == (2, 0, 1) and r.is_zero
     q, r = divmod(Poly(CTX9, (1, 1, 1)), Poly(CTX9, (0, 1)))
     assert q.coeffs == (1, 1) and r.coeffs == (1,)
+
+
+def test_divmod_by_a_monic_divisor_takes_no_inverse(monkeypatch):
+    ctx = gf3m._TableFreeCtx(2)
+    calls = []
+    plain = ctx.inv
+
+    def counted(a):
+        calls.append(a)
+        return plain(a)
+    monkeypatch.setattr(ctx, "inv", counted)
+    p, monic = Poly(ctx, (2, 0, 0, 0, 1)), Poly(ctx, (1, 0, 1))
+    q, r = divmod(p, monic)
+    assert q * monic + r == p and calls == []
+    q, r = divmod(p, monic * 2)
+    assert q * (monic * 2) + r == p and calls == [2]
 
 
 def test_floordiv_mod_operators():
