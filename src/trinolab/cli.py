@@ -136,17 +136,19 @@ def parse_sweep_csv(text: str) -> list:
 # ---------------------------------------------------------------------------
 # command handlers; each returns (exit_code, report)
 
-# the context factors builds: its search touches a few thousand elements, so
-# the exp and log tables would cost more than the search (see gf3m); tests
-# swap in a table context to compare the two
-_FACTORS_CTX = gf3m._TableFreeCtx
+# the commands that build the exp and log tables: check-trinomial's direct
+# route passes over the whole field, mu enumerates up to the whole group, and
+# lemma-verify and uv-scan replay each witness in scalar ops, a lookup each on
+# the tables.  Every other command runs on the table-free core (see gf3m).
+_TABLE_COMMANDS = {"check-trinomial", "mu", "lemma-verify", "uv-scan"}
 
 
-def _make_ctx(args, make=None):
+def _make_ctx(args):
     modulus = parse_modulus_arg(args.modulus)
+    # looked up per call, as the handlers are in main
+    make = gf3m.ctx_create if args.command in _TABLE_COMMANDS else gf3m._TableFreeCtx
     try:
-        # gf3m.ctx_create is looked up per call, as the handlers are in main
-        return (make or gf3m.ctx_create)(args.k, modulus, args.max_k)
+        return make(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -253,7 +255,7 @@ def _cmd_factors(args):
         raise UsageError("factors needs --poly or both --family and --t")
     if args.t == "all":
         raise UsageError("factors needs a single --t, not 'all'")
-    ctx = _make_ctx(args, _FACTORS_CTX)
+    ctx = _make_ctx(args)
     if args.poly is not None:
         try:
             poly = Poly.from_text(ctx, args.poly)

@@ -451,15 +451,12 @@ def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> 
 def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """Replay the degree-5 coefficient equations at t: _quintic_cofactor
     reads the cubic cofactor off them and raises ValueError unless the
-    remainder is 0.  Then check the two eliminated identities and the
-    discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4, in which 4 = 1 in
-    GF(3)."""
+    remainder is 0.  Then check the two eliminated identities.  The
+    discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4 needs no check per
+    witness: it holds in GF(3)[b] (tests/test_conjlab.py expands it)."""
     _require_in_mu(t, ctx)
     _quintic_cofactor(a, b, t, ctx)
-    add, sub, pw = ctx.add, ctx.sub, ctx.pow
-    delta_lhs = add(pw(sub(b, 1), 4), add(pw(b, 4), 1))
-    return (quintic_displayed_identities_hold(a, b, t, ctx)
-            and delta_lhs == ctx.neg(pw(add(b, 1), 4)))
+    return quintic_displayed_identities_hold(a, b, t, ctx)
 
 
 def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
@@ -478,15 +475,12 @@ def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> b
 def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """Replay the degree-7 coefficient equations at t: _septic_cofactor reads
     the quintic cofactor off them and raises ValueError unless the remainder
-    is 0.  Then recompute its tail s5, s4 backward from the constant-term
-    equations and check the two eliminated identities."""
+    is 0.  Then check the two eliminated identities.  The cofactor's tail
+    needs no check of its own: the x^0 and x^1 equations the helper checks,
+    b s5 = -t and b s4 + a s5 = -1, give s5 = -t/b and s4 = (a t - b)/b^2."""
     _require_in_mu(t, ctx)
-    *_, s4, s5 = _septic_cofactor(a, b, t, ctx)
-    mul, sub, neg, div = ctx.mul, ctx.sub, ctx.neg, ctx.div
-    back_s5 = div(neg(t), b)
-    back_s4 = div(sub(mul(a, t), b), mul(b, b))
-    return (back_s5 == s5 and back_s4 == s4
-            and septic_displayed_identities_hold(a, b, t, ctx))
+    _septic_cofactor(a, b, t, ctx)
+    return septic_displayed_identities_hold(a, b, t, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -5,22 +5,21 @@ in the polynomial basis: trits (c0, c1, ..., c_{2k-1}) with c0 least
 significant, so encoding = sum(c_i * 3^i).  The encoding order doubles as the
 canonical tie-breaking order everywhere in this package.
 
-Two contexts implement the same element operations, and which one a command
-builds depends only on the command, traded set-up cost against cost per
-operation:
+Two contexts define the scalar ops, and _Field derives every other helper
+from them once.  Which one a command builds depends only on the command
+(cli._TABLE_COMMANDS), traded set-up cost against cost per operation:
 
 - FieldCtx precomputes exp and log tables of a primitive element, 8 bytes
   per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB
-  at k = 8.  A scalar op is then one or two lookups, 0.2-0.6 us, and numpy
-  passes over the whole field read the same tables.  Every command that
-  touches every element of the field, or of mu_{q+1}, builds it.
-- _TableFreeCtx keeps only tables of 3^k entries (0.2 ms of set-up at
-  k = 5, 3 ms at k = 8, 29 ms at k = 10) and multiplies by one Python int
-  product of packed trits (Kronecker substitution): 1.1-3.3 us a product
-  and 0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  factors builds it:
-  one fiber's search takes a few thousand operations, far less than a
-  table build, and it runs without numpy up to k = 10, where the tables
-  would not fit.
+  at k = 8, refused from k = 9.  A scalar op is then one or two lookups,
+  0.2-0.6 us, and numpy passes over the whole field read the same tables.
+  check-trinomial, mu, lemma-verify, uv-scan and sweep build it.
+- _TableFreeCtx keeps only tables of 3^k entries (2 ms of set-up at k = 5,
+  9 ms at k = 8, 35 ms at k = 10) and multiplies by one Python int product
+  of packed trits (Kronecker substitution): 1.1-3.3 us a product and
+  0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  field-info, check-g,
+  count-roots and factors build it: their O(q) or few thousand ops cost
+  less than a table build, and they run without numpy up to k = 10.
 
 The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
 2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module
@@ -31,8 +30,8 @@ start from with polyring's division.  default_modulus(2k) searches for the
 lexicographically smallest f.
 
 Every field is built through _TableFreeCtx, the core: it alone checks k
-against max_k, picks or checks the modulus (one Rabin test per modulus) and,
-when asked, finds the smallest primitive element alpha.  FieldCtx adds a
+against max_k, picks or checks the modulus (one Rabin test per modulus) and
+finds the smallest primitive element alpha.  FieldCtx adds a
 bound on its table size, checked before any work, and the tables.  It builds
 the core once, reads alpha from it, and takes the core's products alpha x^j
 (j < m), bitsliced as a pair of bitmasks of the trits equal to 1 and to 2,
@@ -281,9 +280,102 @@ def _packed(trits) -> int:
     return sum(c << 8 * i for i, c in enumerate(trits))
 
 
-class _TableFreeCtx:
-    """GF(3^2k) arithmetic without exp and log tables, for searches that
-    touch a few thousand elements (see the module docstring).
+class SpecialConstants(NamedTuple):
+    """Distinguished constants of a ctx, all as integer encodings.
+
+    epsilon: the smaller-encoded root of X^2 + 1 (always present; 4 | 3^2k - 1).
+    theta: the smallest-encoded root of X^3 - X - 1, present iff k % 3 == 0.
+    sqrt_eps_minus_1: the canonical square root of eps - 1 when it exists.
+    """
+    epsilon: int
+    theta: Optional[int]
+    sqrt_eps_minus_1: Optional[int]
+
+
+class _Field:
+    """The helpers both contexts derive from their scalar ops, written once.
+
+    A context defines add, sub, neg, mul, inv, pow and frobenius on
+    encodings, and sets the public attributes k, m (= 2k), q (= 3^k), order
+    (= 3^2k), modulus (monic GF(3) coefficient tuple, low degree first) and
+    alpha (encoding of the smallest primitive element).
+    """
+
+    _special: Optional[SpecialConstants] = None
+
+    def decode(self, enc: int) -> tuple:
+        """Trit vector (c0, ..., c_{m-1}) of an encoding."""
+        v = []
+        for _ in range(self.m):
+            v.append(enc % 3)
+            enc //= 3
+        return tuple(v)
+
+    def encode(self, trits: Iterable[int]) -> int:
+        trits = tuple(trits)
+        if len(trits) > self.m or any(t not in (0, 1, 2) for t in trits):
+            raise ValueError(f"bad trit vector {trits}")
+        return sum(c * 3 ** i for i, c in enumerate(trits))
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def conjugate_q(self, a: int) -> int:
+        """x -> x^q; on the norm-1 subgroup mu_{q+1} this is inversion."""
+        return self.frobenius(a, self.k)
+
+    def alpha_pow(self, i: int) -> int:
+        """Encoding of alpha^i for any integer i."""
+        return self.pow(self.alpha, i)
+
+    def is_square(self, a: int) -> bool:
+        """Euler's criterion: a is a square iff a = 0 or a^(n/2) = 1."""
+        return a == 0 or self.pow(a, (self.order - 1) // 2) == 1
+
+    def sqrt(self, a: int) -> Optional[int]:
+        """The smaller-encoded square root of a, or None when a is not a square.
+
+        With n = 2^s d, d odd, a^(-d) lies in the order-2^s subgroup <alpha^d>
+        and is a square there iff a is one.  Then w^2 = a^(-d) for some w in
+        it, found in at most 2^s products (64 up to k = 10), and
+        r = a^((d+1)/2) w squares to a."""
+        if a == 0:
+            return 0
+        n = self.order - 1
+        d = n // (n & -n)
+        target, z = self.pow(a, -d), self.alpha_pow(d)
+        w = 1
+        for _ in range((n & -n) // 2):
+            if self.mul(w, w) == target:
+                r = self.mul(self.pow(a, (d + 1) // 2), w)
+                return min(r, self.neg(r))
+            w = self.mul(w, z)
+        return None
+
+    def special_constants(self) -> SpecialConstants:
+        if self._special is None:
+            eps = self.alpha_pow((self.order - 1) // 4)
+            eps = min(eps, self.neg(eps))
+            if self.add(self.mul(eps, eps), 1) != 0:
+                raise ValueError("internal error: epsilon^2 + 1 != 0")
+            self._special = SpecialConstants(eps, solve_theta(self),
+                                             self.sqrt(self.sub(eps, 1)))
+        return self._special
+
+    def theta_roots(self) -> tuple:
+        """All roots of X^3 - X - 1 in this field (empty unless k % 3 == 0)."""
+        theta = self.special_constants().theta
+        if theta is None:
+            return ()
+        return (theta, self.frobenius(theta, 1), self.frobenius(theta, 2))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"
+
+
+class _TableFreeCtx(_Field):
+    """GF(3^2k) arithmetic without exp and log tables, for commands that
+    make O(q) scalar ops or fewer (see the module docstring).
 
     An element's trits become the base-256 digits of one int, packed from
     3^k-entry tables of each half of its encoding.  A product is one int
@@ -301,9 +393,7 @@ class _TableFreeCtx:
     It builds every field, FieldCtx's too.  k must lie in 1..max_k and
     1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must have
     trits in 0..2, be monic of degree m and pass one Rabin test, and None
-    picks default_modulus(m).
-
-    Public attributes: k, m, q, order and modulus, as in FieldCtx.
+    picks default_modulus(m).  Then it finds alpha, in about 1 ms.
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
@@ -343,6 +433,7 @@ class _TableFreeCtx:
         # call (FieldCtx's use needs none)
         self._cubes = [_packed(powers[3 * j]) for j in range(m)]
         self._cube_low = self._cube_high = None
+        self.alpha = self._smallest_primitive()
 
     @staticmethod
     def _degree(k: int, max_k: int) -> int:
@@ -397,9 +488,6 @@ class _TableFreeCtx:
         conj = self.frobenius(a, self.k)
         return self.mul(conj, self.pow(self.mul(conj, a), self.q - 2))
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -429,41 +517,24 @@ class _TableFreeCtx:
             a = self.frobenius(a)
         return a
 
-    def __repr__(self):
-        return f"_TableFreeCtx(k={self.k}, modulus={format_modulus(self.modulus)})"
-
-
-class SpecialConstants(NamedTuple):
-    """Distinguished constants of a ctx, all as integer encodings.
-
-    epsilon: the smaller-encoded root of X^2 + 1 (always present; 4 | 3^2k - 1).
-    theta: the smallest-encoded root of X^3 - X - 1, present iff k % 3 == 0.
-    sqrt_eps_minus_1: the canonical square root of eps - 1 when it exists.
-    """
-    epsilon: int
-    theta: Optional[int]
-    sqrt_eps_minus_1: Optional[int]
-
-
-class FieldCtx:
+class FieldCtx(_Field):
     """Arithmetic context for GF(3^2k) with exp and log tables, built on
-    the table-free core (see the module docstring).
+    the table-free core (see the module docstring) but not derived from it:
+    the core's set-up runs its own mul, which here would read the tables
+    before they exist.
 
     The tables are filled by stepping alpha^i in pure Python up to k = 5 and
-    by blocked numpy doubling above (see the module docstring), and square
-    roots are read off the log table.  The tables are two int32 array('i')
-    buffers: _exp (alpha^i for i < n) and _log (the log of each encoding;
-    _log[0] is an unused 0, so every op branches on 0 first), 8n bytes in
-    all: 4.3 MB at k = 6, 0.34 GB at k = 8.  The build holds nothing of size
-    n beyond them.  Scalar ops index them and get Python ints.  A log sum or
-    difference shifted into (-n, 0) indexes _exp from its end, where Python
-    wraps it to the same power of alpha, so add, sub, neg, mul and inv
-    reduce nothing mod n.
-    power_sum_images reads the tables as numpy views.
-
-    Public attributes: k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
-    (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
-    the smallest primitive element).
+    by blocked numpy doubling above (see the module docstring).  They are two
+    int32 array('i') buffers: _exp (alpha^i for i < n) and _log (the log of
+    each encoding; _log[0] is an unused 0, so every op branches on 0 first),
+    8n bytes in all: 4.3 MB at k = 6, 0.34 GB at k = 8.  The build holds
+    nothing of size n beyond them.  Scalar ops index them and get Python
+    ints.  A log sum or difference shifted into (-n, 0) indexes _exp from its
+    end, where Python wraps it to the same power of alpha, so add, sub, neg,
+    mul and inv reduce nothing mod n.  Of _Field's helpers only sqrt is
+    overridden, read off the log table: the generic search made lemma-verify
+    4-15% slower at k = 4 and 5.  power_sum_images reads the tables as numpy
+    views.
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
@@ -481,9 +552,8 @@ class FieldCtx:
         field = _TableFreeCtx(k, modulus, max_k)
         self.k, self.m, self.q, self.order = field.k, field.m, field.q, field.order
         self.modulus = field.modulus
-        self.alpha = a = field._smallest_primitive()
+        self.alpha = a = field.alpha
         self._n = n
-        self._special: Optional[SpecialConstants] = None
         # the rows of y -> alpha^h y, that is alpha^h x^j for j < m
         # bitsliced, for each h = 2^i < n the numpy fill doubles by (h = 1
         # alone for the pure fill); the core is dropped before the tables
@@ -505,20 +575,6 @@ class FieldCtx:
             self._fill_numpy(doublings)
 
     # -- construction ------------------------------------------------------
-
-    def decode(self, enc: int) -> tuple:
-        """Trit vector (c0, ..., c_{m-1}) of an encoding."""
-        v = []
-        for _ in range(self.m):
-            v.append(enc % 3)
-            enc //= 3
-        return tuple(v)
-
-    def encode(self, trits: Iterable[int]) -> int:
-        trits = tuple(trits)
-        if len(trits) > self.m or any(t not in (0, 1, 2) for t in trits):
-            raise ValueError(f"bad trit vector {trits}")
-        return sum(c * 3 ** i for i, c in enumerate(trits))
 
     def _fill_pure(self, rows: list):
         """Fill the tables by stepping alpha^i, one Python loop of n / 2 steps.
@@ -663,9 +719,6 @@ class FieldCtx:
             raise ZeroDivisionError("division by zero")
         return self._exp[-self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
@@ -679,29 +732,15 @@ class FieldCtx:
             return 0
         return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
 
-    def conjugate_q(self, a: int) -> int:
-        """x -> x^q; on the norm-1 subgroup mu_{q+1} this is inversion."""
-        return self.frobenius(a, self.k)
-
-    def alpha_pow(self, i: int) -> int:
-        """Encoding of alpha^i for any integer i."""
-        return self._exp[i % self._n]
-
-    def is_square(self, a: int) -> bool:
-        """a is a square iff it is 0 or an even power of alpha."""
-        return a == 0 or self._log[a] % 2 == 0
-
     def sqrt(self, a: int) -> Optional[int]:
-        """Square root read off the log table; returns the smaller-encoded root.
-
-        The two roots of alpha^L (L even) are +-alpha^(L/2).  Returns None when
-        a is not a square.
-        """
+        """_Field.sqrt read off the log table: the roots of alpha^L (L even)
+        are +-alpha^(L/2), and the smaller-encoded one is returned."""
         if a == 0:
             return 0
-        if not self.is_square(a):
+        log = self._log[a]
+        if log % 2:
             return None
-        r = self._exp[self._log[a] // 2]
+        r = self._exp[log // 2]
         return min(r, self.neg(r))
 
     # -- vector evaluation -------------------------------------------------
@@ -788,49 +827,23 @@ class FieldCtx:
                 images[:, h_zero[start:end]] = 0
                 yield images.ravel()
 
-    # -- distinguished constants -------------------------------------------
-
-    def special_constants(self) -> SpecialConstants:
-        if self._special is None:
-            eps = self.alpha_pow(self._n // 4)
-            eps = min(eps, self.neg(eps))
-            if self.add(self.mul(eps, eps), 1) != 0:
-                raise ValueError("internal error: epsilon^2 + 1 != 0")
-            theta = solve_theta(self)
-            self._special = SpecialConstants(
-                epsilon=eps,
-                theta=theta,
-                sqrt_eps_minus_1=self.sqrt(self.sub(eps, 1)),
-            )
-        return self._special
-
-    def theta_roots(self) -> tuple:
-        """All roots of X^3 - X - 1 in this field (empty unless k % 3 == 0)."""
-        theta = self.special_constants().theta
-        if theta is None:
-            return ()
-        return (theta, self.frobenius(theta, 1), self.frobenius(theta, 2))
-
-    def __repr__(self):
-        return f"FieldCtx(k={self.k}, modulus={format_modulus(self.modulus)})"
-
 
 def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:
     """Build a GF(3^2k) context; modulus defaults to the lex-smallest irreducible."""
     return FieldCtx(k, modulus, max_k)
 
 
-def primitive_element(ctx: FieldCtx) -> int:
+def primitive_element(ctx: _Field) -> int:
     """Encoding of the smallest generator of the multiplicative group."""
     return ctx.alpha
 
 
-def solve_epsilon(ctx: FieldCtx) -> int:
+def solve_epsilon(ctx: _Field) -> int:
     """Smaller-encoded root of X^2 + 1 (exists for every k)."""
     return ctx.special_constants().epsilon
 
 
-def solve_theta(ctx: FieldCtx) -> Optional[int]:
+def solve_theta(ctx: _Field) -> Optional[int]:
     """Smallest-encoded root of X^3 - X - 1, or None when k % 3 != 0.
 
     Roots of X^3 - X - 1 have multiplicative order 13, so candidates are
@@ -838,7 +851,7 @@ def solve_theta(ctx: FieldCtx) -> Optional[int]:
     """
     if ctx.k % 3 != 0:
         return None
-    step = ctx._n // 13
+    step = (ctx.order - 1) // 13
     roots = []
     for j in range(1, 13):
         c = ctx.alpha_pow(step * j)
@@ -849,7 +862,7 @@ def solve_theta(ctx: FieldCtx) -> Optional[int]:
     return min(roots)
 
 
-def parse_element(ctx: FieldCtx, text: str) -> int:
+def parse_element(ctx: _Field, text: str) -> int:
     """Parse an element: decimal encoding, or comma-separated trit list."""
     text = text.strip()
     if "," in text:

@@ -6,6 +6,7 @@ gcd(r, (3^2k - 1)/d) = 1 and x^r * h(x)^((3^2k - 1)/d) permutes the order-d
 subgroup mu_d.  Both sides are computed exactly over integer encodings.
 """
 
+from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -14,13 +15,13 @@ from .polyring import Poly
 
 
 def mu_enumerate(ctx: FieldCtx, d: int) -> frozenset:
-    """mu_d, the d-th roots of unity alpha^((order-1)/d * i) for i in 0..d-1,
-    as a frozenset; d must divide order-1."""
+    """mu_d, the d-th roots of unity z^i for z = alpha^((order-1)/d) and i in
+    0..d-1, as a frozenset, one product per element; d must divide order-1."""
     n = ctx.order - 1
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise ValueError(f"not a subgroup order: d={d} does not divide {n}")
-    step = n // d
-    return frozenset(ctx.alpha_pow(step * i) for i in range(d))
+    z = ctx.alpha_pow(n // d)
+    return frozenset(accumulate(repeat(z, d - 1), ctx.mul, initial=1))
 
 
 class MapReport(NamedTuple):

@@ -187,7 +187,7 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
     def no_field(*args):
         raise AssertionError("field built before the source was validated")
 
-    monkeypatch.setattr(cli, "_FACTORS_CTX", no_field)
+    monkeypatch.setattr(gf3m, "_TableFreeCtx", no_field)
     for argv, message in (
             (("--k", "2"), "factors needs --poly or both --family and --t"),
             (("--k", "2", "--family", "3", "--t", "all"),
@@ -197,15 +197,22 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# factors runs on the table-free context
+# the commands outside cli._TABLE_COMMANDS run on the table-free core
 
-def _factors_both_ways(capsys, monkeypatch, ctx_for, argv):
-    """(exit, stdout, stderr) of factors on the table-free context and on
-    the memoised table context, swapped in through cli._FACTORS_CTX."""
-    monkeypatch.setattr(cli, "_FACTORS_CTX", gf3m._TableFreeCtx)
-    free = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_FACTORS_CTX", ctx_for)
-    return free, run(capsys, *argv)
+def _both_ways(capsys, monkeypatch, ctx_for, argv):
+    """(exit, stdout, stderr) of a command on the table-free core, with
+    gf3m.ctx_create barred, and on the memoised table context, swapped in by
+    adding the command to cli._TABLE_COMMANDS."""
+    def no_tables(*args):
+        raise AssertionError(f"{argv[0]} built a table context")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf3m, "ctx_create", no_tables)
+        free = run(capsys, *argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_TABLE_COMMANDS", cli._TABLE_COMMANDS | {argv[0]})
+        patch.setattr(gf3m, "ctx_create", ctx_for)
+        return free, run(capsys, *argv)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
@@ -217,15 +224,30 @@ def test_factors_matches_the_table_path(capsys, monkeypatch, ctx_for, k):
         mu = sorted(random.Random(k).sample(mu, 12))
     for family in (1, 2, 3):
         for t in mu:
-            free, tables = _factors_both_ways(
+            free, tables = _both_ways(
                 capsys, monkeypatch, ctx_for,
                 ["factors", "--k", str(k), "--family", str(family), "--t", str(t),
                  "--format", "json"])
             assert free == tables and free[0] == 0, (family, t)
     poly = ",".join(str(random.Random(k).randrange(ctx.order)) for _ in range(9))
-    free, tables = _factors_both_ways(capsys, monkeypatch, ctx_for,
-                                      ["factors", "--k", str(k), "--poly", poly + ",1"])
+    free, tables = _both_ways(capsys, monkeypatch, ctx_for,
+                              ["factors", "--k", str(k), "--poly", poly + ",1"])
     assert free == tables and free[0] == 0
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_field_info_check_g_and_count_roots_match_the_table_path(
+        capsys, monkeypatch, ctx_for, k):
+    # the same bytes on both contexts, whatever the exit code (family 1 at
+    # odd k and family 3 at k = 2 mod 4 lie outside the claims)
+    commands = [["field-info"]]
+    for family in ("1", "2", "3"):
+        commands += [["check-g", "--family", family],
+                     ["count-roots", "--family", family, "--t", "all"]]
+    for argv in commands:
+        free, tables = _both_ways(capsys, monkeypatch, ctx_for,
+                                  [*argv, "--k", str(k), "--format", "json"])
+        assert free == tables and free[1], argv
 
 
 # sha1 of the stdout of each command, as the table path printed it
@@ -315,12 +337,44 @@ def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("argv", (("field-info",), ("lemma-verify", "--family", "3"),
-                                  ("uv-scan",), ("check-g", "--family", "2"),
-                                  ("count-roots", "--family", "2", "--t", "1")))
-def test_only_factors_runs_at_k9(capsys, argv):
+@pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),
+                                  ("mu", "--d", "2"), ("lemma-verify", "--family", "3"),
+                                  ("uv-scan",)), ids=lambda argv: argv[0])
+def test_table_commands_refuse_k9_at_once(capsys, argv):
+    start = time.perf_counter()
     code, _, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:])
     assert code == 1 and "too large" in err
+    assert time.perf_counter() - start < 1
+
+
+# runs a command in a grandchild and prints its exit code and peak RSS (KiB)
+# from os.wait4.  The small spawning process keeps the test process out of
+# the figure: Linux carries the peak RSS of the memory image that exec
+# replaces into the new program's ru_maxrss, and posix_spawn's child shares
+# its parent's image until the exec.
+RSS_PROBE = """
+import json, os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "trinolab", *sys.argv[1:]],
+                     os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
+"""
+
+
+@pytest.mark.parametrize("argv", ("field-info --k 9", "field-info --k 10",
+                                  "check-g --k 9 --family 2",
+                                  "count-roots --k 9 --family 2 --t 1"),
+                         ids=("field-info-k9", "field-info-k10", "check-g-k9",
+                              "count-roots-k9"))
+def test_core_commands_run_past_the_table_wall(argv):
+    # the tables would take about 3.1 GB at k = 9; the core needs none
+    k = argv.split()[2]
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv.split(),
+                           "--max-k", k], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = json.loads(proc.stdout)
+    assert code == 0 and peak_kib < 100 * 1024, (code, peak_kib)
 
 
 def test_lemma_verify_single_t_factors_one_fiber(capsys, monkeypatch):
@@ -615,7 +669,7 @@ def test_commands_build_fields_through_the_current_ctx_create(capsys, monkeypatc
         calls.append(args)
         return plain(*args)
     monkeypatch.setattr(gf3m, "ctx_create", counted)
-    code, _, _ = run(capsys, "field-info", "--k", "1")
+    code, _, _ = run(capsys, "mu", "--k", "1", "--d", "2")
     assert code == 0 and calls == [(1, None, 6)]
 
 

@@ -553,6 +553,46 @@ def test_cofactor_recurrences_match_exact_division(ctx_for, k, family):
     assert divided >= len(factors)
 
 
+def test_quintic_discriminant_identity_holds_in_gf3_b():
+    # (b-1)^4 + (b^4+1) + (b+1)^4 = 3b^4 + 12b^2 + 3 = 0 in GF(3)[b], so
+    # verify_quintic_coefficient_system does not replay it per witness
+    b, one = Poly(gf3m._GF3, (0, 1)), Poly(gf3m._GF3, (1,))
+
+    def fourth(p):
+        return (p * p) * (p * p)
+    assert fourth(b - one).degree == fourth(b + one).degree == 4
+    assert (fourth(b - one) + (fourth(b) + one) + fourth(b + one)).is_zero
+
+
+def test_septic_cofactor_tail_is_the_backward_recomputation(ctx_for):
+    # the x^1 and x^0 equations _septic_cofactor checks, b s4 + a s5 = -1 and
+    # b s5 = -t, give s5 = -t/b and s4 = (a t - b)/b^2, so
+    # verify_septic_coefficient_system does not recompute them
+    def tail_holds(a, b, t, ctx):
+        *_, s4, s5 = conjlab._septic_cofactor(a, b, t, ctx)
+        return (s5 == ctx.div(ctx.neg(t), b)
+                and s4 == ctx.div(ctx.sub(ctx.mul(a, t), b), ctx.mul(b, b)))
+
+    for k in (1, 2, 3):
+        ctx = ctx_for(k)
+        assert all(tail_holds(w.a, w.b, w.t, ctx) for w in harvest_witnesses(2, ctx))
+    # 1,000 seeded triples that divide, t anywhere in the field: two distinct
+    # nonzero roots x1, x2 of the fiber polynomial at t = N(x)/D(x) give the
+    # factor (x - x1)(x - x2).  k = 3 has 2,157 such pairs; N/D is injective
+    # on the whole field at k = 1, 2, 4 and 5
+    ctx = ctx_for(3)
+    num, den = (Poly(ctx, terms) for terms in conjlab._fiber_terms(2))
+    roots = {}
+    for x in range(1, ctx.order):
+        if den.eval(x):
+            roots.setdefault(ctx.div(num.eval(x), den.eval(x)), []).append(x)
+    triples = [(ctx.neg(ctx.add(x1, x2)), ctx.mul(x1, x2), t)
+               for t, xs in sorted(roots.items())
+               for i, x1 in enumerate(xs) for x2 in xs[i + 1:]]
+    for a, b, t in random.Random(7).sample(triples, 1000):
+        assert tail_holds(a, b, t, ctx), (a, b, t)
+
+
 def test_witness_replay_builds_and_divides_no_polynomial(ctx_for, monkeypatch):
     ctx = ctx_for(3)
     quintic, septic = harvest_witnesses(3, ctx), harvest_witnesses(2, ctx)

@@ -36,6 +36,19 @@ OTHER_MODULI = [(1, (2, 1, 1)), (2, (1, 2, 0, 1, 1)), (2, (1, 0, 1, 2, 1)),
                 (3, (1, 0, 0, 1, 0, 2, 1)), (4, (1, 0, 0, 0, 0, 2, 1, 0, 1))]
 
 
+@pytest.fixture(scope="session")
+def both_for(ctx_for):
+    """(table context, table-free core) of one field, both memoized: the
+    helpers gf3m._Field derives from the scalar ops run on each."""
+    cores = {}
+
+    def get(k, modulus=None):
+        if (k, modulus) not in cores:
+            cores[k, modulus] = gf3m._TableFreeCtx(k, modulus)
+        return ctx_for(k, modulus), cores[k, modulus]
+    return get
+
+
 # ---------------------------------------------------------------------------
 # modulus selection
 
@@ -258,23 +271,23 @@ def test_prime_subfield_encodings(ctx_for):
         assert ctx.mul(2, 2) == 1
 
 
-def test_known_gf9_facts(ctx_for):
-    ctx = ctx_for(1)
-    assert ctx.alpha == 4          # x + 1 generates GF(9)*
-    assert ctx.mul(3, 3) == 2      # x * x = x^2 = -1 mod x^2 + 1
-    assert ctx.pow(ctx.alpha, 8) == 1
-    assert ctx.pow(ctx.alpha, 4) == 2  # alpha^(n/2) = -1
+def test_known_gf9_facts(both_for):
+    for ctx in both_for(1):
+        assert ctx.alpha == 4          # x + 1 generates GF(9)*
+        assert ctx.mul(3, 3) == 2      # x * x = x^2 = -1 mod x^2 + 1
+        assert ctx.pow(ctx.alpha, 8) == 1
+        assert ctx.pow(ctx.alpha, 4) == 2  # alpha^(n/2) = -1
 
 
-def test_alpha_is_primitive(ctx_for):
+def test_alpha_is_primitive(both_for):
     for k in (1, 2, 3, 4):
-        ctx = ctx_for(k)
-        seen = set()
-        x = 1
-        for _ in range(ctx.order - 1):
-            seen.add(x)
-            x = ctx.mul(x, ctx.alpha)
-        assert x == 1 and len(seen) == ctx.order - 1
+        for ctx in both_for(k):
+            seen = set()
+            x = 1
+            for _ in range(ctx.order - 1):
+                seen.add(x)
+                x = ctx.mul(x, ctx.alpha)
+            assert x == 1 and len(seen) == ctx.order - 1
 
 
 def _prime_divisors(n):
@@ -287,18 +300,18 @@ def _has_full_order(c, n, modulus):
             and all(ref_pow(c, n // p, modulus) != 1 for p in _prime_divisors(n)))
 
 
-def test_alpha_is_the_smallest_primitive_element(ctx_for):
+def test_alpha_is_the_smallest_primitive_element(both_for):
     for k, modulus in [(k, None) for k in (1, 2, 3)] + OTHER_MODULI[:4]:
-        ctx = ctx_for(k, modulus)
-        n = ctx.order - 1
-        assert _has_full_order(ctx.alpha, n, ctx.modulus)
-        for c in range(2, ctx.alpha):
-            assert not _has_full_order(c, n, ctx.modulus), c
+        for ctx in both_for(k, modulus):
+            n = ctx.order - 1
+            assert _has_full_order(ctx.alpha, n, ctx.modulus)
+            for c in range(2, ctx.alpha):
+                assert not _has_full_order(c, n, ctx.modulus), c
     # pinned: another alpha would change every table and every report
-    assert [ctx_for(k).alpha for k in (4, 5, 6)] == [4, 34, 4]
+    assert [ctx.alpha for k in (4, 5, 6) for ctx in both_for(k)] == [4, 4, 34, 34, 4, 4]
     assert ctx_create(1, (2, 1, 1)).alpha == 3
-    # FieldCtx takes alpha from this search; k = 7 without the table fill
-    assert gf3m._TableFreeCtx(7, max_k=7)._smallest_primitive() == 4
+    # FieldCtx takes alpha from the core; k = 7 without the table fill
+    assert gf3m._TableFreeCtx(7, max_k=7).alpha == 4
 
 
 @pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
@@ -486,15 +499,15 @@ def test_ctx_tables_are_int32_buffers(traced_k5_build):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_zero_is_handled_before_the_log_table(ctx_for, k):
+def test_zero_is_handled_before_the_log_table(both_for, k):
     # _log[0] is an int like any other entry, so every op must branch on 0
-    ctx = ctx_for(k)
-    for e in range(2 * ctx.m + 1):
-        assert ctx.frobenius(0, e) == 0
-    assert ctx.sqrt(0) == 0
-    assert ctx.is_square(0)
-    assert ctx.neg(0) == 0 and ctx.mul(0, ctx.alpha) == 0
-    assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
+    for ctx in both_for(k):
+        for e in range(2 * ctx.m + 1):
+            assert ctx.frobenius(0, e) == 0
+        assert ctx.sqrt(0) == 0
+        assert ctx.is_square(0)
+        assert ctx.neg(0) == 0 and ctx.mul(0, ctx.alpha) == 0
+        assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -558,11 +571,12 @@ def test_power_sum_images_match_the_per_term_zech_oracle(ctx_for, monkeypatch, k
     assert zech_power_sum_images(ctx, cases[3])[0] == 0
 
 
-def test_alpha_pow_matches_pow(ctx_for):
-    ctx = ctx_for(2)
-    n = ctx.order - 1
+def test_alpha_pow_matches_pow(both_for):
+    tables, core = both_for(2)
+    n = tables.order - 1
     for i in (-3, 0, 1, 7, n - 1, n, n + 5):
-        assert ctx.alpha_pow(i) == ctx.pow(ctx.alpha, i)
+        assert core.alpha_pow(i) == tables.alpha_pow(i) == tables.pow(tables.alpha, i)
+    assert [tables.alpha_pow(i) for i in range(n)] == list(tables._exp)
 
 
 # ---------------------------------------------------------------------------
@@ -589,127 +603,143 @@ def test_frobenius_additive_and_multiplicative(a, b):
     assert ctx.frobenius(ctx.mul(a, b)) == ctx.mul(fa, fb)
 
 
-def test_conjugate_q_fixes_exactly_the_subfield(ctx_for):
-    ctx = ctx_for(2)
-    fixed = [a for a in range(ctx.order) if ctx.conjugate_q(a) == a]
-    assert len(fixed) == ctx.q
-    for a in fixed:
-        for b in fixed:
-            assert ctx.mul(a, b) in fixed  # closed, i.e. a copy of GF(q)
+def test_conjugate_q_fixes_exactly_the_subfield(both_for):
+    for ctx in both_for(2):
+        fixed = [a for a in range(ctx.order) if ctx.conjugate_q(a) == a]
+        assert len(fixed) == ctx.q
+        for a in fixed:
+            for b in fixed:
+                assert ctx.mul(a, b) in fixed  # closed, i.e. a copy of GF(q)
 
 
 # ---------------------------------------------------------------------------
 # squares and square roots, against the exhaustive square table
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_sqrt_matches_exhaustive_table(ctx_for, k):
-    ctx = ctx_for(k)
+def test_sqrt_matches_exhaustive_table(both_for, k):
+    tables, core = both_for(k)
     squares = {}
-    for x in range(ctx.order):
-        squares.setdefault(ctx.mul(x, x), []).append(x)
-    for a in range(ctx.order):
+    for x in range(tables.order):
+        squares.setdefault(tables.mul(x, x), []).append(x)
+    for a in range(tables.order):
         if a in squares:
-            assert ctx.is_square(a)
-            r = ctx.sqrt(a)
+            assert tables.is_square(a) and core.is_square(a)
+            r = tables.sqrt(a)
             assert r == min(squares[a])
-            assert ctx.mul(r, r) == a
+            assert tables.mul(r, r) == a
         else:
-            assert not ctx.is_square(a)
-            assert ctx.sqrt(a) is None
+            assert not tables.is_square(a) and not core.is_square(a)
+            assert tables.sqrt(a) is None
 
 
-def test_known_gf9_sqrt(ctx_for):
-    ctx = ctx_for(1)
-    assert ctx.sqrt(2) == 3
-    assert ctx.sqrt(4) is None  # alpha itself is a non-square
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 7, 8))
+def test_core_sqrt_matches_the_log_table(k):
+    # every element up to k = 4, 3,000 seeded ones above; the k = 7 and 8
+    # tables (38 MB and 0.34 GB) are built here and dropped at the end
+    tables = ctx_create(k, max_k=k)
+    core = gf3m._TableFreeCtx(k, max_k=k)
+    elements = range(tables.order)
+    if k > 4:
+        rng = random.Random(f"sqrt:{k}")
+        elements = [rng.randrange(tables.order) for _ in range(3000)]
+    for a in elements:
+        assert core.sqrt(a) == tables.sqrt(a), a
 
 
-def test_sqrt_normalization_picks_smaller_root(ctx_for):
-    ctx = ctx_for(3)
-    rng = random.Random(99)
-    for _ in range(50):
-        x = rng.randrange(1, ctx.order)
-        a = ctx.mul(x, x)
-        r = ctx.sqrt(a)
-        assert r == min(x, ctx.neg(x))
-        assert ctx.mul(r, r) == a
+def test_known_gf9_sqrt(both_for):
+    for ctx in both_for(1):
+        assert ctx.sqrt(2) == 3
+        assert ctx.sqrt(4) is None  # alpha itself is a non-square
+
+
+def test_sqrt_normalization_picks_smaller_root(both_for):
+    for ctx in both_for(3):
+        rng = random.Random(99)
+        for _ in range(50):
+            x = rng.randrange(1, ctx.order)
+            a = ctx.mul(x, x)
+            r = ctx.sqrt(a)
+            assert r == min(x, ctx.neg(x))
+            assert ctx.mul(r, r) == a
 
 
 # ---------------------------------------------------------------------------
 # distinguished constants
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_epsilon_squares_to_minus_one(ctx_for, k):
-    ctx = ctx_for(k)
-    eps = ctx.special_constants().epsilon
-    assert ctx.mul(eps, eps) == 2
-    assert eps == min(eps, ctx.neg(eps))
+def test_epsilon_squares_to_minus_one(both_for, k):
+    tables, core = both_for(k)
+    assert core.special_constants() == tables.special_constants()
+    eps = tables.special_constants().epsilon
+    assert tables.mul(eps, eps) == 2
+    assert eps == min(eps, tables.neg(eps))
 
 
-def test_epsilon_known_values(ctx_for):
-    assert ctx_for(1).special_constants().epsilon == 3
-    assert ctx_for(2).special_constants().epsilon == 15
-
-
-@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_theta_exists_exactly_when_k_divisible_by_3(ctx_for, k):
-    ctx = ctx_for(k)
-    theta = ctx.special_constants().theta
-    if k % 3 == 0:
-        assert theta is not None
-        # theta^3 = theta + 1
-        assert ctx.pow(theta, 3) == ctx.add(theta, 1)
-        assert ctx.pow(theta, 13) == 1
-    else:
-        assert theta is None
-        assert gf3m.solve_theta(ctx) is None
-
-
-def test_theta_known_value_and_conjugates(ctx_for):
-    ctx = ctx_for(3)
-    sc = ctx.special_constants()
-    assert sc.theta == 327
-    roots = ctx.theta_roots()
-    assert roots[0] == sc.theta
-    assert sorted(roots) == [327, 328, 329]
-    for th in roots:
-        assert ctx.sub(ctx.pow(th, 3), ctx.add(th, 1)) == 0
-    # conjugates under the cube map
-    assert roots[1] == ctx.frobenius(roots[0])
-    assert roots[2] == ctx.frobenius(roots[1])
+def test_epsilon_known_values(both_for):
+    for ctx in both_for(1) + both_for(2):
+        assert ctx.special_constants().epsilon == (3 if ctx.k == 1 else 15)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_sqrt_eps_minus_1_presence(ctx_for, k):
-    ctx = ctx_for(k)
-    sc = ctx.special_constants()
-    eps_minus_1 = ctx.sub(sc.epsilon, 1)
-    if k % 2 == 0:
-        assert sc.sqrt_eps_minus_1 is not None
-        s = sc.sqrt_eps_minus_1
-        assert ctx.mul(s, s) == eps_minus_1
-        # s^(q-1) = 1 exactly when k is 0 mod 4
-        assert (ctx.pow(s, ctx.q - 1) == 1) == (k % 4 == 0)
-    else:
-        assert sc.sqrt_eps_minus_1 is None
-        assert not ctx.is_square(eps_minus_1)
+def test_theta_exists_exactly_when_k_divisible_by_3(both_for, k):
+    for ctx in both_for(k):
+        theta = ctx.special_constants().theta
+        if k % 3 == 0:
+            assert theta is not None
+            # theta^3 = theta + 1
+            assert ctx.pow(theta, 3) == ctx.add(theta, 1)
+            assert ctx.pow(theta, 13) == 1
+        else:
+            assert theta is None
+            assert gf3m.solve_theta(ctx) is None
 
 
-def test_sqrt_eps_minus_1_known_value(ctx_for):
-    assert ctx_for(2).special_constants().sqrt_eps_minus_1 == 32
+def test_theta_known_value_and_conjugates(both_for):
+    for ctx in both_for(3):
+        sc = ctx.special_constants()
+        assert sc.theta == 327
+        roots = ctx.theta_roots()
+        assert roots[0] == sc.theta
+        assert sorted(roots) == [327, 328, 329]
+        for th in roots:
+            assert ctx.sub(ctx.pow(th, 3), ctx.add(th, 1)) == 0
+        # conjugates under the cube map
+        assert roots[1] == ctx.frobenius(roots[0])
+        assert roots[2] == ctx.frobenius(roots[1])
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_sqrt_eps_minus_1_presence(both_for, k):
+    for ctx in both_for(k):
+        sc = ctx.special_constants()
+        eps_minus_1 = ctx.sub(sc.epsilon, 1)
+        if k % 2 == 0:
+            assert sc.sqrt_eps_minus_1 is not None
+            s = sc.sqrt_eps_minus_1
+            assert ctx.mul(s, s) == eps_minus_1
+            # s^(q-1) = 1 exactly when k is 0 mod 4
+            assert (ctx.pow(s, ctx.q - 1) == 1) == (k % 4 == 0)
+        else:
+            assert sc.sqrt_eps_minus_1 is None
+            assert not ctx.is_square(eps_minus_1)
+
+
+def test_sqrt_eps_minus_1_known_value(both_for):
+    for ctx in both_for(2):
+        assert ctx.special_constants().sqrt_eps_minus_1 == 32
 
 
 # ---------------------------------------------------------------------------
 # parsing and the element wrapper
 
-def test_parse_element_roundtrip(ctx_for):
-    ctx = ctx_for(2)
-    assert gf3m.parse_element(ctx, "12") == 12
-    assert gf3m.parse_element(ctx, "1,2") == trits_to_enc([1, 2, 0, 0])
-    with pytest.raises(ValueError, match="malformed element"):
-        gf3m.parse_element(ctx, "x+1")
-    with pytest.raises(ValueError, match="out of range"):
-        gf3m.parse_element(ctx, "81")
+def test_parse_element_roundtrip(both_for):
+    for ctx in both_for(2):
+        assert gf3m.parse_element(ctx, "12") == 12
+        assert gf3m.parse_element(ctx, "1,2") == trits_to_enc([1, 2, 0, 0])
+        with pytest.raises(ValueError, match="malformed element"):
+            gf3m.parse_element(ctx, "x+1")
+        with pytest.raises(ValueError, match="out of range"):
+            gf3m.parse_element(ctx, "81")
 
 
 def test_parse_format_modulus_roundtrip():
@@ -721,13 +751,14 @@ def test_parse_format_modulus_roundtrip():
         gf3m.parse_modulus("")
 
 
-def test_encode_decode_roundtrip(ctx_for):
-    ctx = ctx_for(2)
-    for enc in (0, 1, 2, 17, 80):
-        assert ctx.encode(ctx.decode(enc)) == enc
-    assert ctx.decode(5) == (2, 1, 0, 0)
-    with pytest.raises(ValueError, match="bad trit vector"):
-        ctx.encode([3, 0, 0, 0])
+def test_encode_decode_roundtrip(both_for):
+    for ctx in both_for(2):
+        for enc in (0, 1, 2, 17, 80):
+            assert ctx.encode(ctx.decode(enc)) == enc
+        assert ctx.decode(5) == (2, 1, 0, 0)
+        with pytest.raises(ValueError, match="bad trit vector"):
+            ctx.encode([3, 0, 0, 0])
+        assert repr(ctx) == f"{type(ctx).__name__}(k=2, modulus=1,0,1,1,1)"
 
 
 # ---------------------------------------------------------------------------
