@@ -48,7 +48,8 @@ for k in (1, 2, 3):
 ctx = ctx_create(3)
 sc = ctx.special_constants()
 print(f"k=3: theta = {sc.theta}, theta^13 = {ctx.pow(sc.theta, 13)}")
-print(f"     conjugates {ctx.theta_roots()} (orbit under the cube map)")
+conjugates = tuple(ctx.frobenius(sc.theta, i) for i in range(3))
+print(f"     conjugates {conjugates} (orbit under the cube map)")
 print(f"k=2: theta = {ctx_create(2).special_constants().theta}")
 
 # square roots read off the log table: alpha^L is a square iff L is even,

@@ -30,7 +30,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
+from .gf3m import DEFAULT_MAX_K, FieldCtx, _Field, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, quadratic_factors, roots_in_set
 
@@ -131,7 +131,7 @@ class SweepReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # families and their reduced maps
 
-def trinomial_family(family: int, l: int, ctx: FieldCtx) -> TrinomialSpec:
+def trinomial_family(family: int, l: int, ctx: _Field) -> TrinomialSpec:
     """The TrinomialSpec of one family member; l must keep all three exponents
     nonnegative.  Only the three signed terms are kept, so the cost does not
     grow with l."""
@@ -160,7 +160,7 @@ def _terms(spec: TrinomialSpec) -> list:
     return [(1 if s > 0 else 2, e) for e, s in zip(spec.exponents, spec.signs)]
 
 
-def trinomial_map(spec: TrinomialSpec, ctx: FieldCtx):
+def trinomial_map(spec: TrinomialSpec, ctx: _Field):
     """Fast evaluator x -> x^e1 +/- x^e2 +/- x^e3 (no dense polynomial)."""
     (s1, e1), (s2, e2), (s3, e3) = _terms(spec)
     add, mul, pw = ctx.add, ctx.mul, ctx.pow
@@ -172,7 +172,7 @@ def trinomial_map(spec: TrinomialSpec, ctx: FieldCtx):
     return fn
 
 
-def trinomial_decompose(spec: TrinomialSpec, ctx: FieldCtx):
+def trinomial_decompose(spec: TrinomialSpec, ctx: _Field):
     """Write f = x^r * h(x^(q-1)) with r the smallest exponent; returns (r, h).
 
     The reconstruction x^r * h(x^(q-1)) is re-checked term for term against
@@ -201,20 +201,20 @@ _FRACTIONAL_COEFFS = {
 }
 
 
-def fractional_map(family: int, ctx: FieldCtx) -> FractionalMap:
+def fractional_map(family: int, ctx: _Field) -> FractionalMap:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
     num, den = _FRACTIONAL_COEFFS[family]
     return FractionalMap(family, Poly(ctx, num), Poly(ctx, den))
 
 
-def denominator_nonvanishing(family: int, ctx: FieldCtx) -> bool:
+def denominator_nonvanishing(family: int, ctx: _Field) -> bool:
     """True when the family's denominator has no root in mu_{q+1}."""
     den = fractional_map(family, ctx).denominator
     return not roots_in_set(den, mu_enumerate(ctx, ctx.q + 1))
 
 
-def _g_table(family: int, ctx: FieldCtx) -> dict:
+def _g_table(family: int, ctx: _Field) -> dict:
     """{x: g(x)} over mu_{q+1} in increasing encoding order, from one
     evaluation of the family's N and D per x; None marks D(x) = 0.  Commands
     read it only through _fiber_roots; the public g_permutes_mu also builds it.
@@ -241,7 +241,7 @@ def _g_bijection(fibers: dict) -> bool:
     return all(len(roots) == 1 for roots in fibers.values())
 
 
-def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
+def g_permutes_mu(family: int, ctx: _Field) -> MapReport:
     """Bijection report for the family's fractional map on mu_{q+1}.
 
     Raises ValueError if the denominator vanishes on mu_{q+1}, and
@@ -292,7 +292,7 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
 # ---------------------------------------------------------------------------
 # fiber polynomials and root counts
 
-def _require_in_mu(t: int, ctx: FieldCtx):
+def _require_in_mu(t: int, ctx: _Field):
     if not isinstance(t, int) or not 0 < t < ctx.order \
             or ctx.pow(t, ctx.q + 1) != 1:
         raise ValueError(f"t={t} not in mu_(q+1)")
@@ -308,7 +308,7 @@ def _fiber_terms(family: int):
     return (den, num) if family == 2 else (num, den)
 
 
-def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
+def fiber_polynomial(family: int, t: int, ctx: _Field) -> Poly:
     """The polynomial whose roots in mu_{q+1} form the fiber of the family's
     reduced map at parameter t."""
     _require_in_mu(t, ctx)
@@ -318,7 +318,7 @@ def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
                       for n, d in zip_longest(num, den, fillvalue=0)])
 
 
-def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
+def _fiber_roots(family: int, ctx: _Field) -> dict:
     """{t: sorted roots in mu_{q+1} of fiber_polynomial(family, t)} for every
     t in mu_{q+1}, read off the family's _g_table.
 
@@ -335,13 +335,13 @@ def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
     return fibers
 
 
-def count_solutions_quintic(t: int, ctx: FieldCtx):
+def count_solutions_quintic(t: int, ctx: _Field):
     """(count, roots) of x^5 + t x^4 - x^3 + t x^2 - x - t over mu_{q+1}."""
     roots = roots_in_set(fiber_polynomial(3, t, ctx), mu_enumerate(ctx, ctx.q + 1))
     return len(roots), roots
 
 
-def count_solutions_septic(t: int, ctx: FieldCtx):
+def count_solutions_septic(t: int, ctx: _Field):
     """(count, roots) of x^7 + t x^6 + t x^4 - x^3 - x - t over mu_{q+1}."""
     roots = roots_in_set(fiber_polynomial(2, t, ctx), mu_enumerate(ctx, ctx.q + 1))
     return len(roots), roots
@@ -350,35 +350,43 @@ def count_solutions_septic(t: int, ctx: FieldCtx):
 # ---------------------------------------------------------------------------
 # quadratic-factor relations
 
-def quintic_relation_holds(a: int, b: int, ctx: FieldCtx) -> bool:
-    """a^2 = (eps-1) b^2 - (eps+1) b + (eps-1) for one of the roots of X^2+1."""
-    eps = ctx.special_constants().epsilon
-    a2 = ctx.mul(a, a)
-    b2 = ctx.mul(b, b)
-    for e in (eps, ctx.neg(eps)):
-        em1 = ctx.sub(e, 1)
-        rhs = ctx.sub(ctx.add(ctx.mul(em1, b2), em1), ctx.mul(ctx.add(e, 1), b))
-        if a2 == rhs:
-            return True
-    return False
+def _discriminant_form(a: int, b: int, ctx: _Field) -> tuple:
+    """(D, W) = (a^2 - b, (b + 1)^2) of x^2 + ax + b.  D is its discriminant
+    a^2 - 4b in characteristic 3, and both case relations say D = cW."""
+    b1 = ctx.add(b, 1)
+    return ctx.sub(ctx.mul(a, a), b), ctx.mul(b1, b1)
 
 
-def classify_septic_factor(a: int, b: int, ctx: FieldCtx) -> LemmaCase:
+def quintic_relation_holds(a: int, b: int, ctx: _Field) -> bool:
+    """a^2 = (e-1) b^2 - (e+1) b + (e-1) for a root e = +/-eps of X^2 + 1.
+
+    Subtract b from both sides: a^2 - b = (e-1)(b^2 - b + 1) = (e-1)(b+1)^2
+    in characteristic 3, that is D = cW for (D, W) of _discriminant_form,
+    where c = e - 1 runs over the two roots of X^2 - X - 1.  The product of
+    D - cW over both is D^2 - DW - W^2, so the relation holds iff that is 0."""
+    d, w = _discriminant_form(a, b, ctx)
+    return ctx.mul(d, ctx.sub(d, w)) == ctx.mul(w, w)
+
+
+def classify_septic_factor(a: int, b: int, ctx: _Field) -> LemmaCase:
     """Match (a, b) against the two closed-form cases of the degree-7 analysis:
     (a, b) = (+/-eps, -1), or a^2 = theta b^2 - (theta-1) b + theta for a root
-    theta of X^3 - X - 1 (only possible when k % 3 == 0)."""
-    a2 = ctx.mul(a, a)
-    if b == 2 and a2 == 2:  # b = -1 and a = +/-eps
-        return LemmaCase.EPSILON
-    b2 = ctx.mul(b, b)
-    for th in ctx.theta_roots():
-        rhs = ctx.add(ctx.sub(ctx.mul(th, b2), ctx.mul(ctx.sub(th, 1), b)), th)
-        if a2 == rhs:
-            return LemmaCase.THETA
-    return LemmaCase.NO_MATCH
+    theta of X^3 - X - 1 (only possible when k % 3 == 0).
+
+    Subtract b from both sides of the theta case: a^2 - b = theta(b^2 - b + 1)
+    = theta (b+1)^2 in characteristic 3, that is D = theta W for (D, W) of
+    _discriminant_form.  D^3 - DW^2 - W^3 is the product of D - theta W over
+    the three roots, so it vanishes iff D = theta W for a root theta in the
+    field, or W = 0 = D, that is b = -1 and a^2 = -1: the epsilon case."""
+    d, w = _discriminant_form(a, b, ctx)
+    mul = ctx.mul
+    w2 = mul(w, w)
+    if mul(d, ctx.sub(mul(d, d), w2)) != mul(w, w2):
+        return LemmaCase.NO_MATCH
+    return LemmaCase.THETA if w else LemmaCase.EPSILON
 
 
-def _quintic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
+def _quintic_cofactor(a: int, b: int, t: int, ctx: _Field) -> tuple:
     """(s1, s2, s3) with (x^2 + ax + b)(x^3 + s1 x^2 + s2 x + s3) the degree-5
     fiber polynomial x^5 + t x^4 - x^3 + t x^2 - x - t.
 
@@ -395,7 +403,7 @@ def _quintic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
     return s1, s2, s3
 
 
-def _septic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
+def _septic_cofactor(a: int, b: int, t: int, ctx: _Field) -> tuple:
     """(s1, ..., s5) with (x^2 + ax + b)(x^5 + s1 x^4 + ... + s5) the degree-7
     fiber polynomial x^7 + t x^6 + t x^4 - x^3 - x - t, as _quintic_cofactor
     does it: the x^6..x^2 equations give the cofactor, and the x^1 and x^0
@@ -411,7 +419,7 @@ def _septic_cofactor(a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
     return s1, s2, s3, s4, s5
 
 
-def _check_witness(w: QuadFactorWitness, ctx: FieldCtx, cofactor,
+def _check_witness(w: QuadFactorWitness, ctx: _Field, cofactor,
                    require_symmetry: bool):
     """Raise ValueError unless x^2 + ax + b divides the fiber polynomial at
     w.t, by the recurrence cofactor (_quintic_cofactor or _septic_cofactor),
@@ -424,19 +432,19 @@ def _check_witness(w: QuadFactorWitness, ctx: FieldCtx, cofactor,
         raise ValueError(f"witness fails a^q * b = a: (a={w.a}, b={w.b})")
 
 
-def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: FieldCtx) -> bool:
+def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: _Field) -> bool:
     """Precondition-checked form of quintic_relation_holds for a witness."""
     _check_witness(w, ctx, _quintic_cofactor, require_symmetry=False)
     return quintic_relation_holds(w.a, w.b, ctx)
 
 
-def verify_septic_factor_case(w: QuadFactorWitness, ctx: FieldCtx) -> LemmaCase:
+def verify_septic_factor_case(w: QuadFactorWitness, ctx: _Field) -> LemmaCase:
     """Precondition-checked form of classify_septic_factor for a witness."""
     _check_witness(w, ctx, _septic_cofactor, require_symmetry=True)
     return classify_septic_factor(w.a, w.b, ctx)
 
 
-def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
+def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> bool:
     """(a + a b^2) t = a^2 b^2 - b^3 - b^2 + b  and
     (b^3 - b^2 - b + a^2) t = a b^3 + a b, as exact field identities."""
     mul, add, sub, pw = ctx.mul, ctx.add, ctx.sub, ctx.pow
@@ -448,7 +456,7 @@ def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> 
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
-def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
+def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: _Field) -> bool:
     """Replay the degree-5 coefficient equations at t: _quintic_cofactor
     reads the cubic cofactor off them and raises ValueError unless the
     remainder is 0.  Then check the two eliminated identities.  The
@@ -459,7 +467,7 @@ def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> 
     return quintic_displayed_identities_hold(a, b, t, ctx)
 
 
-def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
+def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> bool:
     """(a^2 b^3 + a^2 - b^4 + b^3 - b) t = a^3 b^3 + a b^4 + a b  and
     (a + a b^2 + a^3 b^2 + a b^3) t = a^4 b^2 + b^4 - b^2 + b."""
     mul, add, sub, pw = ctx.mul, ctx.add, ctx.sub, ctx.pow
@@ -472,7 +480,7 @@ def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> b
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
-def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
+def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: _Field) -> bool:
     """Replay the degree-7 coefficient equations at t: _septic_cofactor reads
     the quintic cofactor off them and raises ValueError unless the remainder
     is 0.  Then check the two eliminated identities.  The cofactor's tail
@@ -489,7 +497,7 @@ def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> b
 _FIBER_DEGREE = {1: 7, 2: 7, 3: 5}
 
 
-def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
+def harvest_witnesses(family: int, ctx: _Field) -> list:
     """Quadratic factors (a, b nonzero) of the family's fiber polynomial over
     every t in mu_{q+1}, in (t, a, b) encoding order.
 
@@ -505,7 +513,7 @@ def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
             for w in _fiber_witnesses(family, t, pairs, ctx)]
 
 
-def _fiber_factors(family: int, ts: list, ctx: FieldCtx):
+def _fiber_factors(family: int, ts: list, ctx: _Field):
     """(t, quadratic_factors(fiber_polynomial(family, t, ctx))) for each t of
     ts, in the order of ts, with one factor search per orbit of fibers.
 
@@ -541,7 +549,7 @@ def _fiber_factors(family: int, ts: list, ctx: FieldCtx):
         yield t, sorted((neg(a), b) if negated else (a, b) for a, b in mapped)
 
 
-def _fiber_witnesses(family: int, t: int, pairs: list, ctx: FieldCtx) -> list:
+def _fiber_witnesses(family: int, t: int, pairs: list, ctx: _Field) -> list:
     """harvest_witnesses restricted to the one fiber at t, whose
     quadratic_factors are pairs."""
     degree = _FIBER_DEGREE[family]
@@ -556,8 +564,7 @@ def _fiber_witnesses(family: int, t: int, pairs: list, ctx: FieldCtx) -> list:
             case = classify_septic_factor(a, b, ctx)
         else:
             continue
-        disc = ctx.sub(ctx.mul(a, a), b)
-        s = ctx.sqrt(disc)
+        s = ctx.sqrt(_discriminant_form(a, b, ctx)[0])
         x1 = x2 = None
         if s is not None:
             x1, x2 = ctx.sub(a, s), ctx.add(a, s)
@@ -568,7 +575,7 @@ def _fiber_witnesses(family: int, t: int, pairs: list, ctx: FieldCtx) -> list:
 # ---------------------------------------------------------------------------
 # uniqueness ingredients and the (u, v) identity
 
-def distinct_root_exclusion(family: int, ctx: FieldCtx) -> ExclusionReport:
+def distinct_root_exclusion(family: int, ctx: _Field) -> ExclusionReport:
     """Count fiber-polynomial roots in mu_{q+1} for every t and re-derive the
     field-level facts that rule out two distinct roots.
 
@@ -608,10 +615,11 @@ def distinct_root_exclusion(family: int, ctx: FieldCtx) -> ExclusionReport:
     return ExclusionReport(family, k, max_count, counterexamples, ingredients, ok)
 
 
-def uv_identity_check(ctx: FieldCtx) -> UVReport:
+def uv_identity_check(ctx: _Field) -> UVReport:
     """Harvest family-1 fiber factors with a^q b = a and check the sextic
     relation a^6+a^5 b+a^5+a^4 b-a^3 b^2-a^3 b-b^6-b^3-1 = 0 together with the
-    resolvent cubic in u = (b+1)/a, v = b/a^2 and its shift by v -> v - 1."""
+    resolvent cubic in u = (b+1)/a, v = b/a^2.  Its shift by v -> v - 1,
+    (v-1)^3 - (u-1)(v-1) - u^6, is the same polynomial in characteristic 3."""
     mul, add, sub, pw, inv, div = ctx.mul, ctx.add, ctx.sub, ctx.pow, ctx.inv, ctx.div
     witnesses = []
     failures = []
@@ -633,7 +641,6 @@ def uv_identity_check(ctx: FieldCtx) -> UVReport:
             "u_split": u == add(inv_a, inv_aq),
             "v_split": v == mul(inv_a, inv_aq),
             "cubic": _uv_cubic(u, v, ctx) == 0,
-            "shifted_cubic": _uv_shifted_cubic(u, v, ctx) == 0,
         }
         for name, passed in checks.items():
             if not passed:
@@ -641,23 +648,16 @@ def uv_identity_check(ctx: FieldCtx) -> UVReport:
     return UVReport(witnesses, failures, not failures)
 
 
-def _uv_cubic(u: int, v: int, ctx: FieldCtx) -> int:
+def _uv_cubic(u: int, v: int, ctx: _Field) -> int:
     # v^3 - (u-1) v - (u^6 - u - 1)
     mul, sub, pw = ctx.mul, ctx.sub, ctx.pow
     return sub(sub(pw(v, 3), mul(sub(u, 1), v)), sub(sub(pw(u, 6), u), 1))
 
 
-def _uv_shifted_cubic(u: int, v: int, ctx: FieldCtx) -> int:
-    # (v-1)^3 - (u-1)(v-1) - u^6
-    mul, sub, pw = ctx.mul, ctx.sub, ctx.pow
-    vm1 = sub(v, 1)
-    return sub(sub(pw(vm1, 3), mul(sub(u, 1), vm1)), pw(u, 6))
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _fiber_stats(family: int, ctx: FieldCtx) -> tuple:
+def _fiber_stats(family: int, ctx: _Field) -> tuple:
     """(g_bijection, max_fiber_size, witness_count, histogram) for one
     (family, k): the g verdict and the largest fiber from one _fiber_roots,
     then the harvest."""

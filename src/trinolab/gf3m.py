@@ -328,10 +328,6 @@ class _Field:
         """Encoding of alpha^i for any integer i."""
         return self.pow(self.alpha, i)
 
-    def is_square(self, a: int) -> bool:
-        """Euler's criterion: a is a square iff a = 0 or a^(n/2) = 1."""
-        return a == 0 or self.pow(a, (self.order - 1) // 2) == 1
-
     def sqrt(self, a: int) -> Optional[int]:
         """The smaller-encoded square root of a, or None when a is not a square.
 
@@ -361,13 +357,6 @@ class _Field:
             self._special = SpecialConstants(eps, solve_theta(self),
                                              self.sqrt(self.sub(eps, 1)))
         return self._special
-
-    def theta_roots(self) -> tuple:
-        """All roots of X^3 - X - 1 in this field (empty unless k % 3 == 0)."""
-        theta = self.special_constants().theta
-        if theta is None:
-            return ()
-        return (theta, self.frobenius(theta, 1), self.frobenius(theta, 2))
 
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"

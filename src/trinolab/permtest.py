@@ -10,11 +10,11 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .gf3m import FieldCtx
+from .gf3m import _Field
 from .polyring import Poly
 
 
-def mu_enumerate(ctx: FieldCtx, d: int) -> frozenset:
+def mu_enumerate(ctx: _Field, d: int) -> frozenset:
     """mu_d, the d-th roots of unity z^i for z = alpha^((order-1)/d) and i in
     0..d-1, as a frozenset, one product per element; d must divide order-1."""
     n = ctx.order - 1
@@ -51,7 +51,7 @@ def is_bijection_on(fn: Callable[[int], int], domain: Iterable[int]) -> MapRepor
     return MapReport(collision is None and missed is None, collision, missed)
 
 
-def zieve_criterion(ctx: FieldCtx, r: int, d: int, h: Poly) -> tuple:
+def zieve_criterion(ctx: _Field, r: int, d: int, h: Poly) -> tuple:
     """(cond1, cond2) of the subgroup permutation criterion.
 
     cond1: gcd(r, (order-1)/d) = 1.

@@ -62,6 +62,19 @@ def ctx_for():
     return get
 
 
+@pytest.fixture(scope="session")
+def both_for(ctx_for):
+    """(table context, table-free core) of one field, both memoized: the
+    helpers gf3m._Field derives from the scalar ops run on each."""
+    cores = {}
+
+    def get(k, modulus=None):
+        if (k, modulus) not in cores:
+            cores[k, modulus] = gf3m._TableFreeCtx(k, modulus)
+        return ctx_for(k, modulus), cores[k, modulus]
+    return get
+
+
 # ---------------------------------------------------------------------------
 # reference arithmetic on trit vectors
 

@@ -93,7 +93,7 @@ def monic_irreducible_quadratics(ctx):
     a^2 - 4b = a^2 - b, as Polys."""
     return [Poly(ctx, (b, a, 1)) for a in range(ctx.order)
             for b in range(ctx.order)
-            if not ctx.is_square(ctx.sub(ctx.mul(a, a), b))]
+            if ctx.sqrt(ctx.sub(ctx.mul(a, a), b)) is None]
 
 
 # ---------------------------------------------------------------------------
