@@ -564,7 +564,7 @@ def _fiber_witnesses(family: int, t: int, pairs: list, ctx: _Field) -> list:
             case = classify_septic_factor(a, b, ctx)
         else:
             continue
-        s = ctx.sqrt(_discriminant_form(a, b, ctx)[0])
+        s = ctx.sqrt(ctx.sub(ctx.mul(a, a), b))  # the discriminant D
         x1 = x2 = None
         if s is not None:
             x1, x2 = ctx.sub(a, s), ctx.add(a, s)

@@ -622,7 +622,6 @@ def test_classification_reads_no_field_constant(both_for, monkeypatch):
     def boom(self):
         raise AssertionError("a field constant was read per witness")
     monkeypatch.setattr(gf3m._Field, "special_constants", boom)
-    monkeypatch.setattr(gf3m._Field, "theta_roots", boom, raising=False)
     for ctx in both_for(3):
         for family in FAMILIES:
             assert harvest_witnesses(family, ctx) == expected[family]
