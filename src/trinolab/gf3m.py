@@ -520,10 +520,8 @@ class FieldCtx(_Field):
     nothing of size n beyond them.  Scalar ops index them and get Python
     ints.  A log sum or difference shifted into (-n, 0) indexes _exp from its
     end, where Python wraps it to the same power of alpha, so add, sub, neg,
-    mul and inv reduce nothing mod n.  Of _Field's helpers only sqrt is
-    overridden, read off the log table: the generic search made lemma-verify
-    4-15% slower at k = 4 and 5.  power_sum_images reads the tables as numpy
-    views.
+    mul and inv reduce nothing mod n.  It overrides none of _Field's
+    helpers.  power_sum_images reads the tables as numpy views.
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
@@ -720,17 +718,6 @@ class FieldCtx(_Field):
         if a == 0:
             return 0
         return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
-
-    def sqrt(self, a: int) -> Optional[int]:
-        """_Field.sqrt read off the log table: the roots of alpha^L (L even)
-        are +-alpha^(L/2), and the smaller-encoded one is returned."""
-        if a == 0:
-            return 0
-        log = self._log[a]
-        if log % 2:
-            return None
-        r = self._exp[log // 2]
-        return min(r, self.neg(r))
 
     # -- vector evaluation -------------------------------------------------
 

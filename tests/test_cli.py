@@ -459,6 +459,27 @@ def test_uv_scan(capsys):
     assert payload["failures"] == []
 
 
+def test_harvests_take_no_square_root(capsys, monkeypatch, both_for):
+    # no report reads a root of a witness's quadratic, so no harvest takes
+    # one, on either context; the table context has no sqrt of its own
+    expected = {(k, family): conjlab.harvest_witnesses(family, both_for(k)[0])
+                for k in (1, 2, 3) for family in conjlab.FAMILIES}
+
+    def boom(self, a):
+        raise AssertionError("a harvest took a square root")
+    monkeypatch.setattr(gf3m._Field, "sqrt", boom)
+    assert "sqrt" not in vars(gf3m.FieldCtx)
+    for k in (1, 2, 3):
+        for ctx in both_for(k):
+            for family in conjlab.FAMILIES:
+                assert (conjlab.harvest_witnesses(family, ctx)
+                        == expected[k, family])
+        for argv in (("lemma-verify", "--family", "2"),
+                     ("lemma-verify", "--family", "3"), ("uv-scan",)):
+            code, out, _ = run(capsys, *argv, "--k", str(k), "--format", "json")
+            assert code == 0 and out, (argv, k)
+
+
 def test_sweep_json(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "2", "--k", "1,2",
                        "--l", "1,2", "--format", "json")
@@ -581,7 +602,7 @@ def test_k_out_of_range_exits_one(capsys):
 
 def test_field_too_large_for_int32_tables_exits_one_at_once(capsys):
     # k = 10 overflows the int32 tables; k = 9 fits them but would take
-    # about 13 GB
+    # 8n bytes, about 3.1 GB
     for k in ("10", "9"):
         start = time.perf_counter()
         code, _, err = run(capsys, "check-trinomial", "--k", k, "--max-k", k,
