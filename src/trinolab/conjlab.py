@@ -382,67 +382,58 @@ def classify_septic_factor(a: int, b: int, ctx: _Field) -> LemmaCase:
     return LemmaCase.THETA if w else LemmaCase.EPSILON
 
 
-def _quintic_cofactor(a: int, b: int, t: int, ctx: _Field) -> tuple:
-    """(s1, s2, s3) with (x^2 + ax + b)(x^3 + s1 x^2 + s2 x + s3) the degree-5
-    fiber polynomial x^5 + t x^4 - x^3 + t x^2 - x - t.
-
-    The x^4, x^3 and x^2 coefficient equations give the cofactor by synthetic
-    division; the x^1 and x^0 equations say the remainder is 0, and
-    ValueError is raised when either fails.
-    """
+def _divide_fiber(family: int, a: int, b: int, t: int, ctx: _Field) -> tuple:
+    """(s, e1, e2) of dividing the family's fiber polynomial (degree n, with
+    coefficients c_j = t d_j - n_j off _fiber_terms) by x^2 + ax + b: the
+    x^(n-i) equation c_(n-i) = s_i + a s_(i-1) + b s_(i-2), s_0 = 1, gives
+    the cofactor s = (s_1, ..., s_(n-2)), and e1 = a s_(n-2) + b s_(n-3) - c_1,
+    e2 = b s_(n-2) - c_0 are the x^1 and x^0 residuals, both 0 iff it divides.
+    Run over GF(3)[a, b, t], it gives the e1, e2 of tests/test_certificates.py."""
     mul, add, sub = ctx.mul, ctx.add, ctx.sub
-    s1 = sub(t, a)                            # a + s1 = t
-    s2 = sub(sub(2, b), mul(a, s1))           # b + a s1 + s2 = -1
-    s3 = sub(sub(t, mul(b, s1)), mul(a, s2))  # b s1 + a s2 + s3 = t
-    if add(mul(a, s3), mul(b, s2)) != 2 or mul(b, s3) != ctx.neg(t):
+    c = [sub(mul(t, d), n) for n, d in zip_longest(*_fiber_terms(family), fillvalue=0)]
+    s = [0, 1]
+    for cj in c[-2:1:-1]:
+        s.append(sub(sub(cj, mul(a, s[-1])), mul(b, s[-2])))
+    return (tuple(s[2:]), sub(add(mul(a, s[-1]), mul(b, s[-2])), c[1]),
+            sub(mul(b, s[-1]), c[0]))
+
+
+def _require_factor(family: int, a: int, b: int, t: int, ctx: _Field):
+    """Raise ValueError unless t is in mu_{q+1} and x^2 + ax + b divides the
+    family's fiber polynomial at t."""
+    _require_in_mu(t, ctx)
+    _, e1, e2 = _divide_fiber(family, a, b, t, ctx)
+    if e1 or e2:
         raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
-    return s1, s2, s3
 
 
-def _septic_cofactor(a: int, b: int, t: int, ctx: _Field) -> tuple:
-    """(s1, ..., s5) with (x^2 + ax + b)(x^5 + s1 x^4 + ... + s5) the degree-7
-    fiber polynomial x^7 + t x^6 + t x^4 - x^3 - x - t, as _quintic_cofactor
-    does it: the x^6..x^2 equations give the cofactor, and the x^1 and x^0
-    equations are the zero remainder."""
-    mul, add, sub, neg = ctx.mul, ctx.add, ctx.sub, ctx.neg
-    s1 = sub(t, a)                                  # a + s1 = t
-    s2 = neg(add(b, mul(a, s1)))                    # b + a s1 + s2 = 0
-    s3 = sub(sub(t, mul(b, s1)), mul(a, s2))        # b s1 + a s2 + s3 = t
-    s4 = sub(sub(2, mul(b, s2)), mul(a, s3))        # b s2 + a s3 + s4 = -1
-    s5 = neg(add(mul(b, s3), mul(a, s4)))           # b s3 + a s4 + s5 = 0
-    if add(mul(b, s4), mul(a, s5)) != 2 or mul(b, s5) != neg(t):
-        raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
-    return s1, s2, s3, s4, s5
-
-
-def _check_witness(w: QuadFactorWitness, ctx: _Field, cofactor,
-                   require_symmetry: bool):
-    """Raise ValueError unless x^2 + ax + b divides the fiber polynomial at
-    w.t, by the recurrence cofactor (_quintic_cofactor or _septic_cofactor),
-    a and b are nonzero, and, when asked, a^q b = a."""
-    _require_in_mu(w.t, ctx)
-    cofactor(w.a, w.b, w.t, ctx)
+def _check_witness(family: int, w: QuadFactorWitness, ctx: _Field):
+    """Raise ValueError unless x^2 + ax + b divides the family's fiber
+    polynomial at w.t, a and b are nonzero, and, for the degree-7 families,
+    a^q b = a."""
+    _require_factor(family, w.a, w.b, w.t, ctx)
     if w.a == 0 or w.b == 0:
         raise ValueError(f"witness needs a, b nonzero, got (a={w.a}, b={w.b})")
-    if require_symmetry and ctx.mul(ctx.conjugate_q(w.a), w.b) != w.a:
+    if _FIBER_DEGREE[family] == 7 and ctx.mul(ctx.conjugate_q(w.a), w.b) != w.a:
         raise ValueError(f"witness fails a^q * b = a: (a={w.a}, b={w.b})")
 
 
 def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: _Field) -> bool:
     """Precondition-checked form of quintic_relation_holds for a witness."""
-    _check_witness(w, ctx, _quintic_cofactor, require_symmetry=False)
+    _check_witness(3, w, ctx)
     return quintic_relation_holds(w.a, w.b, ctx)
 
 
 def verify_septic_factor_case(w: QuadFactorWitness, ctx: _Field) -> LemmaCase:
     """Precondition-checked form of classify_septic_factor for a witness."""
-    _check_witness(w, ctx, _septic_cofactor, require_symmetry=True)
+    _check_witness(2, w, ctx)
     return classify_septic_factor(w.a, w.b, ctx)
 
 
 def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> bool:
     """(a + a b^2) t = a^2 b^2 - b^3 - b^2 + b  and
-    (b^3 - b^2 - b + a^2) t = a b^3 + a b, as exact field identities."""
+    (b^3 - b^2 - b + a^2) t = a b^3 + a b, as exact field identities; a
+    test oracle, since tests/test_certificates.py proves them at every factor."""
     mul, add, sub, pw = ctx.mul, ctx.add, ctx.sub, ctx.pow
     a2, b2, b3 = mul(a, a), mul(b, b), pw(b, 3)
     lhs1 = mul(add(a, mul(a, b2)), t)
@@ -453,19 +444,17 @@ def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> bo
 
 
 def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: _Field) -> bool:
-    """Replay the degree-5 coefficient equations at t: _quintic_cofactor
-    reads the cubic cofactor off them and raises ValueError unless the
-    remainder is 0.  Then check the two eliminated identities.  The
-    discriminant identity (b-1)^4 + 4(b^4+1) = -(b+1)^4 needs no check per
-    witness: it holds in GF(3)[b] (tests/test_conjlab.py expands it)."""
-    _require_in_mu(t, ctx)
-    _quintic_cofactor(a, b, t, ctx)
-    return quintic_displayed_identities_hold(a, b, t, ctx)
+    """Replay the degree-5 coefficient equations at t by _divide_fiber: True,
+    or ValueError when t is not in mu_{q+1} or the remainder is not 0.  The
+    relation of quintic_relation_holds and both displayed identities lie in
+    the ideal of these equations (tests/test_certificates.py)."""
+    _require_factor(3, a, b, t, ctx)
+    return True
 
 
 def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> bool:
     """(a^2 b^3 + a^2 - b^4 + b^3 - b) t = a^3 b^3 + a b^4 + a b  and
-    (a + a b^2 + a^3 b^2 + a b^3) t = a^4 b^2 + b^4 - b^2 + b."""
+    (a + a b^2 + a^3 b^2 + a b^3) t = a^4 b^2 + b^4 - b^2 + b; a test oracle."""
     mul, add, sub, pw = ctx.mul, ctx.add, ctx.sub, ctx.pow
     a2, a3, a4 = mul(a, a), pw(a, 3), pw(a, 4)
     b2, b3, b4 = mul(b, b), pw(b, 3), pw(b, 4)
@@ -477,14 +466,10 @@ def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: _Field) -> boo
 
 
 def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: _Field) -> bool:
-    """Replay the degree-7 coefficient equations at t: _septic_cofactor reads
-    the quintic cofactor off them and raises ValueError unless the remainder
-    is 0.  Then check the two eliminated identities.  The cofactor's tail
-    needs no check of its own: the x^0 and x^1 equations the helper checks,
-    b s5 = -t and b s4 + a s5 = -1, give s5 = -t/b and s4 = (a t - b)/b^2."""
-    _require_in_mu(t, ctx)
-    _septic_cofactor(a, b, t, ctx)
-    return septic_displayed_identities_hold(a, b, t, ctx)
+    """The degree-7 verify_quintic_coefficient_system; the relation of
+    classify_septic_factor and both displayed identities lie in the ideal."""
+    _require_factor(2, a, b, t, ctx)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -609,30 +594,25 @@ def distinct_root_exclusion(family: int, ctx: _Field) -> ExclusionReport:
 
 def uv_identity_check(ctx: _Field) -> UVReport:
     """Harvest family-1 fiber factors with a^q b = a, set u = (b+1)/a and
-    v = b/a^2, and check u = 1/a + 1/a^q, v = 1/(a a^q) and the resolvent
-    cubic v^3 - (u-1) v - (u^6 - u - 1) = 0.
+    v = b/a^2 from one inversion, and check the resolvent cubic
+    v^3 - (u-1) v - (u^6 - u - 1) = 0.  As b = a^(1-q), u = 1/a + 1/a^q and
+    v = 1/a^(q+1) need no check.
 
-    The cubic check is the sextic relation: a^6 times the cubic at these
-    (u, v) is a^6+a^5 b+a^5+a^4 b-a^3 b^2-a^3 b-b^6-b^3-1 in GF(3)[a, b].
-    The cubic's shift by v -> v - 1, (v-1)^3 - (u-1)(v-1) - u^6, is the
-    same polynomial in characteristic 3."""
-    mul, add, inv, div = ctx.mul, ctx.add, ctx.inv, ctx.div
+    a^6 times the cubic is the sextic
+    a^6+a^5 b+a^5+a^4 b-a^3 b^2-a^3 b-b^6-b^3-1, which holds at every factor
+    (tests/test_certificates.py); it stays checked, as nothing on this path
+    replays the coefficient equations.  The shift
+    (v-1)^3 - (u-1)(v-1) - u^6 is the same cubic in characteristic 3."""
+    mul, add, inv = ctx.mul, ctx.add, ctx.inv
     witnesses = []
     failures = []
     for w in harvest_witnesses(1, ctx):
         a, b = w.a, w.b
-        u = div(add(b, 1), a)
-        v = div(b, mul(a, a))
+        inv_a = inv(a)
+        u, v = mul(add(b, 1), inv_a), mul(b, mul(inv_a, inv_a))
         witnesses.append(UVWitness(w.t, a, b, u, v))
-        inv_a, inv_aq = inv(a), inv(ctx.conjugate_q(a))
-        checks = {
-            "u_split": u == add(inv_a, inv_aq),
-            "v_split": v == mul(inv_a, inv_aq),
-            "cubic": _uv_cubic(u, v, ctx) == 0,
-        }
-        for name, passed in checks.items():
-            if not passed:
-                failures.append((w.t, a, b, name))
+        if _uv_cubic(u, v, ctx):
+            failures.append((w.t, a, b, "cubic"))
     return UVReport(witnesses, failures, not failures)
 
 

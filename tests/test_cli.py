@@ -480,6 +480,39 @@ def test_harvests_take_no_square_root(capsys, monkeypatch, both_for):
             assert code == 0 and out, (argv, k)
 
 
+def test_witness_checks_skip_what_the_certificates_prove(capsys, monkeypatch, both_for):
+    # the coefficient equations imply the displayed identities
+    # (tests/test_certificates.py), and the harvest's a^q b = a implies
+    # u = 1/a + 1/a^q and v = 1/a^(q+1): lemma-verify replays only the zero
+    # remainder, and uv-scan inverts each a once, on either context
+    ctxs = {k: both_for(k) for k in (1, 2, 3)}
+    expected = {ctx: conjlab.harvest_witnesses(1, ctx)
+                for pair in ctxs.values() for ctx in pair}
+
+    def boom(*args):
+        raise AssertionError("a command checked a displayed identity")
+    monkeypatch.setattr(conjlab, "quintic_displayed_identities_hold", boom)
+    monkeypatch.setattr(conjlab, "septic_displayed_identities_hold", boom)
+    inverted = []
+    for cls in (gf3m.FieldCtx, gf3m._TableFreeCtx):
+        def counted(self, x, plain=cls.inv):
+            inverted.append(x)
+            return plain(self, x)
+        monkeypatch.setattr(cls, "inv", counted)
+    monkeypatch.setattr(conjlab, "harvest_witnesses", lambda family, ctx: expected[ctx])
+    for k, pair in ctxs.items():
+        for ctx in pair:
+            monkeypatch.setattr(gf3m, "ctx_create", lambda *args, ctx=ctx: ctx)
+            for family in ("2", "3"):
+                code, out, _ = run(capsys, "lemma-verify", "--k", str(k),
+                                   "--family", family, "--format", "json")
+                assert code == 0 and out, (k, family, ctx)
+            inverted.clear()
+            code, out, _ = run(capsys, "uv-scan", "--k", str(k), "--format", "json")
+            assert code == 0 and json.loads(out)["witness_count"] > 0, (k, ctx)
+            assert inverted == [w.a for w in expected[ctx]], (k, ctx)
+
+
 def test_sweep_json(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "2", "--k", "1,2",
                        "--l", "1,2", "--format", "json")

@@ -321,15 +321,17 @@ def test_fiber_polynomial_requires_t_in_mu():
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_fiber_polynomials_match_the_paper(ctx_for, k):
-    # the cofactor recurrences of the witness replay are written against
-    # these two polynomials, not against _FRACTIONAL_COEFFS
+    # the division recurrence reads the fibers off _FRACTIONAL_COEFFS, and
+    # tests/test_certificates.py states its residuals for these three
     ctx = ctx_for(k)
     for t in mu_enumerate(ctx, ctx.q + 1):
-        mt = ctx.neg(t)
+        mt, t1 = ctx.neg(t), ctx.sub(t, 1)
         # x^5 + t x^4 - x^3 + t x^2 - x - t, low degree first, 2 == -1
         assert fiber_polynomial(3, t, ctx).coeffs == (mt, 2, t, 2, t, 1)
         # x^7 + t x^6 + t x^4 - x^3 - x - t
         assert fiber_polynomial(2, t, ctx).coeffs == (mt, 2, 0, 2, t, 0, t, 1)
+        # x^7 + (t-1) x^6 + (t-1) x - t
+        assert fiber_polynomial(1, t, ctx).coeffs == (mt, t1, 0, 0, 0, 0, t1, 1)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
@@ -643,13 +645,13 @@ def test_quintic_constants_are_the_roots_of_x2_minus_x_minus_1(both_for, k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
-@pytest.mark.parametrize("family", (2, 3))
+@pytest.mark.parametrize("family", (1, 2, 3))
 def test_cofactor_recurrences_match_exact_division(ctx_for, k, family):
-    # exact division by x^2 + ax + b is the oracle: a helper raises exactly
-    # when the remainder is nonzero, and otherwise returns the quotient's
-    # coefficients below its leading 1, top down
+    # exact division by x^2 + ax + b is the oracle: the recurrence returns
+    # the quotient's coefficients below its leading 1, top down, and minus
+    # the remainder's x^1 and x^0 coefficients as the residuals, and
+    # _require_factor raises exactly when the remainder is nonzero
     ctx = ctx_for(k)
-    cofactor = {2: conjlab._septic_cofactor, 3: conjlab._quintic_cofactor}[family]
     mu = sorted(mu_enumerate(ctx, ctx.q + 1))
     factors = [(a, b, t) for t in mu
                for a, b in quadratic_factors(fiber_polynomial(family, t, ctx))]
@@ -663,12 +665,16 @@ def test_cofactor_recurrences_match_exact_division(ctx_for, k, family):
     divided = 0
     for a, b, t in cases:
         quo, rem = divmod(fiber_polynomial(family, t, ctx), Poly(ctx, (b, a, 1)))
+        r0, r1 = (rem.coeffs + (0, 0))[:2]
+        s, e1, e2 = conjlab._divide_fiber(family, a, b, t, ctx)
+        assert s == quo.coeffs[-2::-1], (a, b, t)
+        assert (e1, e2) == (ctx.neg(r1), ctx.neg(r0)), (a, b, t)
         if rem.is_zero:
             divided += 1
-            assert cofactor(a, b, t, ctx) == quo.coeffs[-2::-1], (a, b, t)
+            conjlab._require_factor(family, a, b, t, ctx)
         else:
             with pytest.raises(ValueError, match="fails divisibility"):
-                cofactor(a, b, t, ctx)
+                conjlab._require_factor(family, a, b, t, ctx)
     assert divided >= len(factors)
 
 
@@ -684,11 +690,11 @@ def test_quintic_discriminant_identity_holds_in_gf3_b():
 
 
 def test_septic_cofactor_tail_is_the_backward_recomputation(ctx_for):
-    # the x^1 and x^0 equations _septic_cofactor checks, b s4 + a s5 = -1 and
+    # the x^1 and x^0 equations _require_factor checks, b s4 + a s5 = -1 and
     # b s5 = -t, give s5 = -t/b and s4 = (a t - b)/b^2, so
     # verify_septic_coefficient_system does not recompute them
     def tail_holds(a, b, t, ctx):
-        *_, s4, s5 = conjlab._septic_cofactor(a, b, t, ctx)
+        *_, s4, s5 = conjlab._divide_fiber(2, a, b, t, ctx)[0]
         return (s5 == ctx.div(ctx.neg(t), b)
                 and s4 == ctx.div(ctx.sub(ctx.mul(a, t), b), ctx.mul(b, b)))
 
@@ -834,6 +840,10 @@ def test_lemma_checks_at_k5_and_k6(ctx_for, k):
         assert rep.ingredients == ingredients
     uv = uv_identity_check(ctx)
     assert uv.ok and uv.failures == [] and uv.witnesses
+    for w in uv.witnesses:
+        # the splits that a^q b = a implies, so uv_identity_check skips them
+        inv_a, inv_aq = ctx.inv(w.a), ctx.inv(ctx.conjugate_q(w.a))
+        assert (w.u, w.v) == (ctx.add(inv_a, inv_aq), ctx.mul(inv_a, inv_aq)), w
 
 
 # ---------------------------------------------------------------------------
