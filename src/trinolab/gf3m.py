@@ -13,13 +13,14 @@ from them once.  Which one a command builds depends only on the command
   per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB
   at k = 8, refused from k = 9.  A scalar op is then one or two lookups,
   0.2-0.6 us, and numpy passes over the whole field read the same tables.
-  check-trinomial, mu, lemma-verify, uv-scan and sweep build it.
+  check-trinomial, mu, uv-scan and sweep build it.
 - _TableFreeCtx keeps only tables of 3^k entries (2 ms of set-up at k = 5,
   9 ms at k = 8, 35 ms at k = 10) and multiplies by one Python int product
   of packed trits (Kronecker substitution): 1.1-3.3 us a product and
   0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  field-info, check-g,
-  count-roots and factors build it: their O(q) or few thousand ops cost
-  less than a table build, and they run without numpy up to k = 10.
+  count-roots, factors and lemma-verify build it: their O(q) or few
+  thousand ops (lemma-verify settles one fiber per orbit) cost less than a
+  table build, and they run without numpy up to k = 10.
 
 The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
 2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module

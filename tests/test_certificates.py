@@ -12,8 +12,10 @@ Nothing here is sampled.  E1 and E2 come from conjlab's own division
 recurrence, and each P but the sextic from the predicate a command
 evaluates, both run over GF(3)[a, b, t] by expansion.  The sextic is a^6
 times uv-scan's cubic, which test_conjlab's
-test_uv_cubic_is_the_sextic_over_a6 proves.  The file needs neither numpy
-nor sympy.
+test_uv_cubic_is_the_sextic_over_a6 proves.  The same expansions prove the
+laws by which conjlab carries a factor's verdicts from one fiber to the rest
+of its orbit, under the Frobenius and, for families 2 and 3, negation.  The
+file needs neither numpy nor sympy.
 """
 
 import operator
@@ -88,9 +90,10 @@ RING = SimpleNamespace(add=operator.add, sub=operator.sub, neg=operator.neg,
 a, b, t = (Abt({m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
-def compared(predicate, nargs):
-    """lhs - rhs of each comparison that predicate(a, b[, t], ctx) makes, in
-    order: its generators report every comparison as equal, and record it."""
+def compared(predicate, nargs, point=(a, b, t)):
+    """lhs - rhs of each comparison that predicate(a, b[, t], ctx) makes at
+    point (the generators by default), in order: its arguments report every
+    comparison as equal, and record it."""
     diffs = []
 
     class Recorded(Abt):
@@ -98,7 +101,7 @@ def compared(predicate, nargs):
             diffs.append(Abt((self - other).terms))
             return True
 
-    predicate(*(Recorded(g.terms) for g in (a, b, t)[:nargs]), RING)
+    predicate(*(Recorded(g.terms) for g in point[:nargs]), RING)
     return diffs
 
 
@@ -181,6 +184,48 @@ def test_certificate_check_is_not_vacuous(name):
     e1, e2 = residuals(family)
     for wrong in (-lam * e1 + mu * e2, lam * e1 - mu * e2, lam * (e1 + 1) + mu * e2):
         assert wrong != relation
+
+
+# ---------------------------------------------------------------------------
+# the verdicts conjlab._fiber_witnesses carries along an orbit of fibers
+
+CASE_FORMS = (conjlab.quintic_relation_holds, conjlab.classify_septic_factor)
+
+
+def test_fiber_terms_lie_in_gf3():
+    # the encodings 0, 1, 2 are GF(3) in every GF(3^2k), which the Frobenius
+    # y -> y^3 fixes: so P(a^3, b^3, t^3) = P(a, b, t)^3 for the residuals
+    # and the case forms, and a factor at t keeps its zero remainder and its
+    # case at t^3 as (a^3, b^3)
+    for family in conjlab.FAMILIES:
+        assert {c for terms in conjlab._fiber_terms(family) for c in terms} <= {0, 1, 2}
+        _, e1, e2 = conjlab._divide_fiber(family, a**3, b**3, t**3, RING)
+        assert (e1, e2) == tuple(e**3 for e in residuals(family))
+    for predicate in CASE_FORMS:
+        assert compared(predicate, 2, (a**3, b**3)) == [
+            p**3 for p in compared(predicate, 2)]
+
+
+@pytest.mark.parametrize("family", conjlab.FAMILIES)
+def test_negation_keeps_the_remainder_for_families_2_and_3(family):
+    # E1(-a, b, -t) = E1 and E2(-a, b, -t) = -E2 for families 2 and 3, whose
+    # N and D have opposite parity: x^2 + ax + b divides p_t iff x^2 - ax + b
+    # divides p_(-t).  Family 1 obeys neither law, so no negation is carried
+    e1, e2 = residuals(family)
+    _, n1, n2 = conjlab._divide_fiber(family, -a, b, -t, RING)
+    if family == 1:
+        assert n1 != e1 and n2 != -e2
+    else:
+        assert (n1, n2) == (e1, -e2)
+
+
+def test_negation_keeps_the_case_forms():
+    # D^2 - DW - W^2 and D^3 - DW^2 - W^3, as the classifiers compare them,
+    # are unchanged by a -> -a, so (-a, b) falls into the case of (a, b).
+    # a = 0, b = 0 and a^q b = a are kept too, as q is odd
+    assert conjlab._discriminant_form(-a, b, RING) == (D, W)
+    for predicate in CASE_FORMS:
+        assert compared(predicate, 2, (-a, b)) == compared(predicate, 2)
 
 
 def gf3_poly(*coeffs):

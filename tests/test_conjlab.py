@@ -443,20 +443,44 @@ def test_harvest_order_is_deterministic(ctx_for):
     assert a == sorted(a, key=lambda w: (w.t, w.a, w.b))
 
 
+def searched_witnesses(family, t, ctx):
+    """The per-fiber path the orbit walker replaces: search the fiber at t,
+    drop the factors with a = 0 or b = 0 (and, for degree 7, those with
+    a^q b != a), classify each and replay its divisibility."""
+    degree = conjlab._FIBER_DEGREE[family]
+    out = []
+    for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
+        if a == 0 or b == 0:
+            continue
+        if degree == 7:
+            if ctx.mul(ctx.conjugate_q(a), b) != a:
+                continue
+            case = classify_septic_factor(a, b, ctx)
+        else:
+            case = (LemmaCase.FIFTH_DEGREE if quintic_relation_holds(a, b, ctx)
+                    else LemmaCase.NO_MATCH)
+        conjlab._require_factor(family, a, b, t, ctx)
+        out.append(conjlab.QuadFactorWitness(t, a, b, degree, case))
+    return out
+
+
 @pytest.mark.parametrize("k, family", [(k, family) for k in (1, 2, 3, 4, 5)
                                        for family in (1, 2, 3)] + [(6, 2)])
-def test_fiber_factors_match_the_search_on_every_fiber(ctx_for, k, family):
-    # the orbit-mapped factor lists against a direct search of every fiber
-    ctx = ctx_for(k)
-    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
-    got = list(conjlab._fiber_factors(family, mu, ctx))
-    assert [t for t, _ in got] == mu
-    for t, pairs in got:
-        poly = fiber_polynomial(family, t, ctx)
-        assert pairs == quadratic_factors(poly), t
-        if k <= 4:
-            for a, b in pairs:
-                assert (poly % Poly(ctx, (b, a, 1))).is_zero, (t, a, b)
+def test_fiber_factors_match_the_search_on_every_fiber(both_for, k, family):
+    # the walker's witnesses, carried along each orbit, against the per-fiber
+    # path on every fiber, on both contexts; the oracle runs on the core at
+    # odd k and on the tables at even k, as both give the same encodings
+    tables, core = both_for(k)
+    mu = sorted(mu_enumerate(tables, tables.q + 1))
+    oracle = {t: searched_witnesses(family, t, (tables, core)[k % 2]) for t in mu}
+    single = random.Random(k).choice(mu)
+    for ctx in (tables, core):
+        got = list(conjlab._fiber_witnesses(family, mu, ctx))
+        assert [t for t, _ in got] == mu
+        for t, witnesses in got:
+            assert witnesses == oracle[t], t
+        assert (list(conjlab._fiber_witnesses(family, [single], ctx))
+                == [(single, oracle[single])])
 
 
 @pytest.mark.parametrize("k, searches", [(4, {1: 12, 2: 6, 3: 6}),
