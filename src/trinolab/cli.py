@@ -136,21 +136,14 @@ def parse_sweep_csv(text: str) -> list:
 # ---------------------------------------------------------------------------
 # command handlers; each returns (exit_code, report)
 
-# the commands that build the exp and log tables: check-trinomial's direct
-# route passes over the whole field, mu enumerates up to the whole group, and
-# uv-scan inverts each witness's a, a lookup on the tables and 58-190 us on
-# the core.  sweep builds them through conjlab.sweep.  Every other command,
-# lemma-verify among them (it settles each orbit of fibers once), runs on
-# the table-free core (see gf3m).
-_TABLE_COMMANDS = {"check-trinomial", "mu", "uv-scan"}
-
-
-def _make_ctx(args):
+def _make_ctx(args, make=None):
+    """The field of args: the table-free core (see gf3m), or make's.  Only
+    check-trinomial passes gf3m.ctx_create, because its direct route reads
+    the exp and log tables; sweep builds them through conjlab.sweep."""
     modulus = parse_modulus_arg(args.modulus)
-    # looked up per call, as the handlers are in main
-    make = gf3m.ctx_create if args.command in _TABLE_COMMANDS else gf3m._TableFreeCtx
     try:
-        return make(args.k, modulus, args.max_k)
+        # looked up per call, as the handlers are in main
+        return (make or gf3m._TableFreeCtx)(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -190,6 +183,12 @@ def _cmd_field_info(args):
 
 
 def _cmd_mu(args):
+    # the element list is bounded before the field is built
+    size = args.d * gf3m._MU_BYTES_PER_ELEMENT
+    if size > gf3m.TABLE_BYTES_CEILING:
+        raise UsageError(f"mu_{args.d} too large: its element list would take about "
+                         f"{size / 2 ** 30:.1f} GiB, above the "
+                         f"{gf3m.TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
     ctx = _make_ctx(args)
     try:
         mu = permtest.mu_enumerate(ctx, args.d)
@@ -199,7 +198,7 @@ def _cmd_mu(args):
 
 
 def _cmd_check_trinomial(args):
-    ctx = _make_ctx(args)
+    ctx = _make_ctx(args, gf3m.ctx_create)
     try:
         spec = conjlab.trinomial_family(args.family, args.l, ctx)
     except ValueError as exc:
@@ -291,11 +290,9 @@ def _cmd_lemma_verify(args):
 
 def _cmd_uv_scan(args):
     ctx = _make_ctx(args)
-    k, modulus = ctx.k, gf3m.format_modulus(ctx.modulus)
     report = conjlab.uv_identity_check(ctx)
-    del ctx  # the tables (344 MB at k = 8) go before the row dicts are built
     rows = [w._asdict() for w in report.witnesses]
-    payload = {"k": k, "modulus": modulus,
+    payload = {"k": ctx.k, "modulus": gf3m.format_modulus(ctx.modulus),
                "witness_count": len(rows), "all_identities_hold": report.ok,
                "witnesses": rows,
                "failures": [list(f) for f in report.failures]}

@@ -5,22 +5,20 @@ in the polynomial basis: trits (c0, c1, ..., c_{2k-1}) with c0 least
 significant, so encoding = sum(c_i * 3^i).  The encoding order doubles as the
 canonical tie-breaking order everywhere in this package.
 
-Two contexts define the scalar ops, and _Field derives every other helper
-from them once.  Which one a command builds depends only on the command
-(cli._TABLE_COMMANDS), traded set-up cost against cost per operation:
+The scalar ops (add, sub, neg, mul, inv, pow and frobenius) have one
+implementation, the table-free core _TableFreeCtx, which also derives every
+other helper from them.  It keeps only tables of 3^k entries (2 ms of set-up
+at k = 5, 9 ms at k = 8, 35 ms at k = 10) and multiplies by one Python int
+product of packed trits (Kronecker substitution): 1.1-3.3 us a product and
+0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  Every command but
+check-trinomial and sweep builds only the core, and runs without numpy up to
+k = 10.
 
-- FieldCtx precomputes exp and log tables of a primitive element, 8 bytes
-  per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB
-  at k = 8, refused from k = 9.  A scalar op is then one or two lookups,
-  0.2-0.6 us, and numpy passes over the whole field read the same tables.
-  check-trinomial, mu, uv-scan and sweep build it.
-- _TableFreeCtx keeps only tables of 3^k entries (2 ms of set-up at k = 5,
-  9 ms at k = 8, 35 ms at k = 10) and multiplies by one Python int product
-  of packed trits (Kronecker substitution): 1.1-3.3 us a product and
-  0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  field-info, check-g,
-  count-roots, factors and lemma-verify build it: their O(q) or few
-  thousand ops (lemma-verify settles one fiber per orbit) cost less than a
-  table build, and they run without numpy up to k = 10.
+FieldCtx is the core plus exp and log tables of a primitive element, 8 bytes
+per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB at
+k = 8, refused from k = 9.  Only power_sum_images reads them, the direct
+route's numpy pass over the whole field, so check-trinomial and
+conjlab.sweep alone build it.
 
 The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
 2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module
@@ -30,41 +28,37 @@ takes polyring's gcds, and the core reduces the powers x^i mod f its tables
 start from with polyring's division.  default_modulus(2k) searches for the
 lexicographically smallest f.
 
-Every field is built through _TableFreeCtx, the core: it alone checks k
-against max_k, picks or checks the modulus (one Rabin test per modulus) and
-finds the smallest primitive element alpha.  FieldCtx adds a
-bound on its table size, checked before any work, and the tables.  It builds
-the core once, reads alpha from it, and takes the core's products alpha x^j
-(j < m), bitsliced as a pair of bitmasks of the trits equal to 1 and to 2,
-as the GF(3)-linear map of multiplication by alpha.  Then it drops the core
-and fills the tables from that map in one of two ways:
+Every field is built through the core: it alone checks k against max_k,
+picks or checks the modulus (one Rabin test per modulus) and finds the
+smallest primitive element alpha.  FieldCtx checks a bound on its table size
+before any work, runs the core's set-up, and takes the core's products
+alpha x^j (j < m), bitsliced as a pair of bitmasks of the trits equal to 1
+and to 2, as the GF(3)-linear map of multiplication by alpha.  Then it fills
+the tables from that map in one of two ways:
 
 - k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
   through two 2^m-entry lookup tables of that map.  It takes longer per
-  element than numpy but less in all than importing numpy, so commands on
-  these fields never import it.
+  element than numpy but less in all than importing numpy, so building
+  such a field imports no numpy.
 - k >= 6: numpy doubles bitsliced columns of alpha^i (columns h..2h-1 are
   columns 0..h-1 times alpha^h, read from lookup tables of that map),
   where the pure loop would take over ten times as long.
-
-In FieldCtx, addition uses the one fact the tables need about encodings:
-adding 1 changes only the constant trit, so 1 + alpha^d is the encoding of
-alpha^d with that trit stepped, and a + b = a (1 + b/a) takes two lookups
-more than a product.
 
 Each table is one int32 buffer (array('i')), so fields whose multiplicative
 group has order 2^31 or more are refused, and so are fields whose tables
 would exceed TABLE_BYTES_CEILING (2 GiB).  Elements are plain ints
 throughout: the ctx methods take and return encodings, and
 FieldCtx.power_sum_images evaluates a sparse polynomial at every nonzero
-element with numpy over the same tables.  It does the additions on one
-period of the index only (q + 1 points for the trinomial families, which
-have the shape x^r h(x^(q-1))) and reaches every other element by one
-product with a power of alpha, that is one gather from _exp.  numpy is
-imported only there and in the k >= 6 fill, and both work in blocks of
-_BLOCK_LEN indices, so they hold no array of size n beyond the tables
-(power_sum_images also holds two arrays over one period, of length n only
-when the exponent gaps have no common factor with n).
+element with numpy over the tables.  Its additions use the one fact the
+tables need about encodings: adding 1 changes only the constant trit, so
+1 + alpha^d is the encoding of alpha^d with that trit stepped, and
+a + b = a (1 + b/a).  It does them on one period of the index only (q + 1
+points for the trinomial families, which have the shape x^r h(x^(q-1))) and
+reaches every other element by one product with a power of alpha, that is
+one gather from _exp.  numpy is imported only there and in the k >= 6 fill,
+and both work in blocks of _BLOCK_LEN indices, so they hold no array of size
+n beyond the tables (power_sum_images also holds two arrays over one period,
+of length n only when the exponent gaps have no common factor with n).
 """
 
 import itertools
@@ -93,6 +87,11 @@ _BLOCK_LEN = 2 ** 13
 # ceiling on the estimated table bytes, 8n for n = 3^m - 1 (see FieldCtx):
 # k = 8 (about 0.34 GB) passes, k = 9 (about 3.1 GB) is refused
 TABLE_BYTES_CEILING = 2 * 2 ** 30
+# peak bytes per element of the mu command (the frozenset, the sorted list
+# and the report), held to the same ceiling before the field is built: a
+# tracemalloc peak of 118-119 bytes per element for --format json at
+# d = 531,440 (k = 6) and 4,782,968 (k = 7), 68 for text and 77 for csv
+_MU_BYTES_PER_ELEMENT = 120
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +292,172 @@ class SpecialConstants(NamedTuple):
     sqrt_eps_minus_1: Optional[int]
 
 
-class _Field:
-    """The helpers both contexts derive from their scalar ops, written once.
+class _TableFreeCtx:
+    """GF(3^2k) arithmetic without exp and log tables: the one implementation
+    of the scalar ops, and of every helper derived from them (see the module
+    docstring).
 
-    A context defines add, sub, neg, mul, inv, pow and frobenius on
-    encodings, and sets the public attributes k, m (= 2k), q (= 3^k), order
-    (= 3^2k), modulus (monic GF(3) coefficient tuple, low degree first) and
-    alpha (encoding of the smallest primitive element).
+    An element's trits become the base-256 digits of one int, packed from
+    3^k-entry tables of each half of its encoding.  A product is one int
+    product of the packed operands (Kronecker substitution; von zur Gathen
+    and Gerhard, Modern Computer Algebra, section 8.4): its 2m - 1 digits
+    are at most 4m < 256, so none carries.  One bytes.translate takes them
+    mod 3, and the top m - 1 digits fold back through two lookups of sums
+    of x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
+    int sum, -b is 2b, and a last translate turns the digits into the
+    encoding's base-3 string.  The Frobenius y -> y^3 and y -> y^q are
+    GF(3)-linear, each applied by one lookup in half tables of the images
+    x^(3j) and x^(qj) mod f, built on first use; the e-fold Frobenius takes
+    e single cubes.  a^(-1) = a^q N(a)^(q-2), where the norm N(a) = a^(q+1)
+    lies in GF(q).
+
+    It builds every field, FieldCtx's too.  k must lie in 1..max_k and
+    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must have
+    trits in 0..2, be monic of degree m and pass one Rabin test, and None
+    picks default_modulus(m).  Then it finds alpha, in about 1 ms.  The
+    public attributes are k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
+    (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
+    the smallest primitive element).
     """
 
     _special: Optional[SpecialConstants] = None
+
+    def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
+        m = self._degree(k, max_k)
+        if k > _TABLE_FREE_MAX_K:
+            raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
+                             f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
+        if modulus is None:
+            f = Poly(_GF3, default_modulus(m))
+        else:
+            try:
+                f = Poly(_GF3, modulus)  # trims, and checks every trit
+            except ValueError:
+                raise ValueError(f"modulus trits must be 0, 1 or 2, "
+                                 f"got {format_modulus(modulus)}") from None
+            if f.degree != m or f.leading != 1:
+                raise ValueError(f"modulus must be monic of degree {m}, "
+                                 f"got {format_modulus(f.coeffs)}")
+            if not gf3_is_irreducible(f.coeffs):
+                raise ValueError(f"reducible modulus: {format_modulus(f.coeffs)}")
+        self.modulus = f.coeffs
+        self.k = k
+        self.m = m
+        self.q = 3 ** k
+        self.order = self.q ** 2
+        powers = _x_powers(f, 3 * m - 2)
+        self._low = low = _digit_sums([1 << 8 * j for j in range(k)])
+        self._high = [v << 8 * k for v in low]
+        # a product's 2m - 1 digits, highest first: the top k and the next
+        # k - 1 fold back, keyed by their packed values, onto the low m
+        fold = [_packed(row) for row in powers[m:2 * m - 1]]
+        self._fold_top = dict(zip(low, _digit_sums(fold[k - 1:])))
+        self._fold_next = dict(zip(low[:3 ** (k - 1)], _digit_sums(fold[:k - 1])))
+        self._low_digits = (1 << 8 * m) - 1
+        self._next_digits = (1 << 8 * (k - 1)) - 1
+        # x^(3j) mod f; the half tables of the cube and of y -> y^q are built
+        # by the first frobenius and conjugate_q calls (FieldCtx's build needs
+        # neither)
+        self._cubes = [_packed(powers[3 * j]) for j in range(m)]
+        self._cube_tables = self._conj_tables = None
+        self.alpha = self._smallest_primitive()
+
+    @staticmethod
+    def _degree(k: int, max_k: int) -> int:
+        """m = 2k, once k is checked to lie in 1..max_k."""
+        if not isinstance(k, int) or not 1 <= k <= max_k:
+            raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
+        return 2 * k
+
+    def _smallest_primitive(self) -> int:
+        """Encoding of the smallest generator of the multiplicative group."""
+        n = self.order - 1
+        cofactors = [n // p for p in _factorize(n)]
+        for cand in range(2, self.order):
+            if all(self.pow(cand, c) != 1 for c in cofactors):
+                return cand
+        raise ValueError("no primitive element found")  # unreachable
+
+    def _encoding(self, packed: int) -> int:
+        """The encoding whose trits are the digits of packed, mod 3."""
+        return int(packed.to_bytes(self.m, "big").translate(_TRIT_CHARS), 3)
+
+    def _linear_tables(self, rows: list) -> tuple:
+        """Half tables of the GF(3)-linear map sending x^j to the packed
+        rows[j], read by _apply."""
+        return _digit_sums(rows[:self.k]), _digit_sums(rows[self.k:])
+
+    def _apply(self, tables: tuple, a: int) -> int:
+        return self._encoding(tables[0][a % self.q] + tables[1][a // self.q])
+
+    def add(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        if not a:
+            return b
+        q, low, high = self.q, self._low, self._high
+        return self._encoding(low[a % q] + high[a // q] + low[b % q] + high[b // q])
+
+    def sub(self, a: int, b: int) -> int:
+        if not b:
+            return a
+        q, low, high = self.q, self._low, self._high
+        return self._encoding(low[a % q] + high[a // q] + 2 * (low[b % q] + high[b // q]))
+
+    def neg(self, a: int) -> int:
+        q = self.q
+        return self._encoding(2 * (self._low[a % q] + self._high[a // q]))
+
+    def mul(self, a: int, b: int) -> int:
+        if not a or not b:
+            return 0
+        q, low, high, k = self.q, self._low, self._high, self.k
+        product = (low[a % q] + high[a // q]) * (low[b % q] + high[b // q])
+        p = int.from_bytes(product.to_bytes(4 * k - 1, "big").translate(_MOD3), "big")
+        return self._encoding((p & self._low_digits) + self._fold_top[p >> 8 * (3 * k - 1)]
+                              + self._fold_next[p >> 16 * k & self._next_digits])
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        conj = self.conjugate_q(a)
+        return self.mul(conj, self.pow(self.mul(conj, a), self.q - 2))
+
+    def pow(self, a: int, e: int) -> int:
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("division by zero")
+            return 0 if e else 1
+        e %= self.order - 1
+        if e == 0:
+            return 1
+        mul = self.mul
+        r = a
+        for digit in bin(e)[3:]:  # square-and-multiply below the top bit
+            r = mul(r, r)
+            if digit == "1":
+                r = mul(r, a)
+        return r
+
+    def frobenius(self, a: int, e: int = 1) -> int:
+        """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
+        e %= self.m
+        if e == 1:
+            if self._cube_tables is None:
+                self._cube_tables = self._linear_tables(self._cubes)
+            return self._apply(self._cube_tables, a)
+        for _ in range(e):
+            a = self.frobenius(a)
+        return a
+
+    def conjugate_q(self, a: int) -> int:
+        """x -> x^q; on the norm-1 subgroup mu_{q+1} this is inversion."""
+        if self._conj_tables is None:
+            q, low, high = self.q, self._low, self._high
+            rows = [self.frobenius(3 ** j, self.k) for j in range(self.m)]
+            self._conj_tables = self._linear_tables([low[r % q] + high[r // q]
+                                                     for r in rows])
+        return self._apply(self._conj_tables, a)
 
     def decode(self, enc: int) -> tuple:
         """Trit vector (c0, ..., c_{m-1}) of an encoding."""
@@ -320,10 +475,6 @@ class _Field:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def conjugate_q(self, a: int) -> int:
-        """x -> x^q; on the norm-1 subgroup mu_{q+1} this is inversion."""
-        return self.frobenius(a, self.k)
 
     def alpha_pow(self, i: int) -> int:
         """Encoding of alpha^i for any integer i."""
@@ -363,170 +514,20 @@ class _Field:
         return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"
 
 
-class _TableFreeCtx(_Field):
-    """GF(3^2k) arithmetic without exp and log tables, for commands that
-    make O(q) scalar ops or fewer (see the module docstring).
-
-    An element's trits become the base-256 digits of one int, packed from
-    3^k-entry tables of each half of its encoding.  A product is one int
-    product of the packed operands (Kronecker substitution; von zur Gathen
-    and Gerhard, Modern Computer Algebra, section 8.4): its 2m - 1 digits
-    are at most 4m < 256, so none carries.  One bytes.translate takes them
-    mod 3, and the top m - 1 digits fold back through two lookups of sums
-    of x^(m+l) mod f, keyed by k and k - 1 of those digits.  A sum is a packed
-    int sum, -b is 2b, and a last translate turns the digits into the
-    encoding's base-3 string.  The Frobenius y -> y^3 is GF(3)-linear,
-    applied by the same half tables on the images x^(3j) mod f, and its
-    e-fold power by e single cubes.  a^(-1) = a^q N(a)^(q-2), where the norm
-    N(a) = a^(q+1) lies in GF(q).
-
-    It builds every field, FieldCtx's too.  k must lie in 1..max_k and
-    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must have
-    trits in 0..2, be monic of degree m and pass one Rabin test, and None
-    picks default_modulus(m).  Then it finds alpha, in about 1 ms.
-    """
-
-    def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        m = self._degree(k, max_k)
-        if k > _TABLE_FREE_MAX_K:
-            raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
-                             f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
-        if modulus is None:
-            f = Poly(_GF3, default_modulus(m))
-        else:
-            try:
-                f = Poly(_GF3, modulus)  # trims, and checks every trit
-            except ValueError:
-                raise ValueError(f"modulus trits must be 0, 1 or 2, "
-                                 f"got {format_modulus(modulus)}") from None
-            if f.degree != m or f.leading != 1:
-                raise ValueError(f"modulus must be monic of degree {m}, "
-                                 f"got {format_modulus(f.coeffs)}")
-            if not gf3_is_irreducible(f.coeffs):
-                raise ValueError(f"reducible modulus: {format_modulus(f.coeffs)}")
-        self.modulus = f.coeffs
-        self.k = k
-        self.m = m
-        self.q = 3 ** k
-        self.order = self.q ** 2
-        powers = _x_powers(f, 3 * m - 2)
-        self._low = low = _digit_sums([1 << 8 * j for j in range(k)])
-        self._high = [v << 8 * k for v in low]
-        # a product's 2m - 1 digits, highest first: the top k and the next
-        # k - 1 fold back, keyed by their packed values, onto the low m
-        fold = [_packed(row) for row in powers[m:2 * m - 1]]
-        self._fold_top = dict(zip(low, _digit_sums(fold[k - 1:])))
-        self._fold_next = dict(zip(low[:3 ** (k - 1)], _digit_sums(fold[:k - 1])))
-        self._low_digits = (1 << 8 * m) - 1
-        self._next_digits = (1 << 8 * (k - 1)) - 1
-        # x^(3j) mod f; their half tables are built by the first frobenius
-        # call (FieldCtx's use needs none)
-        self._cubes = [_packed(powers[3 * j]) for j in range(m)]
-        self._cube_low = self._cube_high = None
-        self.alpha = self._smallest_primitive()
-
-    @staticmethod
-    def _degree(k: int, max_k: int) -> int:
-        """m = 2k, once k is checked to lie in 1..max_k."""
-        if not isinstance(k, int) or not 1 <= k <= max_k:
-            raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
-        return 2 * k
-
-    def _smallest_primitive(self) -> int:
-        """Encoding of the smallest generator of the multiplicative group."""
-        n = self.order - 1
-        cofactors = [n // p for p in _factorize(n)]
-        for cand in range(2, self.order):
-            if all(self.pow(cand, c) != 1 for c in cofactors):
-                return cand
-        raise ValueError("no primitive element found")  # unreachable
-
-    def _encoding(self, packed: int) -> int:
-        """The encoding whose trits are the digits of packed, mod 3."""
-        return int(packed.to_bytes(self.m, "big").translate(_TRIT_CHARS), 3)
-
-    def add(self, a: int, b: int) -> int:
-        if not b:
-            return a
-        if not a:
-            return b
-        q, low, high = self.q, self._low, self._high
-        return self._encoding(low[a % q] + high[a // q] + low[b % q] + high[b // q])
-
-    def sub(self, a: int, b: int) -> int:
-        if not b:
-            return a
-        q, low, high = self.q, self._low, self._high
-        return self._encoding(low[a % q] + high[a // q] + 2 * (low[b % q] + high[b // q]))
-
-    def neg(self, a: int) -> int:
-        q = self.q
-        return self._encoding(2 * (self._low[a % q] + self._high[a // q]))
-
-    def mul(self, a: int, b: int) -> int:
-        if not a or not b:
-            return 0
-        q, low, high, k = self.q, self._low, self._high, self.k
-        product = (low[a % q] + high[a // q]) * (low[b % q] + high[b // q])
-        p = int.from_bytes(product.to_bytes(4 * k - 1, "big").translate(_MOD3), "big")
-        return self._encoding((p & self._low_digits) + self._fold_top[p >> 8 * (3 * k - 1)]
-                              + self._fold_next[p >> 16 * k & self._next_digits])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
-        conj = self.frobenius(a, self.k)
-        return self.mul(conj, self.pow(self.mul(conj, a), self.q - 2))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("division by zero")
-            return 0 if e else 1
-        e %= self.order - 1
-        if e == 0:
-            return 1
-        mul = self.mul
-        r = a
-        for digit in bin(e)[3:]:  # square-and-multiply below the top bit
-            r = mul(r, r)
-            if digit == "1":
-                r = mul(r, a)
-        return r
-
-    def frobenius(self, a: int, e: int = 1) -> int:
-        """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
-        e %= self.m
-        if e == 1:
-            if self._cube_low is None:
-                self._cube_low = _digit_sums(self._cubes[:self.k])
-                self._cube_high = _digit_sums(self._cubes[self.k:])
-            q = self.q
-            return self._encoding(self._cube_low[a % q] + self._cube_high[a // q])
-        for _ in range(e):
-            a = self.frobenius(a)
-        return a
-
-class FieldCtx(_Field):
-    """Arithmetic context for GF(3^2k) with exp and log tables, built on
-    the table-free core (see the module docstring) but not derived from it:
-    the core's set-up runs its own mul, which here would read the tables
-    before they exist.
+class FieldCtx(_TableFreeCtx):
+    """The table-free core plus exp and log tables of alpha, for the direct
+    route's numpy pass over the field (power_sum_images); every scalar op is
+    the core's.
 
     The tables are filled by stepping alpha^i in pure Python up to k = 5 and
     by blocked numpy doubling above (see the module docstring).  They are two
     int32 array('i') buffers: _exp (alpha^i for i < n) and _log (the log of
-    each encoding; _log[0] is an unused 0, so every op branches on 0 first),
-    8n bytes in all: 4.3 MB at k = 6, 0.34 GB at k = 8.  The build holds
-    nothing of size n beyond them.  Scalar ops index them and get Python
-    ints.  A log sum or difference shifted into (-n, 0) indexes _exp from its
-    end, where Python wraps it to the same power of alpha, so add, sub, neg,
-    mul and inv reduce nothing mod n.  It overrides none of _Field's
-    helpers.  power_sum_images reads the tables as numpy views.
+    each encoding; _log[0] is an unused 0), 8n bytes in all: 4.3 MB at k = 6,
+    0.34 GB at k = 8.  The build holds nothing of size n beyond them.
     """
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        m = _TableFreeCtx._degree(k, max_k)
+        m = self._degree(k, max_k)
         n = 3 ** m - 1
         if n >= 2 ** 31:
             raise ValueError(f"field order 3^{m} too large: its log tables are int32, "
@@ -537,21 +538,17 @@ class FieldCtx(_Field):
             raise ValueError(f"field order 3^{m} too large: its tables would take "
                              f"about {8 * n / 2 ** 30:.1f} GiB, above the "
                              f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
-        field = _TableFreeCtx(k, modulus, max_k)
-        self.k, self.m, self.q, self.order = field.k, field.m, field.q, field.order
-        self.modulus = field.modulus
-        self.alpha = a = field.alpha
+        super().__init__(k, modulus, max_k)
         self._n = n
         # the rows of y -> alpha^h y, that is alpha^h x^j for j < m
         # bitsliced, for each h = 2^i < n the numpy fill doubles by (h = 1
-        # alone for the pure fill); the core is dropped before the tables
-        # are allocated
+        # alone for the pure fill)
         pure = n <= _PURE_FILL_MAX_N
+        a = self.alpha
         doublings = []
         for _ in range(1 if pure else (n - 1).bit_length()):
-            doublings.append([_bits(field.mul(a, 3 ** j)) for j in range(m)])
-            a = field.mul(a, a)
-        del field
+            doublings.append([_bits(self.mul(a, 3 ** j)) for j in range(m)])
+            a = self.mul(a, a)
         self._exp = array("i", [0]) * n
         # -1 marks a log not yet written: a fill scatters i to _log[e] for
         # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
@@ -664,62 +661,6 @@ class FieldCtx(_Field):
         import numpy as np
         return tuple(np.frombuffer(t, dtype=np.int32) for t in (self._exp, self._log))
 
-    # -- element arithmetic on encodings -----------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        la = self._log[a]
-        s = self._exp[self._log[b] - la]  # b / a
-        s += (1, 1, -2)[s % 3]  # 1 + b / a: the constant trit steps by one
-        if s == 0:
-            return 0
-        return self._exp[la + self._log[s] - self._n]
-
-    def neg(self, a: int) -> int:
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._n // 2]
-
-    def sub(self, a: int, b: int) -> int:
-        if b == 0:
-            return a
-        if a == 0:
-            return self.neg(b)
-        la = self._log[a]
-        d = self._log[b] - la
-        half = self._n // 2  # -b / a = alpha^(d +- n/2), kept inside (-n, n)
-        s = self._exp[d - half if d >= 0 else d + half]
-        s += (1, 1, -2)[s % 3]
-        if s == 0:
-            return 0
-        return self._exp[la + self._log[s] - self._n]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b] - self._n]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
-        return self._exp[-self._log[a]]
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e < 0:
-                raise ZeroDivisionError("division by zero")
-            return 0 if e else 1
-        return self._exp[self._log[a] * e % self._n]
-
-    def frobenius(self, a: int, e: int = 1) -> int:
-        """x -> x^(3^e), the e-fold characteristic-3 Frobenius."""
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
-
     # -- vector evaluation -------------------------------------------------
 
     def power_sum_images(self, terms) -> Iterator:
@@ -810,17 +751,17 @@ def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:
     return FieldCtx(k, modulus, max_k)
 
 
-def primitive_element(ctx: _Field) -> int:
+def primitive_element(ctx: _TableFreeCtx) -> int:
     """Encoding of the smallest generator of the multiplicative group."""
     return ctx.alpha
 
 
-def solve_epsilon(ctx: _Field) -> int:
+def solve_epsilon(ctx: _TableFreeCtx) -> int:
     """Smaller-encoded root of X^2 + 1 (exists for every k)."""
     return ctx.special_constants().epsilon
 
 
-def solve_theta(ctx: _Field) -> Optional[int]:
+def solve_theta(ctx: _TableFreeCtx) -> Optional[int]:
     """Smallest-encoded root of X^3 - X - 1, or None when k % 3 != 0.
 
     Roots of X^3 - X - 1 have multiplicative order 13, so candidates are
@@ -839,7 +780,7 @@ def solve_theta(ctx: _Field) -> Optional[int]:
     return min(roots)
 
 
-def parse_element(ctx: _Field, text: str) -> int:
+def parse_element(ctx: _TableFreeCtx, text: str) -> int:
     """Parse an element: decimal encoding, or comma-separated trit list."""
     text = text.strip()
     if "," in text:

@@ -10,11 +10,11 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .gf3m import _Field
+from .gf3m import _TableFreeCtx
 from .polyring import Poly
 
 
-def mu_enumerate(ctx: _Field, d: int) -> frozenset:
+def mu_enumerate(ctx: _TableFreeCtx, d: int) -> frozenset:
     """mu_d, the d-th roots of unity z^i for z = alpha^((order-1)/d) and i in
     0..d-1, as a frozenset, one product per element; d must divide order-1."""
     n = ctx.order - 1
@@ -51,12 +51,16 @@ def is_bijection_on(fn: Callable[[int], int], domain: Iterable[int]) -> MapRepor
     return MapReport(collision is None and missed is None, collision, missed)
 
 
-def zieve_criterion(ctx: _Field, r: int, d: int, h: Poly) -> tuple:
+def zieve_criterion(ctx: _TableFreeCtx, r: int, d: int, h: Poly) -> tuple:
     """(cond1, cond2) of the subgroup permutation criterion.
 
     cond1: gcd(r, (order-1)/d) = 1.
     cond2: x^r * h(x)^((order-1)/d) permutes mu_d; if h vanishes anywhere on
     mu_d the map collapses and cond2 is reported false.
+
+    When h is over GF(3) (encodings below 3), the map takes x^3 to the cube
+    of x's image, so it is evaluated at one x per orbit of x -> x^3 on mu_d
+    and the orbit is filled one cube per step; otherwise at every x.
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
@@ -64,11 +68,19 @@ def zieve_criterion(ctx: _Field, r: int, d: int, h: Poly) -> tuple:
     n = ctx.order - 1
     e = n // d
     cond1 = gcd(r, e) == 1
+    step = ctx.frobenius if all(c < 3 for c in h.coeffs) else (lambda x: x)
     images = {}
     for x in mu:
+        if x in images:
+            continue
         hx = h.eval(x)
         if hx == 0:
             return cond1, False
-        images[x] = ctx.mul(ctx.pow(x, r), ctx.pow(hx, e))
+        s, y = x, ctx.mul(ctx.pow(x, r), ctx.pow(hx, e))
+        while True:
+            images[s] = y
+            s, y = step(s), step(y)
+            if s == x:
+                break
     cond2 = is_bijection_on(images.__getitem__, mu).is_bijection
     return cond1, cond2

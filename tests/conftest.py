@@ -6,12 +6,13 @@ against something that cannot inherit its bugs.
 """
 
 import itertools
+import math
 import os
 import pathlib
 
 import pytest
 
-from trinolab import conjlab, ctx_create, gf3m
+from trinolab import conjlab, ctx_create, gf3m, permtest
 from trinolab.polyring import Poly
 
 # pytest finds the package through its pythonpath setting; child processes
@@ -62,17 +63,105 @@ def ctx_for():
     return get
 
 
+class LogTableCtx(gf3m._TableFreeCtx):
+    """The scalar ops read off a FieldCtx's exp and log tables: an oracle
+    for the table-free core, whose derived helpers (div, sqrt,
+    special_constants, ...) it runs on these ops.  The tables are filled by stepping alpha^i with bitsliced
+    trit vectors, and the ops below share no code with the core's packed-int
+    products.  A log sum or difference shifted into (-n, 0) indexes _exp from
+    its end, where Python wraps it to the same power of alpha; a + b =
+    a (1 + b/a), where 1 + alpha^d is alpha^d with its constant trit stepped.
+    """
+
+    def __init__(self, k, modulus=None):
+        field = gf3m.FieldCtx(k, modulus)
+        for name in ("k", "m", "q", "order", "modulus", "alpha", "_n", "_exp", "_log"):
+            setattr(self, name, getattr(field, name))
+
+    def add(self, a, b):
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self._log[a]
+        s = self._exp[self._log[b] - la]  # b / a
+        s += (1, 1, -2)[s % 3]  # 1 + b / a: the constant trit steps by one
+        if s == 0:
+            return 0
+        return self._exp[la + self._log[s] - self._n]
+
+    def neg(self, a):
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] - self._n // 2]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b] - self._n]
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._exp[-self._log[a]]
+
+    def pow(self, a, e):
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("division by zero")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % self._n]
+
+    def frobenius(self, a, e=1):
+        if a == 0:
+            return 0
+        return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
+
+    def conjugate_q(self, a):
+        return self.frobenius(a, self.k)
+
+
 @pytest.fixture(scope="session")
-def both_for(ctx_for):
-    """(table context, table-free core) of one field, both memoized: the
-    helpers gf3m._Field derives from the scalar ops run on each."""
+def tables_for():
+    """Memoized LogTableCtx fields."""
+    fields = {}
+
+    def get(k, modulus=None):
+        if (k, modulus) not in fields:
+            fields[k, modulus] = LogTableCtx(k, modulus)
+        return fields[k, modulus]
+    return get
+
+
+@pytest.fixture(scope="session")
+def both_for(tables_for):
+    """(log-table oracle, table-free core) of one field, both memoized: the
+    helpers the core derives from its scalar ops run on each."""
     cores = {}
 
     def get(k, modulus=None):
         if (k, modulus) not in cores:
             cores[k, modulus] = gf3m._TableFreeCtx(k, modulus)
-        return ctx_for(k, modulus), cores[k, modulus]
+        return tables_for(k, modulus), cores[k, modulus]
     return get
+
+
+def per_point_zieve(ctx, r, d, h):
+    """permtest.zieve_criterion with x^r h(x)^((order-1)/d) evaluated at
+    every x of mu_d: the oracle for its walk over the orbits of the cube."""
+    mu = permtest.mu_enumerate(ctx, d)
+    e = (ctx.order - 1) // d
+    cond1 = math.gcd(r, e) == 1
+    images = {}
+    for x in mu:
+        hx = h.eval(x)
+        if hx == 0:
+            return cond1, False
+        images[x] = ctx.mul(ctx.pow(x, r), ctx.pow(hx, e))
+    return cond1, permtest.is_bijection_on(images.__getitem__, mu).is_bijection
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ and Algorithms, ch. 2).
 Nothing here is sampled.  E1 and E2 come from conjlab's own division
 recurrence, and each P but the sextic from the predicate a command
 evaluates, both run over GF(3)[a, b, t] by expansion.  The sextic is a^6
-times uv-scan's cubic, which test_conjlab's
+times the uv resolvent cubic, which test_conjlab's
 test_uv_cubic_is_the_sextic_over_a6 proves.  The same expansions prove the
 laws by which conjlab carries a factor's verdicts from one fiber to the rest
 of its orbit, under the Frobenius and, for families 2 and 3, negation.  The

@@ -11,13 +11,13 @@ import tracemalloc
 
 import pytest
 
-from trinolab import cli, conjlab, gf3m
+from trinolab import cli, conjlab, gf3m, permtest
 from trinolab.cli import main, parse_sweep_csv
 from trinolab.gf3m import ctx_create
 from trinolab.permtest import mu_enumerate
 from trinolab.polyring import Poly
 
-from conftest import vanishing_denominator_map
+from conftest import LogTableCtx, vanishing_denominator_map
 
 
 def run(capsys, *argv):
@@ -197,12 +197,17 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the commands outside cli._TABLE_COMMANDS run on the table-free core
+# every command but check-trinomial runs on the table-free core
 
-def _both_ways(capsys, monkeypatch, ctx_for, argv):
+def _swap_in(patch, make):
+    """Build every field of a command through make(k, modulus)."""
+    patch.setattr(gf3m, "_TableFreeCtx", lambda k, modulus, max_k: make(k, modulus))
+
+
+def _both_ways(capsys, monkeypatch, tables_for, argv):
     """(exit, stdout, stderr) of a command on the table-free core, with
-    gf3m.ctx_create barred, and on the memoised table context, swapped in by
-    adding the command to cli._TABLE_COMMANDS."""
+    gf3m.ctx_create barred, and on the memoised log-table oracle
+    (conftest.LogTableCtx), swapped in for the core."""
     def no_tables(*args):
         raise AssertionError(f"{argv[0]} built a table context")
 
@@ -210,34 +215,33 @@ def _both_ways(capsys, monkeypatch, ctx_for, argv):
         patch.setattr(gf3m, "ctx_create", no_tables)
         free = run(capsys, *argv)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_TABLE_COMMANDS", cli._TABLE_COMMANDS | {argv[0]})
-        patch.setattr(gf3m, "ctx_create", ctx_for)
+        _swap_in(patch, tables_for)
         return free, run(capsys, *argv)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_factors_matches_the_table_path(capsys, monkeypatch, ctx_for, k):
+def test_factors_matches_the_table_path(capsys, monkeypatch, tables_for, k):
     # every fiber of every family up to k = 4, twelve sampled ones above
-    ctx = ctx_for(k)
+    ctx = tables_for(k)
     mu = sorted(mu_enumerate(ctx, ctx.q + 1))
     if k >= 5:
         mu = sorted(random.Random(k).sample(mu, 12))
     for family in (1, 2, 3):
         for t in mu:
             free, tables = _both_ways(
-                capsys, monkeypatch, ctx_for,
+                capsys, monkeypatch, tables_for,
                 ["factors", "--k", str(k), "--family", str(family), "--t", str(t),
                  "--format", "json"])
             assert free == tables and free[0] == 0, (family, t)
     poly = ",".join(str(random.Random(k).randrange(ctx.order)) for _ in range(9))
-    free, tables = _both_ways(capsys, monkeypatch, ctx_for,
+    free, tables = _both_ways(capsys, monkeypatch, tables_for,
                               ["factors", "--k", str(k), "--poly", poly + ",1"])
     assert free == tables and free[0] == 0
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
 def test_field_info_check_g_and_count_roots_match_the_table_path(
-        capsys, monkeypatch, ctx_for, k):
+        capsys, monkeypatch, tables_for, k):
     # the same bytes on both contexts, whatever the exit code (family 1 at
     # odd k and family 3 at k = 2 mod 4 lie outside the claims)
     commands = [["field-info"]]
@@ -245,20 +249,20 @@ def test_field_info_check_g_and_count_roots_match_the_table_path(
         commands += [["check-g", "--family", family],
                      ["count-roots", "--family", family, "--t", "all"]]
     for argv in commands:
-        free, tables = _both_ways(capsys, monkeypatch, ctx_for,
+        free, tables = _both_ways(capsys, monkeypatch, tables_for,
                                   [*argv, "--k", str(k), "--format", "json"])
         assert free == tables and free[1], argv
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
-def test_lemma_verify_matches_the_table_path(capsys, monkeypatch, ctx_for, k):
+def test_lemma_verify_matches_the_table_path(capsys, monkeypatch, tables_for, k):
     # the same bytes on both contexts, whatever the exit code, for every t
     # and for one
-    ctx = ctx_for(k)
+    ctx = tables_for(k)
     t = random.Random(k).choice(sorted(mu_enumerate(ctx, ctx.q + 1)))
     for argv in (["--family", "2"], ["--family", "3"],
                  ["--family", "3", "--t", str(t)]):
-        free, tables = _both_ways(capsys, monkeypatch, ctx_for,
+        free, tables = _both_ways(capsys, monkeypatch, tables_for,
                                   ["lemma-verify", *argv, "--k", str(k),
                                    "--format", "json"])
         assert free == tables and free[1], argv
@@ -351,14 +355,39 @@ def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),
-                                  ("mu", "--d", "2"), ("uv-scan",)),
+@pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),),
                          ids=lambda argv: argv[0])
 def test_table_commands_refuse_k9_at_once(capsys, argv):
     start = time.perf_counter()
     code, _, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:])
     assert code == 1 and "too large" in err
     assert time.perf_counter() - start < 1
+
+
+def test_mu_refuses_an_element_list_past_the_ceiling_at_once(capsys, monkeypatch):
+    # mu_d's element list is bounded before the field is built: d = 3^16 - 1
+    # (k = 8, about 4.8 GiB) exits 1 at once, and the largest d within the
+    # ceiling goes on to build its field
+    class Reached(Exception):
+        pass
+
+    def forbidden(*args):
+        raise AssertionError("mu enumerated its elements")
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(permtest, "mu_enumerate", forbidden)
+    monkeypatch.setattr(gf3m, "_TableFreeCtx", reached)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mu", "--k", "8", "--max-k", "8", "--d", str(3 ** 16 - 1))
+    assert (code, out) == (1, "") and "too large" in err
+    assert time.perf_counter() - start < 1
+    largest = gf3m.TABLE_BYTES_CEILING // gf3m._MU_BYTES_PER_ELEMENT
+    code, _, err = run(capsys, "mu", "--k", "8", "--max-k", "8", "--d", str(largest + 1))
+    assert code == 1 and "too large" in err
+    with pytest.raises(Reached):
+        main(["mu", "--k", "8", "--max-k", "8", "--d", str(largest)])
 
 
 # runs a command in a grandchild and prints its exit code and peak RSS (KiB)
@@ -381,8 +410,10 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
     ("check-g --k 9 --family 2", 100), ("count-roots --k 9 --family 2 --t 1", 100),
     # 39,366 report rows, held as dicts and then as one string
     ("lemma-verify --k 9 --family 3", 300),
+    # 45 MB measured in a fresh process
+    ("uv-scan --k 9", 100),
 ), ids=("field-info-k9", "field-info-k10", "check-g-k9", "count-roots-k9",
-        "lemma-verify-k9"))
+        "lemma-verify-k9", "uv-scan-k9"))
 def test_core_commands_run_past_the_table_wall(argv, peak_mb):
     # the tables would take about 3.1 GB at k = 9; the core needs none
     k = argv.split()[2]
@@ -422,14 +453,14 @@ def test_lemma_verify_all_searches_one_fiber_per_orbit(capsys, monkeypatch):
     assert code == 0 and len(calls) == 6
 
 
-def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, ctx_for):
-    # the 82 fibers of family 3 at k = 4 fall into 6 orbits.  On either
-    # context the relation and the zero remainder are checked for the
-    # witnesses of the 6 searched fibers only, and carried to the others one
-    # cube or one negation at a time: no t takes an e-fold Frobenius, and no
-    # witness is replayed by the public verifier.  The core's inv, which the
-    # factor search calls, takes a^q as a k-fold Frobenius; those calls are
-    # left out
+def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, tables_for):
+    # the 82 fibers of family 3 at k = 4 fall into 6 orbits.  On the core and
+    # on the log-table oracle the relation and the zero remainder are checked
+    # for the witnesses of the 6 searched fibers only, and carried to the
+    # others one cube or one negation at a time: no t takes an e-fold
+    # Frobenius, and no witness is replayed by the public verifier.  The
+    # core's inv reads a^q off half tables that its first call builds from
+    # k-fold Frobenius powers; those calls are left out
     searched, relations, replays, exponents = [], [], [], []
     in_inv = []
 
@@ -445,7 +476,7 @@ def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, ctx_for):
     def refuse(*args):
         raise AssertionError("a witness was replayed on its own fiber")
     monkeypatch.setattr(conjlab, "verify_quintic_coefficient_system", refuse)
-    for cls in (gf3m.FieldCtx, gf3m._TableFreeCtx):
+    for cls in (LogTableCtx, gf3m._TableFreeCtx):
         def frobenius(self, x, e=1, plain=cls.frobenius):
             if not in_inv:
                 exponents.append(e)
@@ -460,12 +491,12 @@ def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, ctx_for):
         monkeypatch.setattr(cls, "frobenius", frobenius)
         monkeypatch.setattr(cls, "inv", inv)
     outs = []
-    for commands in (cli._TABLE_COMMANDS, cli._TABLE_COMMANDS | {"lemma-verify"}):
+    for oracle in (False, True):
         for log in (searched, relations, replays):
             log.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "_TABLE_COMMANDS", commands)
-            patch.setattr(gf3m, "ctx_create", ctx_for)
+            if oracle:
+                _swap_in(patch, tables_for)
             code, out, _ = run(capsys, "lemma-verify", "--k", "4", "--family", "3",
                                "--format", "json")
         rows = json.loads(out)
@@ -539,7 +570,7 @@ def test_harvests_take_no_square_root(capsys, monkeypatch, both_for):
 
     def boom(self, a):
         raise AssertionError("a harvest took a square root")
-    monkeypatch.setattr(gf3m._Field, "sqrt", boom)
+    monkeypatch.setattr(gf3m._TableFreeCtx, "sqrt", boom)
     assert "sqrt" not in vars(gf3m.FieldCtx)
     for k in (1, 2, 3):
         for ctx in both_for(k):
@@ -566,17 +597,15 @@ def test_witness_checks_skip_what_the_certificates_prove(capsys, monkeypatch, bo
     monkeypatch.setattr(conjlab, "quintic_displayed_identities_hold", boom)
     monkeypatch.setattr(conjlab, "septic_displayed_identities_hold", boom)
     inverted = []
-    for cls in (gf3m.FieldCtx, gf3m._TableFreeCtx):
+    for cls in (LogTableCtx, gf3m._TableFreeCtx):
         def counted(self, x, plain=cls.inv):
             inverted.append(x)
             return plain(self, x)
         monkeypatch.setattr(cls, "inv", counted)
     monkeypatch.setattr(conjlab, "harvest_witnesses", lambda family, ctx: expected[ctx])
-    # lemma-verify runs on the core; on the tables too, as far as this test goes
-    monkeypatch.setattr(cli, "_TABLE_COMMANDS", cli._TABLE_COMMANDS | {"lemma-verify"})
     for k, pair in ctxs.items():
         for ctx in pair:
-            monkeypatch.setattr(gf3m, "ctx_create", lambda *args, ctx=ctx: ctx)
+            _swap_in(monkeypatch, lambda *args, ctx=ctx: ctx)
             for family in ("2", "3"):
                 code, out, _ = run(capsys, "lemma-verify", "--k", str(k),
                                    "--family", family, "--format", "json")
@@ -797,7 +826,7 @@ def test_commands_build_fields_through_the_current_ctx_create(capsys, monkeypatc
         calls.append(args)
         return plain(*args)
     monkeypatch.setattr(gf3m, "ctx_create", counted)
-    code, _, _ = run(capsys, "mu", "--k", "1", "--d", "2")
+    code, _, _ = run(capsys, "check-trinomial", "--k", "1", "--family", "2", "--l", "2")
     assert code == 0 and calls == [(1, None, 6)]
 
 
@@ -832,15 +861,18 @@ def test_assertion_errors_are_internal_bugs_not_exit_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,evals", (
-    (("check-g", "--k", "2", "--family", "2"), 20),
-    (("count-roots", "--k", "2", "--family", "2", "--t", "all"), 20),
-    (("check-trinomial", "--k", "2", "--family", "2", "--l", "2"), 30),
-    # 10 per l for the index form, 20 for one g table
-    (("sweep", "--k", "2", "--family", "2", "--l", "2,3,4"), 50),
+    (("check-g", "--k", "2", "--family", "2"), 4),
+    (("count-roots", "--k", "2", "--family", "2", "--t", "all"), 4),
+    (("check-trinomial", "--k", "2", "--family", "2", "--l", "2"), 8),
+    # 4 per l for the index form, 4 for one g table
+    (("sweep", "--k", "2", "--family", "2", "--l", "2,3,4"), 16),
 ), ids=("check-g", "count-roots", "check-trinomial", "sweep"))
 def test_g_is_evaluated_once_per_x(capsys, monkeypatch, argv, evals):
-    # q + 1 = 10 at k = 2: N and D are evaluated once per x of mu_{q+1} in
-    # every command, and once per (family, k) in a sweep
+    # q + 1 = 10 at k = 2: x -> x^3 splits mu_{q+1} into 4 orbits, and
+    # x -> -x joins them into 2 for family 2, whose N and D have opposite
+    # parities.  N and D are evaluated once per orbit of both, so at most
+    # once per x, in every command, and once per (family, k) in a sweep; the
+    # index form's h, over GF(3), once per orbit of the cube
     calls = []
     plain_eval = Poly.eval
 
@@ -940,7 +972,8 @@ import trinolab
 from trinolab import cli
 for argv in (["factors", "--k", "5", "--family", "3", "--t", "1"],
              ["factors", "--k", "6", "--family", "3", "--t", "188590"],
-             ["lemma-verify", "--k", "4", "--family", "2"], ["uv-scan", "--k", "4"]):
+             ["lemma-verify", "--k", "4", "--family", "2"], ["uv-scan", "--k", "4"],
+             ["uv-scan", "--k", "6"], ["mu", "--k", "6", "--d", "730"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 before = "numpy" in sys.modules

@@ -25,7 +25,7 @@ from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
 from trinolab.polyring import Poly, poly_gcd, quadratic_factors, roots_in_set
 
-from conftest import BLOCK_LENS, vanishing_denominator_map
+from conftest import BLOCK_LENS, per_point_zieve, vanishing_denominator_map
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -130,13 +130,14 @@ def test_vector_images_match_the_scalar_map(ctx_for, monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_direct_route_matches_the_bijection_oracle(ctx_for, monkeypatch, k):
+def test_direct_route_matches_the_bijection_oracle(ctx_for, tables_for, monkeypatch, k):
+    # the oracle evaluates f at every element with the log-table ops
     ctx = ctx_for(k)
     verdicts = set()
     for family in (1, 2, 3):
         for l in valid_ls(family, ctx, range(0, 13)):
             spec = trinomial_family(family, l, ctx)
-            oracle = is_bijection_on(trinomial_map(spec, ctx), range(ctx.order))
+            oracle = is_bijection_on(trinomial_map(spec, tables_for(k)), range(ctx.order))
             for block in BLOCK_LENS:
                 monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
                 direct = conjlab._routes(spec, ctx)[2]
@@ -289,6 +290,64 @@ def test_g_table_agrees_with_fibers_and_denominator_oracle(ctx_for, monkeypatch,
         monkeypatch.setattr(conjlab, "fractional_map", vanishing_denominator_map)
         for family in (1, 2, 3):
             assert not compare(family)
+
+
+def per_point_g_table(family, ctx):
+    """{x: g(x)} over mu_{q+1} from one evaluation of N and D per x, None
+    where D(x) = 0: the oracle for conjlab._g_table, which evaluates one x
+    per orbit."""
+    fm = conjlab.fractional_map(family, ctx)
+    mu = mu_enumerate(ctx, ctx.q + 1)
+    table = {}
+    for x in sorted(mu):
+        d = fm.denominator.eval(x)
+        y = ctx.div(fm.numerator.eval(x), d) if d else None
+        if y is not None and y not in mu:
+            raise conjlab.VerificationError(f"image {y} of {x} escapes mu_{{q+1}}")
+        table[x] = y
+    return table
+
+
+def _escaping_map(family, ctx):
+    """x + 1/x = (x^2 + 1) / x: N even and D odd, so the orbits join x and
+    -x, and on mu_{q+1} the image x + x^q lies in GF(q), mostly outside
+    mu_{q+1}."""
+    return conjlab.FractionalMap(family, Poly(ctx, (1, 0, 1)), Poly(ctx, (0, 1)))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_g_table_matches_the_per_point_oracle(ctx_for, monkeypatch, k):
+    # the same items in the same order for every family; up to k = 4 also
+    # for a denominator that vanishes on mu_{q+1}, and the same error for a
+    # map whose images leave it
+    ctx = ctx_for(k)
+    for family in FAMILIES:
+        assert (list(conjlab._g_table(family, ctx).items())
+                == list(per_point_g_table(family, ctx).items())), family
+    if k <= 4:
+        monkeypatch.setattr(conjlab, "fractional_map", vanishing_denominator_map)
+        assert (list(conjlab._g_table(2, ctx).items())
+                == list(per_point_g_table(2, ctx).items()))
+        monkeypatch.setattr(conjlab, "fractional_map", _escaping_map)
+        errors = []
+        for table in (conjlab._g_table, per_point_g_table):
+            with pytest.raises(conjlab.VerificationError) as info:
+                table(2, ctx)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
+def test_zieve_criterion_matches_the_per_point_oracle(ctx_for, k):
+    # the index form of each family has h over GF(3), so the criterion walks
+    # the orbits of the cube on mu_{q+1}
+    ctx = ctx_for(k)
+    for family in FAMILIES:
+        for l in valid_ls(family, ctx, range(2, 6)):
+            r, h = trinomial_decompose(trinomial_family(family, l, ctx), ctx)
+            assert max(h.coeffs) < 3
+            assert (zieve_criterion(ctx, r, ctx.q + 1, h)
+                    == per_point_zieve(ctx, r, ctx.q + 1, h)), (family, l)
 
 
 def test_g_maps_mu_into_mu(ctx_for):
@@ -644,7 +703,7 @@ def test_classification_reads_no_field_constant(both_for, monkeypatch):
 
     def boom(self):
         raise AssertionError("a field constant was read per witness")
-    monkeypatch.setattr(gf3m._Field, "special_constants", boom)
+    monkeypatch.setattr(gf3m._TableFreeCtx, "special_constants", boom)
     for ctx in both_for(3):
         for family in FAMILIES:
             assert harvest_witnesses(family, ctx) == expected[family]
@@ -868,10 +927,18 @@ def test_lemma_checks_at_k5_and_k6(ctx_for, k):
         # the splits that a^q b = a implies, so uv_identity_check skips them
         inv_a, inv_aq = ctx.inv(w.a), ctx.inv(ctx.conjugate_q(w.a))
         assert (w.u, w.v) == (ctx.add(inv_a, inv_aq), ctx.mul(inv_a, inv_aq)), w
+        assert uv_cubic(w.u, w.v, ctx) == 0, w
 
 
 # ---------------------------------------------------------------------------
 # the (u, v) resolvent identities
+
+def uv_cubic(u, v, ctx):
+    """v^3 - (u-1) v - (u^6 - u - 1): 0 at every uv-scan witness, which
+    uv_identity_check no longer checks (see its docstring)."""
+    mul, sub, pw = ctx.mul, ctx.sub, ctx.pow
+    return sub(sub(pw(v, 3), mul(sub(u, 1), v)), sub(sub(pw(u, 6), u), 1))
+
 
 def test_uv_identities_k2(ctx_for):
     rep = uv_identity_check(ctx_for(2))
@@ -881,17 +948,20 @@ def test_uv_identities_k2(ctx_for):
     for w in rep.witnesses:
         assert ctx.mul(w.u, w.a) == ctx.add(w.b, 1)
         assert ctx.mul(w.v, ctx.mul(w.a, w.a)) == w.b
+        assert uv_cubic(w.u, w.v, ctx) == 0, w
 
 
 def test_uv_identities_k1(ctx_for):
     rep = uv_identity_check(ctx_for(1))
     assert rep.ok
     assert len(rep.witnesses) == 4
+    for w in rep.witnesses:
+        assert uv_cubic(w.u, w.v, ctx_for(1)) == 0, w
 
 
 def test_uv_cubic_and_shift_are_the_same_function(ctx_for):
     # (v-1)^3 - (u-1)(v-1) - u^6 expands to v^3 - (u-1)v - (u^6 - u - 1)
-    # in characteristic 3, so uv_identity_check checks the cubic once.  Both
+    # in characteristic 3, so the two forms of the cubic are one.  Both
     # sides have degree <= 6 in u and <= 3 in v, below 81, so agreeing on all
     # of GF(81)^2 makes them one polynomial in GF(3)[u, v]
     def shifted_cubic(u, v, ctx):
@@ -902,7 +972,7 @@ def test_uv_cubic_and_shift_are_the_same_function(ctx_for):
     ctx = ctx_for(2)
     for u in range(ctx.order):
         for v in range(ctx.order):
-            assert conjlab._uv_cubic(u, v, ctx) == shifted_cubic(u, v, ctx), (u, v)
+            assert uv_cubic(u, v, ctx) == shifted_cubic(u, v, ctx), (u, v)
 
 
 def test_uv_cubic_is_the_sextic_over_a6(ctx_for):
@@ -925,7 +995,7 @@ def test_uv_cubic_is_the_sextic_over_a6(ctx_for):
     for a in range(1, ctx.order):
         for b in range(ctx.order):
             u, v = div(ctx.add(b, 1), a), div(b, mul(a, a))
-            assert mul(ctx.pow(a, 6), conjlab._uv_cubic(u, v, ctx)) == sextic(a, b, ctx), (a, b)
+            assert mul(ctx.pow(a, 6), uv_cubic(u, v, ctx)) == sextic(a, b, ctx), (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -324,15 +324,17 @@ def test_table_free_mul_matches_reference(modulus):
 
 @pytest.mark.parametrize(("k", "modulus"),
                          [(k, None) for k in (1, 2, 3, 4, 5, 6)] + OTHER_MODULI)
-def test_table_free_ctx_agrees_with_the_tables(ctx_for, k, modulus):
-    tables = ctx_for(k, modulus)
+def test_table_free_ctx_agrees_with_the_tables(tables_for, k, modulus):
+    # the core's ops against the same ops read off the exp and log tables
+    tables = tables_for(k, modulus)
     free = gf3m._TableFreeCtx(k, modulus)
-    assert ((free.k, free.m, free.q, free.order, free.modulus)
-            == (tables.k, tables.m, tables.q, tables.order, tables.modulus))
+    assert ((free.k, free.m, free.q, free.order, free.modulus, free.alpha)
+            == (tables.k, tables.m, tables.q, tables.order, tables.modulus, tables.alpha))
     rng = random.Random(f"table-free:{k}:{modulus}")
     operands = [0, 1, 2] + [rng.randrange(tables.order) for _ in range(60)]
     for a in operands:
         assert free.neg(a) == tables.neg(a)
+        assert free.conjugate_q(a) == tables.conjugate_q(a)
         for e in range(-tables.m, 2 * tables.m + 1):
             assert free.frobenius(a, e) == tables.frobenius(a, e), (a, e)
         assert free.frobenius(a) == tables.frobenius(a)
@@ -472,12 +474,23 @@ def test_ctx_tables_are_int32_buffers(traced_k5_build):
     # at k = 5, where Python lists of ints once took 7.5 MB; the build peaks
     # below one int64 n x m trit matrix.  Once a collect has cleared the
     # interpreter's free lists (about 150 KB of tuples left by the pure
-    # fill), the ctx keeps 8n bytes and a few small objects
+    # fill), the ctx keeps 8n bytes, the table-free core's 3^k-entry lists
+    # (46 KB at k = 5, traced here by building a core alone) and a few small
+    # objects
     ctx, retained, peak, kept = traced_k5_build
     n, m = ctx.order - 1, ctx.m
+    gc.collect()
+    tracemalloc.start()
+    try:
+        core = gf3m._TableFreeCtx(5)
+        gc.collect()
+        core_kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert core.alpha == ctx.alpha
     assert peak < n * m * 8
     assert retained < 2 * 2 ** 20
-    assert kept <= 8 * n + 2 ** 12
+    assert kept <= 8 * n + core_kept + 2 ** 12
     tables = {name: t for name, t in vars(ctx).items() if isinstance(t, array)}
     assert sorted(tables) == ["_exp", "_log"]
     assert [t.typecode for t in tables.values()] == ["i"] * 2
@@ -596,6 +609,19 @@ def test_conjugate_q_fixes_exactly_the_subfield(both_for):
         for a in fixed:
             for b in fixed:
                 assert ctx.mul(a, b) in fixed  # closed, i.e. a copy of GF(q)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 7, 8))
+def test_conjugate_q_is_the_k_fold_frobenius(k):
+    # one lookup in the half tables of x^(qj) against k single cubes: every
+    # element up to k = 3, 2,000 seeded ones above
+    core = gf3m._TableFreeCtx(k, max_k=k)
+    elements = range(core.order)
+    if k > 3:
+        rng = random.Random(f"conjugate:{k}")
+        elements = [0, 1, 2] + [rng.randrange(core.order) for _ in range(2000)]
+    for a in elements:
+        assert core.conjugate_q(a) == core.frobenius(a, k), a
 
 
 # ---------------------------------------------------------------------------

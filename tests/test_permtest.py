@@ -9,6 +9,8 @@ from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
 from trinolab.polyring import Poly
 
+from conftest import per_point_zieve
+
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
 
@@ -112,6 +114,7 @@ def test_zieve_equivalence_exhaustive_small_field(d):
             continue
         for r in (1, 2, 3, 5, 7):
             cond1, cond2 = zieve_criterion(ctx, r, d, h)
+            assert (cond1, cond2) == per_point_zieve(ctx, r, d, h), (d, r, h.coeffs)
             direct = is_bijection_on(field_map(ctx, r, s, h),
                                      range(ctx.order)).is_bijection
             assert (cond1 and cond2) == direct, (d, r, h.coeffs)
@@ -128,6 +131,7 @@ def test_zieve_equivalence_sampled_larger_field():
         if h.is_zero:
             continue
         cond1, cond2 = zieve_criterion(ctx, r, d, h)
+        assert (cond1, cond2) == per_point_zieve(ctx, r, d, h), (d, r, h.coeffs)
         direct = is_bijection_on(field_map(ctx, r, n // d, h),
                                  range(ctx.order)).is_bijection
         assert (cond1 and cond2) == direct, (d, r, h.coeffs)
