@@ -137,13 +137,14 @@ def parse_sweep_csv(text: str) -> list:
 # command handlers; each returns (exit_code, report)
 
 def _make_ctx(args, make=None):
-    """The field of args: the table-free core (see gf3m), or make's.  Only
-    check-trinomial passes gf3m.ctx_create, because its direct route reads
-    the exp and log tables; sweep builds them through conjlab.sweep."""
+    """The field of args, a gf3m.FieldCtx, built by make or by FieldCtx
+    itself.  Only check-trinomial passes gf3m.ctx_create, which first checks
+    that the exp and log tables its direct route fills would fit; sweep
+    builds its fields through conjlab.sweep, which does the same."""
     modulus = parse_modulus_arg(args.modulus)
     try:
         # looked up per call, as the handlers are in main
-        return (make or gf3m._TableFreeCtx)(args.k, modulus, args.max_k)
+        return (make or gf3m.FieldCtx)(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

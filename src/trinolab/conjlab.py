@@ -39,7 +39,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .gf3m import DEFAULT_MAX_K, FieldCtx, _TableFreeCtx, ctx_create, format_modulus
+from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
 from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
 from .polyring import Poly, quadratic_factors, roots_in_set
 
@@ -136,7 +136,7 @@ class SweepReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # families and their reduced maps
 
-def trinomial_family(family: int, l: int, ctx: _TableFreeCtx) -> TrinomialSpec:
+def trinomial_family(family: int, l: int, ctx: FieldCtx) -> TrinomialSpec:
     """The TrinomialSpec of one family member; l must keep all three exponents
     nonnegative.  Only the three signed terms are kept, so the cost does not
     grow with l."""
@@ -165,7 +165,7 @@ def _terms(spec: TrinomialSpec) -> list:
     return [(1 if s > 0 else 2, e) for e, s in zip(spec.exponents, spec.signs)]
 
 
-def trinomial_map(spec: TrinomialSpec, ctx: _TableFreeCtx):
+def trinomial_map(spec: TrinomialSpec, ctx: FieldCtx):
     """Fast evaluator x -> x^e1 +/- x^e2 +/- x^e3 (no dense polynomial)."""
     (s1, e1), (s2, e2), (s3, e3) = _terms(spec)
     add, mul, pw = ctx.add, ctx.mul, ctx.pow
@@ -177,7 +177,7 @@ def trinomial_map(spec: TrinomialSpec, ctx: _TableFreeCtx):
     return fn
 
 
-def trinomial_decompose(spec: TrinomialSpec, ctx: _TableFreeCtx):
+def trinomial_decompose(spec: TrinomialSpec, ctx: FieldCtx):
     """Write f = x^r * h(x^(q-1)) with r the smallest exponent; returns (r, h).
 
     The reconstruction x^r * h(x^(q-1)) is re-checked term for term against
@@ -206,14 +206,14 @@ _FRACTIONAL_COEFFS = {
 }
 
 
-def fractional_map(family: int, ctx: _TableFreeCtx) -> FractionalMap:
+def fractional_map(family: int, ctx: FieldCtx) -> FractionalMap:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family}")
     num, den = _FRACTIONAL_COEFFS[family]
     return FractionalMap(family, Poly(ctx, num), Poly(ctx, den))
 
 
-def denominator_nonvanishing(family: int, ctx: _TableFreeCtx) -> bool:
+def denominator_nonvanishing(family: int, ctx: FieldCtx) -> bool:
     """True when the family's denominator has no root in mu_{q+1}."""
     den = fractional_map(family, ctx).denominator
     return not roots_in_set(den, mu_enumerate(ctx, ctx.q + 1))
@@ -227,7 +227,7 @@ def _negation_maps(num, den) -> bool:
     return parities in ([{0}, {1}], [{1}, {0}])
 
 
-def _g_table(family: int, ctx: _TableFreeCtx) -> dict:
+def _g_table(family: int, ctx: FieldCtx) -> dict:
     """{x: g(x)} over mu_{q+1} in increasing encoding order; None marks
     D(x) = 0.  Commands read it only through _fiber_roots; the public
     g_permutes_mu also builds it.
@@ -272,7 +272,7 @@ def _g_bijection(fibers: dict) -> bool:
     return all(len(roots) == 1 for roots in fibers.values())
 
 
-def g_permutes_mu(family: int, ctx: _TableFreeCtx) -> MapReport:
+def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
     """Bijection report for the family's fractional map on mu_{q+1}.
 
     Raises ValueError if the denominator vanishes on mu_{q+1}, and
@@ -323,7 +323,7 @@ def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
 # ---------------------------------------------------------------------------
 # fiber polynomials and root counts
 
-def _require_in_mu(t: int, ctx: _TableFreeCtx):
+def _require_in_mu(t: int, ctx: FieldCtx):
     if not isinstance(t, int) or not 0 < t < ctx.order \
             or ctx.pow(t, ctx.q + 1) != 1:
         raise ValueError(f"t={t} not in mu_(q+1)")
@@ -339,7 +339,7 @@ def _fiber_terms(family: int):
     return (den, num) if family == 2 else (num, den)
 
 
-def fiber_polynomial(family: int, t: int, ctx: _TableFreeCtx) -> Poly:
+def fiber_polynomial(family: int, t: int, ctx: FieldCtx) -> Poly:
     """The polynomial whose roots in mu_{q+1} form the fiber of the family's
     reduced map at parameter t."""
     _require_in_mu(t, ctx)
@@ -349,7 +349,7 @@ def fiber_polynomial(family: int, t: int, ctx: _TableFreeCtx) -> Poly:
                       for n, d in zip_longest(num, den, fillvalue=0)])
 
 
-def _fiber_roots(family: int, ctx: _TableFreeCtx) -> dict:
+def _fiber_roots(family: int, ctx: FieldCtx) -> dict:
     """{t: sorted roots in mu_{q+1} of fiber_polynomial(family, t)} for every
     t in mu_{q+1}, read off the family's _g_table.
 
@@ -366,13 +366,13 @@ def _fiber_roots(family: int, ctx: _TableFreeCtx) -> dict:
     return fibers
 
 
-def count_solutions_quintic(t: int, ctx: _TableFreeCtx):
+def count_solutions_quintic(t: int, ctx: FieldCtx):
     """(count, roots) of x^5 + t x^4 - x^3 + t x^2 - x - t over mu_{q+1}."""
     roots = roots_in_set(fiber_polynomial(3, t, ctx), mu_enumerate(ctx, ctx.q + 1))
     return len(roots), roots
 
 
-def count_solutions_septic(t: int, ctx: _TableFreeCtx):
+def count_solutions_septic(t: int, ctx: FieldCtx):
     """(count, roots) of x^7 + t x^6 + t x^4 - x^3 - x - t over mu_{q+1}."""
     roots = roots_in_set(fiber_polynomial(2, t, ctx), mu_enumerate(ctx, ctx.q + 1))
     return len(roots), roots
@@ -381,14 +381,14 @@ def count_solutions_septic(t: int, ctx: _TableFreeCtx):
 # ---------------------------------------------------------------------------
 # quadratic-factor relations
 
-def _discriminant_form(a: int, b: int, ctx: _TableFreeCtx) -> tuple:
+def _discriminant_form(a: int, b: int, ctx: FieldCtx) -> tuple:
     """(D, W) = (a^2 - b, (b + 1)^2) of x^2 + ax + b.  D is its discriminant
     a^2 - 4b in characteristic 3, and both case relations say D = cW."""
     b1 = ctx.add(b, 1)
     return ctx.sub(ctx.mul(a, a), b), ctx.mul(b1, b1)
 
 
-def quintic_relation_holds(a: int, b: int, ctx: _TableFreeCtx) -> bool:
+def quintic_relation_holds(a: int, b: int, ctx: FieldCtx) -> bool:
     """a^2 = (e-1) b^2 - (e+1) b + (e-1) for a root e = +/-eps of X^2 + 1.
 
     Subtract b from both sides: a^2 - b = (e-1)(b^2 - b + 1) = (e-1)(b+1)^2
@@ -399,7 +399,7 @@ def quintic_relation_holds(a: int, b: int, ctx: _TableFreeCtx) -> bool:
     return ctx.mul(d, ctx.sub(d, w)) == ctx.mul(w, w)
 
 
-def classify_septic_factor(a: int, b: int, ctx: _TableFreeCtx) -> LemmaCase:
+def classify_septic_factor(a: int, b: int, ctx: FieldCtx) -> LemmaCase:
     """Match (a, b) against the two closed-form cases of the degree-7 analysis:
     (a, b) = (+/-eps, -1), or a^2 = theta b^2 - (theta-1) b + theta for a root
     theta of X^3 - X - 1 (only possible when k % 3 == 0).
@@ -417,7 +417,7 @@ def classify_septic_factor(a: int, b: int, ctx: _TableFreeCtx) -> LemmaCase:
     return LemmaCase.THETA if w else LemmaCase.EPSILON
 
 
-def _divide_fiber(family: int, a: int, b: int, t: int, ctx: _TableFreeCtx) -> tuple:
+def _divide_fiber(family: int, a: int, b: int, t: int, ctx: FieldCtx) -> tuple:
     """(s, e1, e2) of dividing the family's fiber polynomial (degree n, with
     coefficients c_j = t d_j - n_j off _fiber_terms) by x^2 + ax + b: the
     x^(n-i) equation c_(n-i) = s_i + a s_(i-1) + b s_(i-2), s_0 = 1, gives
@@ -433,7 +433,7 @@ def _divide_fiber(family: int, a: int, b: int, t: int, ctx: _TableFreeCtx) -> tu
             sub(mul(b, s[-1]), c[0]))
 
 
-def _require_factor(family: int, a: int, b: int, t: int, ctx: _TableFreeCtx):
+def _require_factor(family: int, a: int, b: int, t: int, ctx: FieldCtx):
     """Raise ValueError unless t is in mu_{q+1} and x^2 + ax + b divides the
     family's fiber polynomial at t."""
     _require_in_mu(t, ctx)
@@ -442,7 +442,7 @@ def _require_factor(family: int, a: int, b: int, t: int, ctx: _TableFreeCtx):
         raise ValueError(f"witness fails divisibility: (a={a}, b={b}) at t={t}")
 
 
-def _check_witness(family: int, w: QuadFactorWitness, ctx: _TableFreeCtx):
+def _check_witness(family: int, w: QuadFactorWitness, ctx: FieldCtx):
     """Raise ValueError unless x^2 + ax + b divides the family's fiber
     polynomial at w.t, a and b are nonzero, and, for the degree-7 families,
     a^q b = a."""
@@ -453,19 +453,19 @@ def _check_witness(family: int, w: QuadFactorWitness, ctx: _TableFreeCtx):
         raise ValueError(f"witness fails a^q * b = a: (a={w.a}, b={w.b})")
 
 
-def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: _TableFreeCtx) -> bool:
+def verify_quintic_factor_relation(w: QuadFactorWitness, ctx: FieldCtx) -> bool:
     """Precondition-checked form of quintic_relation_holds for a witness."""
     _check_witness(3, w, ctx)
     return quintic_relation_holds(w.a, w.b, ctx)
 
 
-def verify_septic_factor_case(w: QuadFactorWitness, ctx: _TableFreeCtx) -> LemmaCase:
+def verify_septic_factor_case(w: QuadFactorWitness, ctx: FieldCtx) -> LemmaCase:
     """Precondition-checked form of classify_septic_factor for a witness."""
     _check_witness(2, w, ctx)
     return classify_septic_factor(w.a, w.b, ctx)
 
 
-def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: _TableFreeCtx) -> bool:
+def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """(a + a b^2) t = a^2 b^2 - b^3 - b^2 + b  and
     (b^3 - b^2 - b + a^2) t = a b^3 + a b, as exact field identities; a
     test oracle, since tests/test_certificates.py proves them at every factor."""
@@ -478,7 +478,7 @@ def quintic_displayed_identities_hold(a: int, b: int, t: int, ctx: _TableFreeCtx
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
-def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: _TableFreeCtx) -> bool:
+def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """Replay the degree-5 coefficient equations at t by _divide_fiber: True,
     or ValueError when t is not in mu_{q+1} or the remainder is not 0.  The
     relation of quintic_relation_holds and both displayed identities lie in
@@ -487,7 +487,7 @@ def verify_quintic_coefficient_system(a: int, b: int, t: int, ctx: _TableFreeCtx
     return True
 
 
-def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: _TableFreeCtx) -> bool:
+def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """(a^2 b^3 + a^2 - b^4 + b^3 - b) t = a^3 b^3 + a b^4 + a b  and
     (a + a b^2 + a^3 b^2 + a b^3) t = a^4 b^2 + b^4 - b^2 + b; a test oracle."""
     mul, add, sub, pw = ctx.mul, ctx.add, ctx.sub, ctx.pow
@@ -500,7 +500,7 @@ def septic_displayed_identities_hold(a: int, b: int, t: int, ctx: _TableFreeCtx)
     return lhs1 == rhs1 and lhs2 == rhs2
 
 
-def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: _TableFreeCtx) -> bool:
+def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: FieldCtx) -> bool:
     """The degree-7 verify_quintic_coefficient_system; the relation of
     classify_septic_factor and both displayed identities lie in the ideal."""
     _require_factor(2, a, b, t, ctx)
@@ -513,7 +513,7 @@ def verify_septic_coefficient_system(a: int, b: int, t: int, ctx: _TableFreeCtx)
 _FIBER_DEGREE = {1: 7, 2: 7, 3: 5}
 
 
-def harvest_witnesses(family: int, ctx: _TableFreeCtx) -> list:
+def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
     """Quadratic factors (a, b nonzero) of the family's fiber polynomial over
     every t in mu_{q+1}, in (t, a, b) encoding order.
 
@@ -528,7 +528,7 @@ def harvest_witnesses(family: int, ctx: _TableFreeCtx) -> list:
     return [w for _, witnesses in _fiber_witnesses(family, mu, ctx) for w in witnesses]
 
 
-def _fiber_witnesses(family: int, ts: list, ctx: _TableFreeCtx):
+def _fiber_witnesses(family: int, ts: list, ctx: FieldCtx):
     """(t, harvest_witnesses of the fiber at t) for each t of ts, in the order
     of ts, with each orbit of fibers settled once (see the module docstring).
 
@@ -581,7 +581,7 @@ def _fiber_witnesses(family: int, ts: list, ctx: _TableFreeCtx):
 # ---------------------------------------------------------------------------
 # uniqueness ingredients and the (u, v) identity
 
-def distinct_root_exclusion(family: int, ctx: _TableFreeCtx) -> ExclusionReport:
+def distinct_root_exclusion(family: int, ctx: FieldCtx) -> ExclusionReport:
     """Count fiber-polynomial roots in mu_{q+1} for every t and re-derive the
     field-level facts that rule out two distinct roots.
 
@@ -621,7 +621,7 @@ def distinct_root_exclusion(family: int, ctx: _TableFreeCtx) -> ExclusionReport:
     return ExclusionReport(family, k, max_count, counterexamples, ingredients, ok)
 
 
-def uv_identity_check(ctx: _TableFreeCtx) -> UVReport:
+def uv_identity_check(ctx: FieldCtx) -> UVReport:
     """Harvest family-1 fiber factors with a^q b = a and set u = (b+1)/a and
     v = b/a^2 from one inversion.  As b = a^(1-q), u = 1/a + 1/a^q and
     v = 1/a^(q+1).
@@ -645,7 +645,7 @@ def uv_identity_check(ctx: _TableFreeCtx) -> UVReport:
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _fiber_stats(family: int, ctx: _TableFreeCtx) -> tuple:
+def _fiber_stats(family: int, ctx: FieldCtx) -> tuple:
     """(g_bijection, max_fiber_size, witness_count, histogram) for one
     (family, k): the g verdict and the largest fiber from one _fiber_roots,
     then the harvest."""

@@ -5,77 +5,58 @@ in the polynomial basis: trits (c0, c1, ..., c_{2k-1}) with c0 least
 significant, so encoding = sum(c_i * 3^i).  The encoding order doubles as the
 canonical tie-breaking order everywhere in this package.
 
-The scalar ops (add, sub, neg, mul, inv, pow and frobenius) have one
-implementation, the table-free core _TableFreeCtx, which also derives every
-other helper from them.  It keeps only tables of 3^k entries (2 ms of set-up
-at k = 5, 9 ms at k = 8, 35 ms at k = 10) and multiplies by one Python int
-product of packed trits (Kronecker substitution): 1.1-3.3 us a product and
-0.5-1.4 us a sum at k = 1..10 on a 2-vCPU Xeon.  Every command but
-check-trinomial and sweep builds only the core, and runs without numpy up to
-k = 10.
-
-FieldCtx is the core plus exp and log tables of a primitive element, 8 bytes
-per element: 24-40 ms at k = 5 in a fresh process, 2.3-3.0 s and 358 MB at
-k = 8, refused from k = 9.  Only power_sum_images reads them, the direct
-route's numpy pass over the whole field, so check-trinomial and
-conjlab.sweep alone build it.
+FieldCtx is the one field context.  Its scalar ops (add, sub, neg, mul, inv,
+pow and frobenius) keep only tables of 3^k entries (2 ms of set-up at k = 5,
+9 ms at k = 8, 35 ms at k = 10) and multiply by one Python int product of
+packed trits (Kronecker substitution): 1.1-3.3 us a product and 0.5-1.4 us a
+sum at k = 1..10 on a 2-vCPU Xeon.  Every other helper is derived from them.
+Building a field imports no numpy and runs up to k = 10.
 
 The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
 2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module
 does no GF(3)[x] arithmetic of its own: Rabin's irreducibility test
 (gf3_is_irreducible) reads x^(3^i) mod f off polyring's Frobenius chain and
-takes polyring's gcds, and the core reduces the powers x^i mod f its tables
-start from with polyring's division.  default_modulus(2k) searches for the
-lexicographically smallest f.
+takes polyring's gcds, and the context reduces the powers x^i mod f its
+tables start from with polyring's division.  default_modulus(2k) searches
+for the lexicographically smallest f.
 
-Every field is built through the core: it alone checks k against max_k,
-picks or checks the modulus (one Rabin test per modulus) and finds the
-smallest primitive element alpha.  FieldCtx checks a bound on its table size
-before any work, runs the core's set-up, and takes the core's products
-alpha x^j (j < m), bitsliced as a pair of bitmasks of the trits equal to 1
-and to 2, as the GF(3)-linear map of multiplication by alpha.  Then it fills
-the tables from that map in one of two ways:
+A field checks k against max_k, picks or checks the modulus (one Rabin test
+per modulus) and finds the smallest primitive element alpha.  Only the
+direct route's numpy pass over the whole field, FieldCtx.power_sum_images
+(run by check-trinomial and conjlab.sweep), also reads exp and log tables
+of alpha, 8 bytes per element, and its first call fills them.  The fill
+takes the products alpha^h x^j (j < m, h = 2^i < n), bitsliced as a pair of
+bitmasks of the trits equal to 1 and to 2, as the GF(3)-linear maps of
+multiplication by alpha^h, and numpy doubles bitsliced columns of alpha^i:
+columns h..2h-1 are columns 0..h-1 times alpha^h, read from lookup tables
+of that map.
 
-- k <= 5 (3^10 - 1 nonzero elements): a pure Python loop steps alpha^i
-  through two 2^m-entry lookup tables of that map.  It takes longer per
-  element than numpy but less in all than importing numpy, so building
-  such a field imports no numpy.
-- k >= 6: numpy doubles bitsliced columns of alpha^i (columns h..2h-1 are
-  columns 0..h-1 times alpha^h, read from lookup tables of that map),
-  where the pure loop would take over ten times as long.
-
-Each table is one int32 buffer (array('i')), so fields whose multiplicative
-group has order 2^31 or more are refused, and so are fields whose tables
-would exceed TABLE_BYTES_CEILING (2 GiB).  Elements are plain ints
-throughout: the ctx methods take and return encodings, and
-FieldCtx.power_sum_images evaluates a sparse polynomial at every nonzero
-element with numpy over the tables.  Its additions use the one fact the
-tables need about encodings: adding 1 changes only the constant trit, so
-1 + alpha^d is the encoding of alpha^d with that trit stepped, and
+Each table is one int32 numpy array, so fields whose multiplicative group
+has order 2^31 or more get no tables, and neither do fields whose tables
+would exceed TABLE_BYTES_CEILING (2 GiB).  ctx_create refuses such a field
+before any work, and the fill checks the same bound again before it
+allocates.  Elements are plain ints throughout: the ctx methods take and
+return encodings, and power_sum_images evaluates a sparse polynomial at
+every nonzero element with numpy over the tables.  Its additions use the one
+fact the tables need about encodings: adding 1 changes only the constant
+trit, so 1 + alpha^d is the encoding of alpha^d with that trit stepped, and
 a + b = a (1 + b/a).  It does them on one period of the index only (q + 1
 points for the trinomial families, which have the shape x^r h(x^(q-1))) and
 reaches every other element by one product with a power of alpha, that is
-one gather from _exp.  numpy is imported only there and in the k >= 6 fill,
-and both work in blocks of _BLOCK_LEN indices, so they hold no array of size
-n beyond the tables (power_sum_images also holds two arrays over one period,
+one gather from _exp.  numpy is imported only there and in the fill, and
+both work in blocks of _BLOCK_LEN indices, so they hold no array of size n
+beyond the tables (power_sum_images also holds two arrays over one period,
 of length n only when the exponent gaps have no common factor with n).
 """
 
 import itertools
-from array import array
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .polyring import Poly, _frobenius_chain, poly_gcd
 
 DEFAULT_MAX_K = 6
-# largest multiplicative group order n = 3^2k - 1 whose tables are filled in
-# pure Python, i.e. k <= 5.  Measured on a 2-vCPU Xeon (best of five, two
-# processes): at k = 5 the pure fill takes 28-37 ms against 7 ms for the
-# numpy fill plus 0.16 s to import numpy; at k = 6 it takes 0.38-0.40 s
-# against 0.03 s.
-_PURE_FILL_MAX_N = 3 ** 10 - 1
-# indices per block of the numpy passes over the field (the k >= 6 fill and
+# indices per block of the numpy passes over the field (the table fill and
 # power_sum_images).  Measured on a 2-vCPU Xeon (medians at k = 6 and 7):
 # 2^13 to 2^15 take the same time within noise, 2^12 takes 10-20% longer
 # and 2^10 1.5-2 times as long (per-block overhead), and 2^16 and up slow
@@ -84,7 +65,8 @@ _PURE_FILL_MAX_N = 3 ** 10 - 1
 # power_sum_images; tracemalloc at k = 5), 0.3 MB at 2^13, below the L2
 # cache.
 _BLOCK_LEN = 2 ** 13
-# ceiling on the estimated table bytes, 8n for n = 3^m - 1 (see FieldCtx):
+# ceiling on the table bytes, 8n for n = 3^m - 1 (see FieldCtx), checked by
+# ctx_create before any work and by the table fill before it allocates:
 # k = 8 (about 0.34 GB) passes, k = 9 (about 3.1 GB) is refused
 TABLE_BYTES_CEILING = 2 * 2 ** 30
 # peak bytes per element of the mu command (the frozenset, the sorted list
@@ -217,12 +199,6 @@ def _bits(enc: int) -> tuple:
     return ones, twos
 
 
-def _bits_add(a1: int, a2: int, b1: int, b2: int) -> tuple:
-    """Tritwise sum mod 3 of (a1, a2) and (b1, b2), both bitsliced."""
-    t = (a1 | b2) ^ (a2 | b1)
-    return (a2 | b2) ^ t, (a1 | b1) ^ t
-
-
 def _half_tables(rows: list) -> tuple:
     """Lookup tables of a GF(3)-linear map on the trits of one half.
 
@@ -239,7 +215,7 @@ def _half_tables(rows: list) -> tuple:
     size = 1
     for r1, r2 in rows + [(r2, r1) for r1, r2 in rows]:
         a1, a2 = t1[:size], t2[:size]
-        u = (a1 | r2) ^ (a2 | r1)  # _bits_add
+        u = (a1 | r2) ^ (a2 | r1)  # tritwise sum, bitsliced
         t1[size:2 * size] = (a2 | r2) ^ u
         t2[size:2 * size] = (a1 | r1) ^ u
         size *= 2
@@ -247,14 +223,14 @@ def _half_tables(rows: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the table-free context: trits packed as base-256 digits of one Python int
+# the field context: trits packed as base-256 digits of one Python int
 
 # bytes.translate tables on base-256 digits: the digit mod 3, and that
 # residue as the ASCII character int(., 3) reads
 _MOD3 = bytes(v % 3 for v in range(256))
 _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
-# largest k the table-free context builds.  Its set-up holds about 6 * 3^k
-# Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
+# largest k a FieldCtx builds.  The set-up of its scalar ops holds about
+# 6 * 3^k Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
 # k = 10 on a 2-vCPU Xeon, and each k above triples it
 _TABLE_FREE_MAX_K = 10
 
@@ -292,10 +268,33 @@ class SpecialConstants(NamedTuple):
     sqrt_eps_minus_1: Optional[int]
 
 
-class _TableFreeCtx:
-    """GF(3^2k) arithmetic without exp and log tables: the one implementation
-    of the scalar ops, and of every helper derived from them (see the module
-    docstring).
+def _degree(k: int, max_k: int) -> int:
+    """m = 2k, once k is checked to lie in 1..max_k."""
+    if not isinstance(k, int) or not 1 <= k <= max_k:
+        raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
+    return 2 * k
+
+
+def _table_size(m: int) -> int:
+    """n = 3^m - 1, once the int32 exp and log tables of GF(3^m) are known
+    to fit: n below 2^31 and their 8n bytes within TABLE_BYTES_CEILING."""
+    n = 3 ** m - 1
+    if n >= 2 ** 31:
+        raise ValueError(f"field order 3^{m} too large: its log tables are int32, "
+                         f"so 3^(2k) - 1 must stay below 2^31")
+    # int32 exp (n) and log (n + 1) tables; the fill keeps its work columns
+    # inside log
+    if 8 * n > TABLE_BYTES_CEILING:
+        raise ValueError(f"field order 3^{m} too large: its tables would take "
+                         f"about {8 * n / 2 ** 30:.1f} GiB, above the "
+                         f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
+    return n
+
+
+class FieldCtx:
+    """GF(3^2k) arithmetic: the one implementation of the scalar ops, of
+    every helper derived from them, and of the direct route's pass over the
+    field (see the module docstring).
 
     An element's trits become the base-256 digits of one int, packed from
     3^k-entry tables of each half of its encoding.  A product is one int
@@ -311,19 +310,25 @@ class _TableFreeCtx:
     e single cubes.  a^(-1) = a^q N(a)^(q-2), where the norm N(a) = a^(q+1)
     lies in GF(q).
 
-    It builds every field, FieldCtx's too.  k must lie in 1..max_k and
-    1.._TABLE_FREE_MAX_K, checked before any work; a given modulus must have
-    trits in 0..2, be monic of degree m and pass one Rabin test, and None
-    picks default_modulus(m).  Then it finds alpha, in about 1 ms.  The
-    public attributes are k, m (= 2k), q (= 3^k), order (= 3^2k), modulus
-    (monic GF(3) coefficient tuple, low degree first) and alpha (encoding of
-    the smallest primitive element).
+    k must lie in 1..max_k and 1.._TABLE_FREE_MAX_K, checked before any
+    work; a given modulus must have trits in 0..2, be monic of degree m and
+    pass one Rabin test, and None picks default_modulus(m).  Then it finds
+    alpha, in about 1 ms.  The public attributes are k, m (= 2k), q (= 3^k),
+    order (= 3^2k), modulus (monic GF(3) coefficient tuple, low degree
+    first) and alpha (encoding of the smallest primitive element).
+
+    The exp and log tables of alpha are two int32 numpy arrays that the
+    first power_sum_images fills (_tables): _exp (alpha^i for i < n) and
+    _log (the log of each encoding; _log[0] is an unused 0), 8n bytes in
+    all, 4.3 MB at k = 6 and 0.34 GB at k = 8.  The fill holds nothing of
+    size n beyond them.
     """
 
     _special: Optional[SpecialConstants] = None
+    _exp = _log = None  # filled by _tables
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        m = self._degree(k, max_k)
+        m = _degree(k, max_k)
         if k > _TABLE_FREE_MAX_K:
             raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
                              f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
@@ -356,18 +361,11 @@ class _TableFreeCtx:
         self._low_digits = (1 << 8 * m) - 1
         self._next_digits = (1 << 8 * (k - 1)) - 1
         # x^(3j) mod f; the half tables of the cube and of y -> y^q are built
-        # by the first frobenius and conjugate_q calls (FieldCtx's build needs
+        # by the first frobenius and conjugate_q calls (the table fill needs
         # neither)
         self._cubes = [_packed(powers[3 * j]) for j in range(m)]
         self._cube_tables = self._conj_tables = None
         self.alpha = self._smallest_primitive()
-
-    @staticmethod
-    def _degree(k: int, max_k: int) -> int:
-        """m = 2k, once k is checked to lie in 1..max_k."""
-        if not isinstance(k, int) or not 1 <= k <= max_k:
-            raise ValueError(f"unsupported degree: k={k} outside 1..{max_k}")
-        return 2 * k
 
     def _smallest_primitive(self) -> int:
         """Encoding of the smallest generator of the multiplicative group."""
@@ -513,118 +511,38 @@ class _TableFreeCtx:
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"
 
+    # -- the exp and log tables ---------------------------------------------
 
-class FieldCtx(_TableFreeCtx):
-    """The table-free core plus exp and log tables of alpha, for the direct
-    route's numpy pass over the field (power_sum_images); every scalar op is
-    the core's.
+    def _tables(self) -> tuple:
+        """(exp, log), filled by the first call from bitsliced uint16 columns
+        (ones, twos) of alpha^i, every pass in blocks of _BLOCK_LEN indices.
 
-    The tables are filled by stepping alpha^i in pure Python up to k = 5 and
-    by blocked numpy doubling above (see the module docstring).  They are two
-    int32 array('i') buffers: _exp (alpha^i for i < n) and _log (the log of
-    each encoding; _log[0] is an unused 0), 8n bytes in all: 4.3 MB at k = 6,
-    0.34 GB at k = 8.  The build holds nothing of size n beyond them.
-    """
-
-    def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
-        m = self._degree(k, max_k)
-        n = 3 ** m - 1
-        if n >= 2 ** 31:
-            raise ValueError(f"field order 3^{m} too large: its log tables are int32, "
-                             f"so 3^(2k) - 1 must stay below 2^31")
-        # int32 exp (n) and log (n + 1) tables; the numpy fill keeps its work
-        # columns inside log
-        if 8 * n > TABLE_BYTES_CEILING:
-            raise ValueError(f"field order 3^{m} too large: its tables would take "
-                             f"about {8 * n / 2 ** 30:.1f} GiB, above the "
-                             f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
-        super().__init__(k, modulus, max_k)
-        self._n = n
-        # the rows of y -> alpha^h y, that is alpha^h x^j for j < m
-        # bitsliced, for each h = 2^i < n the numpy fill doubles by (h = 1
-        # alone for the pure fill)
-        pure = n <= _PURE_FILL_MAX_N
-        a = self.alpha
-        doublings = []
-        for _ in range(1 if pure else (n - 1).bit_length()):
-            doublings.append([_bits(self.mul(a, 3 ** j)) for j in range(m)])
-            a = self.mul(a, a)
-        self._exp = array("i", [0]) * n
-        # -1 marks a log not yet written: a fill scatters i to _log[e] for
-        # e = alpha^i, i < n, so no -1 is left past _log[0] iff those n
-        # encodings are the n nonzero ones, i.e. alpha is primitive
-        self._log = array("i", [-1]) * self.order
-        if pure:
-            self._fill_pure(doublings[0])
-        else:
-            self._fill_numpy(doublings)
-
-    # -- construction ------------------------------------------------------
-
-    def _fill_pure(self, rows: list):
-        """Fill the tables by stepping alpha^i, one Python loop of n / 2 steps.
-
-        plus[mask] holds alpha v and the encodings of v and -v, for v the
-        vector with trit 1 at the set bits of mask; minus[mask] the same for
-        trit 2.  So the state (ones, twos) = alpha^i gives its encoding, that
-        of -alpha^i = alpha^(i + n/2), and alpha^(i+1) from plus[ones],
-        minus[twos] and one tritwise add.
-
-        The closing check, that no -1 is left in _log, rejects a
-        non-primitive alpha: if the first half alpha^i, i < n/2, has no
-        repeat, alpha has order n or n/2, and in the second case the first
-        half is the subgroup of squares, which holds -1 (4 divides n) and so
-        the negatives that fill the second half.
+        The bound on their size is checked first, before numpy is imported
+        or anything is allocated.  The columns live in log (n + 1 int32
+        entries hold 2n uint16), which is free until the scatter, so the
+        fill holds no array of size n besides the tables.  Doubling: columns
+        h..2h-1 are columns 0..h-1 times alpha^h, read for each half of the
+        trits from a _half_tables lookup of that map.  Every column is then
+        encoded into exp before log is reset to -1 and scattered, i to
+        log[e] for e = alpha^i, i < n.  A last pass checks that the scatter
+        left no -1 past log[0], that is, that those n encodings are the n
+        nonzero ones and alpha is primitive.
         """
-        n = self._n
-        half = n // 2
-        plus = [(0, 0, 0, 0)]
-        minus = [(0, 0, 0, 0)]
-        for j, (r1, r2) in enumerate(rows):
-            w = 3 ** j
-            plus += [(*_bits_add(a1, a2, r1, r2), e + w, f + 2 * w)
-                     for a1, a2, e, f in plus]
-            minus += [(*_bits_add(a1, a2, r2, r1), e + 2 * w, f + w)
-                      for a1, a2, e, f in minus]
-        exp, log = self._exp, self._log
-        ones, twos = 1, 0
-        for i in range(half):
-            a1, a2, e1, f1 = plus[ones]
-            b1, b2, e2, f2 = minus[twos]
-            enc = e1 + e2
-            neg = f1 + f2
-            exp[i] = enc
-            exp[i + half] = neg
-            log[enc] = i
-            log[neg] = i + half
-            t = (a1 | b2) ^ (a2 | b1)  # _bits_add, inlined
-            ones = (a2 | b2) ^ t
-            twos = (a1 | b1) ^ t
-        log[0] = 0
-        if -1 in log:
-            raise ValueError("exp table is not a permutation; element not primitive")
-
-    def _fill_numpy(self, doublings: list):
-        """Fill the tables from bitsliced uint16 columns (ones, twos) of
-        alpha^i, every pass in blocks of _BLOCK_LEN indices.
-
-        The columns live in _log (n + 1 int32 entries hold 2n uint16), which
-        is free until the scatter, so the build holds no array of size n
-        besides the tables.  Doubling: columns h..2h-1 are columns 0..h-1
-        times alpha^h, read for each half of the trits from a _half_tables
-        lookup of that map.  Every column is then encoded into _exp before
-        _log is reset to -1 and scattered, and a last pass checks that the
-        scatter left no -1 (alpha primitive).
-        """
+        if self._exp is not None:
+            return self._exp, self._log
+        m, k = self.m, self.k
+        n = _table_size(m)
         import numpy as np
-        n, m, k = self._n, self.m, self.k
-        exp, log_arr = self._tables()
+        exp = np.empty(n, dtype=np.int32)
+        log_arr = np.empty(n + 1, dtype=np.int32)
         # uint16 holds the m trits: TABLE_BYTES_CEILING stops at m = 16
         ones, twos = log_arr[:n].view(np.uint16).reshape(2, n)
         ones[0], twos[0] = 1, 0
         mask = (1 << k) - 1  # the low half: trits 0..k-1
+        a = self.alpha  # alpha^h
         h = 1
-        for rows in doublings:  # rows = alpha^h x^j for j < m
+        while h < n:
+            rows = [_bits(self.mul(a, 3 ** j)) for j in range(m)]  # alpha^h x^j
             low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
             width = min(h, n - h)  # columns h..h+width-1 come from 0..width-1
             for s in range(0, width, _BLOCK_LEN):
@@ -634,9 +552,10 @@ class FieldCtx(_TableFreeCtx):
                 i_high = (o >> k | (t >> k) << k).astype(np.intp)
                 a1, a2 = low[0].take(i_low), low[1].take(i_low)
                 b1, b2 = high[0].take(i_high), high[1].take(i_high)
-                u = (a1 | b2) ^ (a2 | b1)  # _bits_add
+                u = (a1 | b2) ^ (a2 | b1)  # tritwise sum, bitsliced
                 np.bitwise_xor(a2 | b2, u, out=ones[h + s:h + e])
                 np.bitwise_xor(a1 | b1, u, out=twos[h + s:h + e])
+            a = self.mul(a, a)
             h *= 2
         # enc[mask] = encoding of the vector with trit 1 at the bits of mask
         enc = np.zeros(1 << m, dtype=np.int32)
@@ -655,11 +574,8 @@ class FieldCtx(_TableFreeCtx):
         log_arr[0] = 0
         if log_arr.min() < 0:
             raise ValueError("exp table is not a permutation; element not primitive")
-
-    def _tables(self) -> tuple:
-        """(exp, log) as int32 numpy views of the table buffers."""
-        import numpy as np
-        return tuple(np.frombuffer(t, dtype=np.int32) for t in (self._exp, self._log))
+        self._exp, self._log = exp, log_arr
+        return exp, log_arr
 
     # -- vector evaluation -------------------------------------------------
 
@@ -695,9 +611,9 @@ class FieldCtx(_TableFreeCtx):
         _BLOCK_LEN).  Beyond the tables it holds the period's logs and mask
         (9P bytes) and the vectors of one block.
         """
+        exp, log_arr = self._tables()  # checks the bound before numpy is imported
         import numpy as np
-        n = self._n
-        exp, log_arr = self._tables()
+        n = self.order - 1
         terms = [(e % n, int(log_arr[c])) for c, e in terms]
         r = min(e for e, _ in terms)
         terms = [(e - r, log_c) for e, log_c in terms]
@@ -747,21 +663,24 @@ class FieldCtx(_TableFreeCtx):
 
 
 def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:
-    """Build a GF(3^2k) context; modulus defaults to the lex-smallest irreducible."""
+    """Build a GF(3^2k) context whose exp and log tables would fit, checked
+    before any work (the tables themselves are filled by the first
+    power_sum_images); modulus defaults to the lex-smallest irreducible."""
+    _table_size(_degree(k, max_k))
     return FieldCtx(k, modulus, max_k)
 
 
-def primitive_element(ctx: _TableFreeCtx) -> int:
+def primitive_element(ctx: FieldCtx) -> int:
     """Encoding of the smallest generator of the multiplicative group."""
     return ctx.alpha
 
 
-def solve_epsilon(ctx: _TableFreeCtx) -> int:
+def solve_epsilon(ctx: FieldCtx) -> int:
     """Smaller-encoded root of X^2 + 1 (exists for every k)."""
     return ctx.special_constants().epsilon
 
 
-def solve_theta(ctx: _TableFreeCtx) -> Optional[int]:
+def solve_theta(ctx: FieldCtx) -> Optional[int]:
     """Smallest-encoded root of X^3 - X - 1, or None when k % 3 != 0.
 
     Roots of X^3 - X - 1 have multiplicative order 13, so candidates are
@@ -780,7 +699,7 @@ def solve_theta(ctx: _TableFreeCtx) -> Optional[int]:
     return min(roots)
 
 
-def parse_element(ctx: _TableFreeCtx, text: str) -> int:
+def parse_element(ctx: FieldCtx, text: str) -> int:
     """Parse an element: decimal encoding, or comma-separated trit list."""
     text = text.strip()
     if "," in text:

@@ -10,16 +10,19 @@ from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .gf3m import _TableFreeCtx
+from .gf3m import FieldCtx
 from .polyring import Poly
 
 
-def mu_enumerate(ctx: _TableFreeCtx, d: int) -> frozenset:
+def mu_enumerate(ctx: FieldCtx, d: int) -> frozenset:
     """mu_d, the d-th roots of unity z^i for z = alpha^((order-1)/d) and i in
-    0..d-1, as a frozenset, one product per element; d must divide order-1."""
+    0..d-1, as a frozenset, one product per element; d must divide order-1.
+    mu_(order-1) is every nonzero encoding, and takes no product."""
     n = ctx.order - 1
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise ValueError(f"not a subgroup order: d={d} does not divide {n}")
+    if d == n:
+        return frozenset(range(1, ctx.order))
     z = ctx.alpha_pow(n // d)
     return frozenset(accumulate(repeat(z, d - 1), ctx.mul, initial=1))
 
@@ -51,7 +54,7 @@ def is_bijection_on(fn: Callable[[int], int], domain: Iterable[int]) -> MapRepor
     return MapReport(collision is None and missed is None, collision, missed)
 
 
-def zieve_criterion(ctx: _TableFreeCtx, r: int, d: int, h: Poly) -> tuple:
+def zieve_criterion(ctx: FieldCtx, r: int, d: int, h: Poly) -> tuple:
     """(cond1, cond2) of the subgroup permutation criterion.
 
     cond1: gcd(r, (order-1)/d) = 1.

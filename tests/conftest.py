@@ -63,11 +63,12 @@ def ctx_for():
     return get
 
 
-class LogTableCtx(gf3m._TableFreeCtx):
+class LogTableCtx(gf3m.FieldCtx):
     """The scalar ops read off a FieldCtx's exp and log tables: an oracle
-    for the table-free core, whose derived helpers (div, sqrt,
-    special_constants, ...) it runs on these ops.  The tables are filled by stepping alpha^i with bitsliced
-    trit vectors, and the ops below share no code with the core's packed-int
+    for FieldCtx's own packed-int ops, whose derived helpers (div, sqrt,
+    special_constants, ...) it runs on these ops.  The tables are filled
+    explicitly here, by numpy doubling of bitsliced trit vectors, and read
+    as lists of ints, so the ops below share no code with the packed-int
     products.  A log sum or difference shifted into (-n, 0) indexes _exp from
     its end, where Python wraps it to the same power of alpha; a + b =
     a (1 + b/a), where 1 + alpha^d is alpha^d with its constant trit stepped.
@@ -75,8 +76,10 @@ class LogTableCtx(gf3m._TableFreeCtx):
 
     def __init__(self, k, modulus=None):
         field = gf3m.FieldCtx(k, modulus)
-        for name in ("k", "m", "q", "order", "modulus", "alpha", "_n", "_exp", "_log"):
+        for name in ("k", "m", "q", "order", "modulus", "alpha"):
             setattr(self, name, getattr(field, name))
+        self._n = field.order - 1
+        self._exp, self._log = (t.tolist() for t in field._tables())
 
     def add(self, a, b):
         if a == 0:
@@ -138,13 +141,13 @@ def tables_for():
 
 @pytest.fixture(scope="session")
 def both_for(tables_for):
-    """(log-table oracle, table-free core) of one field, both memoized: the
-    helpers the core derives from its scalar ops run on each."""
+    """(log-table oracle, FieldCtx) of one field, both memoized: the
+    helpers FieldCtx derives from its scalar ops run on each."""
     cores = {}
 
     def get(k, modulus=None):
         if (k, modulus) not in cores:
-            cores[k, modulus] = gf3m._TableFreeCtx(k, modulus)
+            cores[k, modulus] = gf3m.FieldCtx(k, modulus)
         return tables_for(k, modulus), cores[k, modulus]
     return get
 

@@ -187,7 +187,7 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
     def no_field(*args):
         raise AssertionError("field built before the source was validated")
 
-    monkeypatch.setattr(gf3m, "_TableFreeCtx", no_field)
+    monkeypatch.setattr(gf3m, "FieldCtx", no_field)
     for argv, message in (
             (("--k", "2"), "factors needs --poly or both --family and --t"),
             (("--k", "2", "--family", "3", "--t", "all"),
@@ -197,22 +197,23 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# every command but check-trinomial runs on the table-free core
+# every command but check-trinomial runs without the exp and log tables
 
 def _swap_in(patch, make):
     """Build every field of a command through make(k, modulus)."""
-    patch.setattr(gf3m, "_TableFreeCtx", lambda k, modulus, max_k: make(k, modulus))
+    patch.setattr(gf3m, "FieldCtx", lambda k, modulus, max_k: make(k, modulus))
 
 
 def _both_ways(capsys, monkeypatch, tables_for, argv):
-    """(exit, stdout, stderr) of a command on the table-free core, with
-    gf3m.ctx_create barred, and on the memoised log-table oracle
-    (conftest.LogTableCtx), swapped in for the core."""
+    """(exit, stdout, stderr) of a command on FieldCtx's packed-int ops, with
+    gf3m.ctx_create and the table fill barred, and on the memoised log-table
+    oracle (conftest.LogTableCtx), swapped in for FieldCtx."""
     def no_tables(*args):
         raise AssertionError(f"{argv[0]} built a table context")
 
     with monkeypatch.context() as patch:
         patch.setattr(gf3m, "ctx_create", no_tables)
+        patch.setattr(gf3m.FieldCtx, "_tables", no_tables)
         free = run(capsys, *argv)
     with monkeypatch.context() as patch:
         _swap_in(patch, tables_for)
@@ -296,9 +297,9 @@ def test_factors_reports_are_unchanged_at_k6_to_k8(capsys, argv):
                                     ("--poly", "369863,2,188590,2,188590,1")))
 def test_factors_builds_no_field_tables(capsys, monkeypatch, source):
     def no_tables(self, *args):
-        raise AssertionError("factors built a FieldCtx")
+        raise AssertionError("factors filled the exp and log tables")
 
-    monkeypatch.setattr(gf3m.FieldCtx, "__init__", no_tables)
+    monkeypatch.setattr(gf3m.FieldCtx, "_tables", no_tables)
     code, out, err = run(capsys, "factors", "--k", "6", *source, "--format", "json")
     assert code == 0, err
     assert json.loads(out)["quadratic_factors"]
@@ -338,7 +339,7 @@ def test_factors_runs_past_the_table_wall(capsys, k, family, t):
                          "--family", str(family), "--t", str(t), "--format", "json")
     assert code == 0, err
     payload = json.loads(out)
-    ctx = gf3m._TableFreeCtx(k, max_k=k)
+    ctx = gf3m.FieldCtx(k, max_k=k)
     fiber = conjlab.fiber_polynomial(family, t, ctx)
     assert payload["poly"] == fiber.to_text()
     assert payload["quadratic_factors"]
@@ -378,7 +379,7 @@ def test_mu_refuses_an_element_list_past_the_ceiling_at_once(capsys, monkeypatch
         raise Reached
 
     monkeypatch.setattr(permtest, "mu_enumerate", forbidden)
-    monkeypatch.setattr(gf3m, "_TableFreeCtx", reached)
+    monkeypatch.setattr(gf3m, "FieldCtx", reached)
     start = time.perf_counter()
     code, out, err = run(capsys, "mu", "--k", "8", "--max-k", "8", "--d", str(3 ** 16 - 1))
     assert (code, out) == (1, "") and "too large" in err
@@ -415,7 +416,7 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
 ), ids=("field-info-k9", "field-info-k10", "check-g-k9", "count-roots-k9",
         "lemma-verify-k9", "uv-scan-k9"))
 def test_core_commands_run_past_the_table_wall(argv, peak_mb):
-    # the tables would take about 3.1 GB at k = 9; the core needs none
+    # the tables would take about 3.1 GB at k = 9; these commands fill none
     k = argv.split()[2]
     proc = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv.split(),
                            "--max-k", k], capture_output=True, text=True, timeout=120)
@@ -454,12 +455,12 @@ def test_lemma_verify_all_searches_one_fiber_per_orbit(capsys, monkeypatch):
 
 
 def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, tables_for):
-    # the 82 fibers of family 3 at k = 4 fall into 6 orbits.  On the core and
+    # the 82 fibers of family 3 at k = 4 fall into 6 orbits.  On FieldCtx and
     # on the log-table oracle the relation and the zero remainder are checked
     # for the witnesses of the 6 searched fibers only, and carried to the
     # others one cube or one negation at a time: no t takes an e-fold
-    # Frobenius, and no witness is replayed by the public verifier.  The
-    # core's inv reads a^q off half tables that its first call builds from
+    # Frobenius, and no witness is replayed by the public verifier.  FieldCtx's
+    # inv reads a^q off half tables that its first call builds from
     # k-fold Frobenius powers; those calls are left out
     searched, relations, replays, exponents = [], [], [], []
     in_inv = []
@@ -476,7 +477,7 @@ def test_lemma_verify_settles_each_orbit_once(capsys, monkeypatch, tables_for):
     def refuse(*args):
         raise AssertionError("a witness was replayed on its own fiber")
     monkeypatch.setattr(conjlab, "verify_quintic_coefficient_system", refuse)
-    for cls in (LogTableCtx, gf3m._TableFreeCtx):
+    for cls in (LogTableCtx, gf3m.FieldCtx):
         def frobenius(self, x, e=1, plain=cls.frobenius):
             if not in_inv:
                 exponents.append(e)
@@ -564,14 +565,14 @@ def test_uv_scan(capsys):
 
 def test_harvests_take_no_square_root(capsys, monkeypatch, both_for):
     # no report reads a root of a witness's quadratic, so no harvest takes
-    # one, on either context; the table context has no sqrt of its own
+    # one, on either context; the log-table oracle inherits FieldCtx's sqrt
     expected = {(k, family): conjlab.harvest_witnesses(family, both_for(k)[0])
                 for k in (1, 2, 3) for family in conjlab.FAMILIES}
 
     def boom(self, a):
         raise AssertionError("a harvest took a square root")
-    monkeypatch.setattr(gf3m._TableFreeCtx, "sqrt", boom)
-    assert "sqrt" not in vars(gf3m.FieldCtx)
+    monkeypatch.setattr(gf3m.FieldCtx, "sqrt", boom)
+    assert LogTableCtx.sqrt is gf3m.FieldCtx.sqrt
     for k in (1, 2, 3):
         for ctx in both_for(k):
             for family in conjlab.FAMILIES:
@@ -597,7 +598,7 @@ def test_witness_checks_skip_what_the_certificates_prove(capsys, monkeypatch, bo
     monkeypatch.setattr(conjlab, "quintic_displayed_identities_hold", boom)
     monkeypatch.setattr(conjlab, "septic_displayed_identities_hold", boom)
     inverted = []
-    for cls in (LogTableCtx, gf3m._TableFreeCtx):
+    for cls in (LogTableCtx, gf3m.FieldCtx):
         def counted(self, x, plain=cls.inv):
             inverted.append(x)
             return plain(self, x)
@@ -984,6 +985,43 @@ with contextlib.redirect_stdout(out):
 print(json.dumps([before, "numpy" in sys.modules, code, out.getvalue(),
                   dataclasses_preloaded, dataclasses_loaded]))
 """
+
+
+# a fresh interpreter where every import of numpy fails
+NO_NUMPY_PROBE = """
+import contextlib, io, json, sys, tracemalloc
+sys.modules["numpy"] = None
+from trinolab import cli, gf3m
+alphas = [gf3m.ctx_create(k).alpha for k in range(1, 7)]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["field-info", "--k", "6"])
+ctx = gf3m.FieldCtx(9, max_k=9)
+tracemalloc.start()
+try:
+    next(ctx.power_sum_images([(1, 1)]))
+    error = None
+except ValueError as exc:
+    error = str(exc)
+peak = tracemalloc.get_traced_memory()[1]
+print(json.dumps([alphas, code, out.getvalue(), error, peak, ctx._exp is None]))
+"""
+
+
+def test_fields_build_without_numpy(capsys):
+    # building a field fills no tables, so it needs no numpy; a k = 9 field
+    # builds, and its first direct-route pass refuses the 3.1 GB tables
+    # before numpy is imported or anything is allocated
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    alphas, code, out, error, peak, no_tables = json.loads(proc.stdout)
+    assert alphas == [ctx_create(k).alpha for k in range(1, 7)]
+    assert (code, out) == run(capsys, "field-info", "--k", "6")[:2]
+    with pytest.raises(ValueError) as info:
+        ctx_create(9, max_k=9)
+    assert error == str(info.value) and "too large" in error
+    assert peak < 2 ** 20 and no_tables
 
 
 def test_factor_search_commands_do_not_import_numpy():

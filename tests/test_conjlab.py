@@ -703,7 +703,7 @@ def test_classification_reads_no_field_constant(both_for, monkeypatch):
 
     def boom(self):
         raise AssertionError("a field constant was read per witness")
-    monkeypatch.setattr(gf3m._TableFreeCtx, "special_constants", boom)
+    monkeypatch.setattr(gf3m.FieldCtx, "special_constants", boom)
     for ctx in both_for(3):
         for family in FAMILIES:
             assert harvest_witnesses(family, ctx) == expected[family]

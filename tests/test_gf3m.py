@@ -5,7 +5,6 @@ import math
 import random
 import time
 import tracemalloc
-from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -297,15 +296,15 @@ def test_alpha_is_the_smallest_primitive_element(both_for):
     # pinned: another alpha would change every table and every report
     assert [ctx.alpha for k in (4, 5, 6) for ctx in both_for(k)] == [4, 4, 34, 34, 4, 4]
     assert ctx_create(1, (2, 1, 1)).alpha == 3
-    # FieldCtx takes alpha from the core; k = 7 without the table fill
-    assert gf3m._TableFreeCtx(7, max_k=7).alpha == 4
+    # k = 7 without the table fill
+    assert gf3m.FieldCtx(7, max_k=7).alpha == 4
 
 
 @pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
                                      (1, 0, 1, 2, 1)))
 def test_table_free_mul_matches_reference(modulus):
     # the multiply and power FieldCtx finds alpha and fills its tables with
-    field = gf3m._TableFreeCtx((len(modulus) - 1) // 2, modulus)
+    field = gf3m.FieldCtx((len(modulus) - 1) // 2, modulus)
     m = len(modulus) - 1
 
     def enc(bits):  # the fills' bitsliced rows
@@ -327,7 +326,7 @@ def test_table_free_mul_matches_reference(modulus):
 def test_table_free_ctx_agrees_with_the_tables(tables_for, k, modulus):
     # the core's ops against the same ops read off the exp and log tables
     tables = tables_for(k, modulus)
-    free = gf3m._TableFreeCtx(k, modulus)
+    free = gf3m.FieldCtx(k, modulus)
     assert ((free.k, free.m, free.q, free.order, free.modulus, free.alpha)
             == (tables.k, tables.m, tables.q, tables.order, tables.modulus, tables.alpha))
     rng = random.Random(f"table-free:{k}:{modulus}")
@@ -367,7 +366,7 @@ def test_table_free_ctx_agrees_with_the_tables(tables_for, k, modulus):
     (1, (1, 5, 1), 6, "modulus trits must be 0, 1 or 2, got 1,5,1"),
 ))
 def test_both_contexts_validate_alike(k, modulus, max_k, message):
-    for make in (gf3m.FieldCtx, gf3m._TableFreeCtx):
+    for make in (gf3m.ctx_create, gf3m.FieldCtx):
         with pytest.raises(ValueError) as info:
             make(k, modulus, max_k)
         assert str(info.value) == message
@@ -385,21 +384,24 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
     k = gf3m._TABLE_FREE_MAX_K
     start = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
-        gf3m._TableFreeCtx(k + 1, max_k=k + 1)
+        gf3m.FieldCtx(k + 1, max_k=k + 1)
     assert time.perf_counter() - start < 1
     with pytest.raises(Reached):  # k = 10 reaches the modulus search
-        gf3m._TableFreeCtx(k, max_k=k)
+        gf3m.FieldCtx(k, max_k=k)
 
 
 @pytest.fixture(scope="module")
 def traced_k5_build():
-    """One ctx_create(5) under tracemalloc, shared by the memory tests below:
+    """One ctx_create(5) and its table fill under tracemalloc, numpy
+    imported before the trace, shared by the memory tests below:
     (ctx, retained, peak, kept), where kept is the traced size after a
     gc.collect has cleared the interpreter's free lists."""
+    import numpy  # noqa: F401  (imported before the trace)
     gc.collect()
     tracemalloc.start()
     try:
         ctx = ctx_create(5)
+        ctx._tables()
         retained, peak = tracemalloc.get_traced_memory()
         gc.collect()
         kept, _ = tracemalloc.get_traced_memory()
@@ -420,36 +422,49 @@ def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix(traced_k5_bui
 @pytest.mark.parametrize("k", (1, 2))
 def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
     square = ctx_create(k).alpha_pow(2)  # order n / 2: no permutation
-    monkeypatch.setattr(gf3m._TableFreeCtx, "_smallest_primitive", lambda self: square)
-    for fill in ("pure", "numpy"):
-        _use_fill(monkeypatch, fill)
-        with pytest.raises(ValueError, match="not a permutation"):
-            ctx_create(k)
+    monkeypatch.setattr(gf3m.FieldCtx, "_smallest_primitive", lambda self: square)
+    ctx = ctx_create(k)
+    with pytest.raises(ValueError, match="not a permutation"):
+        ctx._tables()
+    assert ctx._exp is None  # no half-filled tables are kept
 
 
-def _use_fill(monkeypatch, fill):
-    """Route every table build through one fill, whatever the field size."""
-    monkeypatch.setattr(gf3m, "_PURE_FILL_MAX_N", 3 ** 14 if fill == "pure" else 0)
+def test_ctx_create_fills_no_tables(monkeypatch):
+    # the tables are filled by the first power_sum_images, not by the build
+    def no_fill(self):
+        raise AssertionError("a table fill ran")
+
+    monkeypatch.setattr(gf3m.FieldCtx, "_tables", no_fill)
+    for k in (1, 5, 6):
+        ctx = ctx_create(k)
+        assert ctx._exp is None and ctx._log is None
+        with pytest.raises(AssertionError, match="a table fill ran"):
+            next(ctx.power_sum_images([(1, 1)]))
 
 
-# k = 6 comes last so that the ids of the other moduli stay as they were;
-# it is the first field the numpy fill builds by default
+# k = 6 comes last so that the ids of the other moduli stay as they were
 @pytest.mark.parametrize(("k", "modulus"),
                          [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI + [(6, None)])
 def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
-    def tables():
-        ctx = ctx_create(k, modulus)
-        return [t.tobytes() for t in (ctx._exp, ctx._log)]
-
-    _use_fill(monkeypatch, "pure")
-    pure = tables()
-    _use_fill(monkeypatch, "numpy")
+    # the pure Python side is a scalar walk kept here as the oracle: it steps
+    # alpha^i by one packed-int product at a time, where the fill doubles
+    # bitsliced columns of alpha^i with numpy
+    walk = ctx_create(k, modulus)
+    n = walk.order - 1
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(walk.mul(powers[-1], walk.alpha))
+    assert walk.mul(powers[-1], walk.alpha) == 1
     for block in BLOCK_LENS:
         monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-        assert tables() == pure, block
+        exp, log_arr = (t.tolist() for t in ctx_create(k, modulus)._tables())
+        assert (len(exp), len(log_arr)) == (n, n + 1)
+        for i, power in enumerate(powers):
+            assert exp[i] == power, (block, i)
+            assert log_arr[exp[i]] == i, (block, i)
 
 
-def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
+def test_numpy_fill_transient_memory_is_below_the_trit_planes():
     # the numpy fill keeps its bitsliced columns in the _log buffer until it
     # scatters _log, so beyond the tables it holds only per-block buffers:
     # less than the
@@ -457,11 +472,11 @@ def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
     import numpy  # noqa: F401  (imported before the trace)
     k = 5
     n, m = 3 ** (2 * k) - 1, 2 * k
-    _use_fill(monkeypatch, "numpy")
     gc.collect()
     tracemalloc.start()
     try:
         ctx = ctx_create(k)
+        ctx._tables()
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -471,29 +486,29 @@ def test_numpy_fill_transient_memory_is_below_the_trit_planes(monkeypatch):
 
 def test_ctx_tables_are_int32_buffers(traced_k5_build):
     # exactly two int32 tables, _exp of n and _log of n + 1 entries: 0.47 MB
-    # at k = 5, where Python lists of ints once took 7.5 MB; the build peaks
+    # at k = 5, where Python lists of ints once took 7.5 MB; the fill peaks
     # below one int64 n x m trit matrix.  Once a collect has cleared the
-    # interpreter's free lists (about 150 KB of tuples left by the pure
-    # fill), the ctx keeps 8n bytes, the table-free core's 3^k-entry lists
-    # (46 KB at k = 5, traced here by building a core alone) and a few small
-    # objects
+    # interpreter's free lists, the ctx keeps 8n bytes, the scalar ops'
+    # 3^k-entry lists (46 KB at k = 5, traced here by building a ctx without
+    # tables) and a few small objects
+    import numpy as np
     ctx, retained, peak, kept = traced_k5_build
     n, m = ctx.order - 1, ctx.m
     gc.collect()
     tracemalloc.start()
     try:
-        core = gf3m._TableFreeCtx(5)
+        bare = gf3m.FieldCtx(5)
         gc.collect()
-        core_kept, _ = tracemalloc.get_traced_memory()
+        bare_kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert core.alpha == ctx.alpha
+    assert bare.alpha == ctx.alpha and bare._exp is None
     assert peak < n * m * 8
     assert retained < 2 * 2 ** 20
-    assert kept <= 8 * n + core_kept + 2 ** 12
-    tables = {name: t for name, t in vars(ctx).items() if isinstance(t, array)}
+    assert kept <= 8 * n + bare_kept + 2 ** 12
+    tables = {name: t for name, t in vars(ctx).items() if isinstance(t, np.ndarray)}
     assert sorted(tables) == ["_exp", "_log"]
-    assert [t.typecode for t in tables.values()] == ["i"] * 2
+    assert [t.dtype for t in tables.values()] == [np.int32] * 2
     assert (len(ctx._exp), len(ctx._log)) == (n, n + 1)
     assert isinstance(ctx.mul(ctx.alpha, ctx.alpha), int)
 
@@ -615,7 +630,7 @@ def test_conjugate_q_fixes_exactly_the_subfield(both_for):
 def test_conjugate_q_is_the_k_fold_frobenius(k):
     # one lookup in the half tables of x^(qj) against k single cubes: every
     # element up to k = 3, 2,000 seeded ones above
-    core = gf3m._TableFreeCtx(k, max_k=k)
+    core = gf3m.FieldCtx(k, max_k=k)
     elements = range(core.order)
     if k > 3:
         rng = random.Random(f"conjugate:{k}")
@@ -646,26 +661,26 @@ def test_sqrt_matches_exhaustive_table(both_for, k):
 def test_core_sqrt_matches_the_log_table(k):
     # the oracle reads the tables: a != 0 is a square iff log a is even, and
     # its roots are +-alpha^(log a / 2).  Every element up to k = 4, 3,000
-    # seeded ones above; the k = 7 and 8 tables (38 MB and 0.34 GB) are built
-    # here and dropped at the end
-    tables = ctx_create(k, max_k=k)
-    core = gf3m._TableFreeCtx(k, max_k=k)
+    # seeded ones above; the k = 7 and 8 tables (38 MB and 0.34 GB) are
+    # filled here and dropped at the end
+    ctx = ctx_create(k, max_k=k)
+    exp, log_arr = ctx._tables()
 
     def by_log(a):
         if a == 0:
             return 0
-        log = tables._log[a]
+        log = int(log_arr[a])
         if log % 2:
             return None
-        r = tables._exp[log // 2]
-        return min(r, tables.neg(r))
+        r = int(exp[log // 2])
+        return min(r, ctx.neg(r))
 
-    elements = range(tables.order)
+    elements = range(ctx.order)
     if k > 4:
         rng = random.Random(f"sqrt:{k}")
-        elements = [rng.randrange(tables.order) for _ in range(3000)]
+        elements = [rng.randrange(ctx.order) for _ in range(3000)]
     for a in elements:
-        assert core.sqrt(a) == tables.sqrt(a) == by_log(a), a
+        assert ctx.sqrt(a) == by_log(a), a
 
 
 def test_known_gf9_sqrt(both_for):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import accumulate, repeat
 
 import pytest
 
@@ -79,6 +80,28 @@ def test_mu_rejects_non_divisor():
 def test_mu_full_group_and_trivial():
     assert sorted(mu_enumerate(CTX9, 8)) == list(range(1, 9))
     assert list(mu_enumerate(CTX9, 1)) == [1]
+
+
+def _stepped_mu(ctx, d):
+    """mu_d by stepping z^i, one product per element: the path mu_enumerate
+    takes below d = order - 1, kept as the oracle for its shortcut there."""
+    z = ctx.alpha_pow((ctx.order - 1) // d)
+    return frozenset(accumulate(repeat(z, d - 1), ctx.mul, initial=1))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_mu_enumerate_matches_stepping_at_every_divisor(monkeypatch, k):
+    ctx = ctx_create(k)
+    n = ctx.order - 1
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        assert mu_enumerate(ctx, d) == _stepped_mu(ctx, d), d
+    # the whole group is every nonzero encoding, and takes no product
+
+    def no_products(a, b):
+        raise AssertionError("mu_enumerate took a product")
+
+    monkeypatch.setattr(ctx, "mul", no_products)
+    assert mu_enumerate(ctx, n) == frozenset(range(1, ctx.order))
 
 
 def test_mu_membership_is_power_check():

@@ -211,7 +211,7 @@ def test_divmod_example():
 
 
 def test_divmod_by_a_monic_divisor_takes_no_inverse(monkeypatch):
-    ctx = gf3m._TableFreeCtx(2)
+    ctx = gf3m.FieldCtx(2)
     calls = []
     plain = ctx.inv
 
