@@ -27,10 +27,9 @@ along: a, b nonzero, a^q b = a, the case forms in (D, W) and the zero
 remainder are polynomial conditions over GF(3) that the negation keeps
 (tests/test_certificates.py).  So the search, the classification and the
 replay run on one fiber per orbit, and lemma-verify's derivation_ok is that
-fiber's replay, carried along the orbit.  The map g is settled the same way:
-g(x^3) = g(x)^3, and g(-x) = -g(x) for families 2 and 3, so _g_table
-evaluates N and D at one x per orbit, as permtest.zieve_criterion does its
-index-form map.
+fiber's replay, carried along the orbit.  The map g is settled the same way,
+as g(x^3) = g(x)^3, and g(-x) = -g(x) for families 2 and 3.  Both walks, and
+permtest.zieve_criterion's, are permtest._settle_orbits.
 """
 
 import enum
@@ -40,7 +39,8 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
-from .permtest import MapReport, is_bijection_on, mu_enumerate, zieve_criterion
+from .permtest import (MapReport, _settle_orbits, is_bijection_on, mu_enumerate,
+                       zieve_criterion)
 from .polyring import Poly, quadratic_factors, roots_in_set
 
 FAMILIES = (1, 2, 3)
@@ -233,35 +233,25 @@ def _g_table(family: int, ctx: FieldCtx) -> dict:
     g_permutes_mu also builds it.
 
     N and D have coefficients in GF(3), so g(x^3) = g(x)^3, and g(-x) =
-    -g(x) when _negation_maps reads opposite parities off them.  So N and D
-    are evaluated at the first x of each orbit of x -> x^3 (and x -> -x)
-    met in encoding order, and the orbit is filled one cube per step.
+    -g(x) when _negation_maps reads opposite parities off them: N and D are
+    evaluated once per orbit by permtest._settle_orbits.
 
     Raises VerificationError if an image leaves mu_{q+1}, at the x a scan in
     encoding order meets first: a whole orbit's images leave it together.
     """
     fm = fractional_map(family, ctx)
-    negation = _negation_maps(fm.numerator.coeffs, fm.denominator.coeffs)
-    frob, neg = ctx.frobenius, ctx.neg
     mu = mu_enumerate(ctx, ctx.q + 1)
-    xs = sorted(mu)
-    table = {}
-    for x in xs:
-        if x in table:
-            continue
+
+    def settle(x: int) -> Optional[int]:
         d = fm.denominator.eval(x)
         y = ctx.div(fm.numerator.eval(x), d) if d else None
         if y is not None and y not in mu:
             raise VerificationError(f"image {y} of {x} escapes mu_{{q+1}}")
-        s = x
-        while True:  # y -> y^(3^2k) is the identity, so the walk returns to x
-            table[s] = y
-            if negation:
-                table[neg(s)] = y if y is None else neg(y)
-            s, y = frob(s), y if y is None else frob(y)
-            if s == x:
-                break
-    return {x: table[x] for x in xs}
+        return y
+
+    negate = (ctx.neg if _negation_maps(fm.numerator.coeffs, fm.denominator.coeffs)
+              else None)
+    return dict(_settle_orbits(ctx, sorted(mu), settle, ctx.frobenius, negate))
 
 
 def _g_bijection(fibers: dict) -> bool:
@@ -530,30 +520,14 @@ def harvest_witnesses(family: int, ctx: FieldCtx) -> list:
 
 def _fiber_witnesses(family: int, ts: list, ctx: FieldCtx):
     """(t, harvest_witnesses of the fiber at t) for each t of ts, in the order
-    of ts, with each orbit of fibers settled once (see the module docstring).
-
-    The first t of an orbit met in ts is searched by quadratic_factors, and
-    each factor is filtered, classified and replayed by _require_factor,
-    which raises ValueError unless it divides.  The orbit is then walked
-    once, one cube per step plus its negation where the parity rule allows
-    it, and each member still to come in ts is filed with its witnesses
-    mapped and sorted."""
-    negation = _negation_maps(*_fiber_terms(family))
+    of ts, one orbit of fibers at a time by permtest._settle_orbits (see the
+    module docstring).  Settling t searches its fiber by quadratic_factors,
+    and filters, classifies and replays each factor by _require_factor, which
+    raises ValueError unless it divides."""
     degree = _FIBER_DEGREE[family]
     frob, neg = ctx.frobenius, ctx.neg
-    unmet = set(ts)
-    filed = {}  # t -> its witnesses, for each unmet t of an orbit settled
 
-    def file(s: int, rows: list):
-        if s in unmet and s not in filed:
-            filed[s] = sorted(QuadFactorWitness(s, a, b, degree, case)
-                              for a, b, case in rows)
-
-    for t in ts:
-        unmet.discard(t)
-        if t in filed:
-            yield t, filed.pop(t)
-            continue
+    def settle(t: int) -> list:
         rows = []  # (a, b, case) of each witness at t, in (a, b) order
         for a, b in quadratic_factors(fiber_polynomial(family, t, ctx)):
             if a == 0 or b == 0:
@@ -567,15 +541,17 @@ def _fiber_witnesses(family: int, ts: list, ctx: FieldCtx):
                 continue
             _require_factor(family, a, b, t, ctx)
             rows.append((a, b, case))
-        s, mapped = t, rows
-        while True:  # y -> y^(3^2k) is the identity, so the walk returns to t
-            if negation:
-                file(neg(s), [(neg(a), b, case) for a, b, case in mapped])
-            s, mapped = frob(s), [(frob(a), frob(b), case) for a, b, case in mapped]
-            if s == t:
-                break
-            file(s, mapped)
-        yield t, [QuadFactorWitness(t, a, b, degree, case) for a, b, case in rows]
+        return rows
+
+    def cube(rows: list) -> list:
+        return [(frob(a), frob(b), case) for a, b, case in rows]
+
+    def negate(rows: list) -> list:
+        return [(neg(a), b, case) for a, b, case in rows]
+
+    negation = _negation_maps(*_fiber_terms(family))
+    for t, rows in _settle_orbits(ctx, ts, settle, cube, negate if negation else None):
+        yield t, sorted(QuadFactorWitness(t, a, b, degree, case) for a, b, case in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -54,36 +54,56 @@ def is_bijection_on(fn: Callable[[int], int], domain: Iterable[int]) -> MapRepor
     return MapReport(collision is None and missed is None, collision, missed)
 
 
+def _settle_orbits(ctx: FieldCtx, xs: Iterable[int], settle: Callable,
+                   cube: Callable, negate: Optional[Callable] = None):
+    """Yield (x, value) for each x of xs, in the order of xs: the package's
+    one walk of the orbits of y -> y^3 (joined with y -> -y when negate is
+    given), for a settle with settle(x^3) = cube(settle(x)) and settle(-x) =
+    negate(settle(x)).  The first x met of each orbit gets settle(x), and the
+    orbit is walked once, each member's value held until xs reaches it.  A
+    None value, where the map is undefined, stays None."""
+    frob, neg = ctx.frobenius, ctx.neg
+    pending, held = set(xs), {}
+    for x in xs:
+        pending.discard(x)
+        if x in held:
+            yield x, held.pop(x)
+            continue
+        s = x
+        value = v = settle(x)
+        while True:  # y -> y^(3^2k) is the identity, so the walk returns to x
+            if negate is not None and neg(s) in pending:
+                held[neg(s)] = v if v is None else negate(v)
+            s, v = frob(s), v if v is None else cube(v)
+            if s == x:
+                break
+            if s in pending:
+                held[s] = v
+        yield x, value
+
+
 def zieve_criterion(ctx: FieldCtx, r: int, d: int, h: Poly) -> tuple:
     """(cond1, cond2) of the subgroup permutation criterion.
 
     cond1: gcd(r, (order-1)/d) = 1.
-    cond2: x^r * h(x)^((order-1)/d) permutes mu_d; if h vanishes anywhere on
-    mu_d the map collapses and cond2 is reported false.
+    cond2: x^r * h(x)^((order-1)/d) permutes mu_d; where h vanishes the image
+    is None, and the map does not permute mu_d.
 
     When h is over GF(3) (encodings below 3), the map takes x^3 to the cube
-    of x's image, so it is evaluated at one x per orbit of x -> x^3 on mu_d
-    and the orbit is filled one cube per step; otherwise at every x.
+    of x's image, so it is settled once per orbit by _settle_orbits;
+    otherwise at every x.
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     mu = mu_enumerate(ctx, d)  # validates that d divides order-1
-    n = ctx.order - 1
-    e = n // d
-    cond1 = gcd(r, e) == 1
-    step = ctx.frobenius if all(c < 3 for c in h.coeffs) else (lambda x: x)
-    images = {}
-    for x in mu:
-        if x in images:
-            continue
+    e = (ctx.order - 1) // d
+
+    def image(x: int) -> Optional[int]:
         hx = h.eval(x)
-        if hx == 0:
-            return cond1, False
-        s, y = x, ctx.mul(ctx.pow(x, r), ctx.pow(hx, e))
-        while True:
-            images[s] = y
-            s, y = step(s), step(y)
-            if s == x:
-                break
-    cond2 = is_bijection_on(images.__getitem__, mu).is_bijection
-    return cond1, cond2
+        return ctx.mul(ctx.pow(x, r), ctx.pow(hx, e)) if hx else None
+
+    if all(c < 3 for c in h.coeffs):
+        images = dict(_settle_orbits(ctx, mu, image, ctx.frobenius))
+    else:
+        images = {x: image(x) for x in mu}
+    return gcd(r, e) == 1, is_bijection_on(images.__getitem__, mu).is_bijection

@@ -4,7 +4,7 @@ Coefficients are stored as integer encodings, low degree first, with trailing
 zeros trimmed; the zero polynomial has an empty coefficient tuple and degree
 -1.  eval takes and returns encodings too.  A ctx is any object with order,
 m (its degree over GF(3)) and the scalar ops add, sub, neg, mul, inv and
-frobenius on encodings; both gf3m contexts serve, and so does gf3m's GF(3),
+frobenius on encodings; gf3m's FieldCtx serves, and so does gf3m's GF(3),
 over which the Frobenius chain and poly_gcd below run Rabin's
 irreducibility test of the field modulus.
 

@@ -7,7 +7,8 @@ from itertools import accumulate, repeat
 import pytest
 
 from trinolab.gf3m import ctx_create
-from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
+from trinolab.permtest import (_settle_orbits, is_bijection_on, mu_enumerate,
+                               zieve_criterion)
 from trinolab.polyring import Poly
 
 from conftest import per_point_zieve
@@ -174,6 +175,15 @@ def test_zieve_vanishing_h_fails_cond2():
     h = Poly(CTX9, (2, 1))
     cond1, cond2 = zieve_criterion(CTX9, 1, 4, h)
     assert cond1 and not cond2
+    # h = x^2 + 1 vanishes on +/-eps, one orbit of the cube (eps^3 = -eps)
+    # inside mu_4 and mu_8: the walk carries the None image to the member
+    # it did not settle
+    h = Poly(CTX9, (1, 0, 1))
+    for d in (4, 8):
+        for r in range(1, 8):
+            cond1, cond2 = zieve_criterion(CTX9, r, d, h)
+            assert not cond2, (d, r)
+            assert (cond1, cond2) == per_point_zieve(CTX9, r, d, h), (d, r)
 
 
 def test_zieve_validates_inputs():
@@ -182,3 +192,55 @@ def test_zieve_validates_inputs():
         zieve_criterion(CTX9, 0, 4, h)
     with pytest.raises(ValueError, match="not a subgroup order"):
         zieve_criterion(CTX9, 1, 3, h)
+
+
+# ---------------------------------------------------------------------------
+# the orbit walker, against one evaluation per point
+
+def _orbit(ctx, x, negation):
+    """The closure of {x} under y -> y^3 (and y -> -y), by brute force."""
+    orbit, todo = set(), [x]
+    while todo:
+        y = todo.pop()
+        if y not in orbit:
+            orbit.add(y)
+            todo.append(ctx.pow(y, 3))
+            if negation:
+                todo.append(ctx.mul(2, y))
+    return frozenset(orbit)
+
+
+def _fifth_power_off_mu4(ctx, x):
+    """x^5, or None on mu_4: commutes with the cube and with negation, and
+    is undefined on a union of orbits."""
+    return None if ctx.pow(x, 4) == 1 else ctx.pow(x, 5)
+
+
+@pytest.mark.parametrize("negation", (False, True), ids=("cube", "cube-neg"))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_settle_orbits_matches_the_per_point_values(k, negation):
+    ctx = ctx_create(k)
+    mu = sorted(mu_enumerate(ctx, ctx.q + 1))
+    rng = random.Random(k)
+    shuffled = rng.sample(mu, len(mu))
+    subset = rng.sample(mu, len(mu) // 3)
+    # a member from the middle of an orbit of size 2k, before its orbit's
+    # smallest encoding
+    middle = next(x for x in mu if len(_orbit(ctx, x, False)) == 2 * k)
+    middle = ctx.pow(middle, 3 ** k)
+    first = [middle] + [x for x in mu if x != middle]
+    for xs in (mu, shuffled, subset, [middle], first):
+        settled = []
+
+        def settle(x):
+            settled.append(x)
+            return _fifth_power_off_mu4(ctx, x)
+
+        got = list(_settle_orbits(ctx, xs, settle, ctx.frobenius,
+                                  ctx.neg if negation else None))
+        assert [x for x, _ in got] == list(xs)
+        for x, value in got:
+            assert value == _fifth_power_off_mu4(ctx, x), x
+        orbits = {_orbit(ctx, x, negation) for x in xs}
+        assert len(settled) == len(orbits)
+        assert {_orbit(ctx, x, negation) for x in settled} == orbits
