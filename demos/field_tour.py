@@ -15,7 +15,7 @@ ctx = ctx_create(1)
 print(f"GF(3^{ctx.m}) with modulus {ctx.modulus} (low degree first)")
 print(f"alpha = {ctx.alpha} generates the {ctx.order - 1} nonzero elements")
 
-# addition and multiplication run on exp and log tables, but they agree
+# addition and multiplication run on packed trit vectors, and they agree
 # with plain polynomial arithmetic mod the modulus
 x = 3                       # the polynomial "x"
 print(f"x * x = {ctx.mul(x, x)}   (x^2 = -1 mod x^2 + 1)")

@@ -138,9 +138,9 @@ def parse_sweep_csv(text: str) -> list:
 
 def _make_ctx(args, make=None):
     """The field of args, a gf3m.FieldCtx, built by make or by FieldCtx
-    itself.  Only check-trinomial passes gf3m.ctx_create, which first checks
-    that the exp and log tables its direct route fills would fit; sweep
-    builds its fields through conjlab.sweep, which does the same."""
+    itself.  Only check-trinomial passes gf3m.ctx_create, which refuses the
+    k its direct route does not reach before any work; sweep builds its
+    fields through conjlab.sweep, which does the same."""
     modulus = parse_modulus_arg(args.modulus)
     try:
         # looked up per call, as the handlers are in main

@@ -275,39 +275,64 @@ def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
     return is_bijection_on(table.__getitem__, table)
 
 
+def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
+    """Whether f permutes the field, from the logs of its images on one
+    period of alpha^j.
+
+    r and the period are read off the spec's own terms, not off
+    trinomial_decompose.  With n = ctx.order - 1, let r be the smallest
+    exponent mod n, d_i = (e_i mod n) - r and P = n / gcd(n, d_1, d_2, ...),
+    so that f(x) = x^r H(x) with H(alpha^j) depending only on j mod P:
+    alpha^(P d_i) = 1.  Writing i = a P + j with j < P,
+
+        f(alpha^(aP + j)) = alpha^(rPa) f(alpha^j)
+
+    (Zieve 2009).  For the trinomial families every d_i is a multiple of
+    q - 1, so P divides q + 1 (730 points at k = 6, against n = 531,440).
+
+    f(alpha^j) is evaluated for j < P by stepping one running power per
+    term, and each nonzero value has its ctx._log L_j.  As a runs over the
+    n / P cosets, the images' logs L_j + a r P mod n are the residue class
+    of L_j mod the stride gcd(r P, n), each met stride / P times; one slice
+    assignment marks that class in a bytearray of one mark per log.  A zero at some j
+    stands for n / P zero images, and f(0) is counted as well.  The n + 1
+    images then permute the field iff exactly one of them is 0 and every
+    mark is set.
+    """
+    n = ctx.order - 1
+    terms = [(c, e % n) for c, e in _terms(spec)]
+    r = min(e for _, e in terms)
+    period = n // gcd(n, *(e - r for _, e in terms))
+    stride = gcd(r * period, n)
+    marks, ones = bytearray(n), b"\1" * (n // stride)
+    f0 = trinomial_map(spec, ctx)(0)
+    zeros = 0 if f0 else 1
+    if f0:
+        marks[ctx._log(f0)] = 1
+    add, mul = ctx.add, ctx.mul
+    powers = [1] * len(terms)  # alpha^(j e) for each term
+    steps = [ctx.alpha_pow(e) for _, e in terms]
+    for _ in range(period):
+        y = 0
+        for (c, _), x in zip(terms, powers):
+            y = add(y, mul(c, x))
+        if y:
+            marks[ctx._log(y) % stride::stride] = ones
+        else:
+            zeros += n // period
+        powers = [mul(x, s) for x, s in zip(powers, steps)]
+    return zeros == 1 and 0 not in marks
+
+
 def _routes(spec: TrinomialSpec, ctx: FieldCtx) -> tuple:
     """(r, h, direct, cond1, cond2): the two permutation routes that depend on
-    l -- the direct bijection on the field and the index-form criterion on
-    f = x^r h(x^(q-1)).  The third route, the family's g on mu_{q+1}, depends
-    only on (family, k); it is _g_bijection of the family's _fiber_roots.
-
-    The direct route evaluates f at every alpha^i block by block
-    (FieldCtx.power_sum_images, which reads r and the period off the spec's
-    own terms, not off trinomial_decompose) and at 0 by trinomial_map, and
-    sets bit v % 8 of byte v // 8 of a bitmap of ctx.order / 8 bytes for
-    each image v.  Those ctx.order images permute the field iff every bit
-    ends up set.  A buffered marks[w] |= bit keeps only the last of the
-    images of a block that share a byte, so the few percent of images whose
-    bit it lost are ORed in again one by one (np.bitwise_or.at; on every
-    image it made the marks 1.2-1.6 times as slow at k = 6 and 2.2-2.8
-    times at k = 8, in-process on a 2-vCPU Xeon)."""
-    import numpy as np
-    marks = np.zeros(-(-ctx.order // 8), dtype=np.uint8)
-    bits = np.left_shift(1, np.arange(8, dtype=np.uint8))
-    f0 = trinomial_map(spec, ctx)(0)
-    marks[f0 >> 3] |= bits[f0 & 7]
-    for images in ctx.power_sum_images(_terms(spec)):
-        w = np.right_shift(images, 3, dtype=np.intp)
-        bit = bits.take(images & 7)
-        marks[w] |= bit
-        lost = marks.take(w) & bit == 0
-        np.bitwise_or.at(marks, w[lost], bit[lost])
-        del images, w, bit, lost  # freed before the next block is built
-    # 3^2k = 1 (mod 8): the last byte holds the one element ctx.order - 1
-    direct = bool(np.bitwise_and.reduce(marks[:-1]) == 255 and marks[-1] == 1)
+    l -- the direct bijection on the field (_direct_bijection) and the
+    index-form criterion on f = x^r h(x^(q-1)).  The third route, the
+    family's g on mu_{q+1}, depends only on (family, k); it is _g_bijection
+    of the family's _fiber_roots."""
     r, h = trinomial_decompose(spec, ctx)
     cond1, cond2 = zieve_criterion(ctx, r, ctx.q + 1, h)
-    return r, h, direct, cond1, cond2
+    return r, h, _direct_bijection(spec, ctx), cond1, cond2
 
 
 # ---------------------------------------------------------------------------

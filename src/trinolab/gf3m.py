@@ -10,7 +10,7 @@ pow and frobenius) keep only tables of 3^k entries (2 ms of set-up at k = 5,
 9 ms at k = 8, 35 ms at k = 10) and multiply by one Python int product of
 packed trits (Kronecker substitution): 1.1-3.3 us a product and 0.5-1.4 us a
 sum at k = 1..10 on a 2-vCPU Xeon.  Every other helper is derived from them.
-Building a field imports no numpy and runs up to k = 10.
+The module imports no numpy, and a field builds up to k = 10.
 
 The field is GF(3)[x]/(f) for the monic irreducible modulus f of degree
 2k.  f is a polyring.Poly over GF(3), the private ctx _GF3, so this module
@@ -21,53 +21,22 @@ tables start from with polyring's division.  default_modulus(2k) searches
 for the lexicographically smallest f.
 
 A field checks k against max_k, picks or checks the modulus (one Rabin test
-per modulus) and finds the smallest primitive element alpha.  Only the
-direct route's numpy pass over the whole field, FieldCtx.power_sum_images
-(run by check-trinomial and conjlab.sweep), also reads exp and log tables
-of alpha, 8 bytes per element, and its first call fills them.  The fill
-takes the products alpha^h x^j (j < m, h = 2^i < n), bitsliced as a pair of
-bitmasks of the trits equal to 1 and to 2, as the GF(3)-linear maps of
-multiplication by alpha^h, and numpy doubles bitsliced columns of alpha^i:
-columns h..2h-1 are columns 0..h-1 times alpha^h, read from lookup tables
-of that map.
-
-Each table is one int32 numpy array, so fields whose multiplicative group
-has order 2^31 or more get no tables, and neither do fields whose tables
-would exceed TABLE_BYTES_CEILING (2 GiB).  ctx_create refuses such a field
-before any work, and the fill checks the same bound again before it
-allocates.  Elements are plain ints throughout: the ctx methods take and
-return encodings, and power_sum_images evaluates a sparse polynomial at
-every nonzero element with numpy over the tables.  Its additions use the one
-fact the tables need about encodings: adding 1 changes only the constant
-trit, so 1 + alpha^d is the encoding of alpha^d with that trit stepped, and
-a + b = a (1 + b/a).  It does them on one period of the index only (q + 1
-points for the trinomial families, which have the shape x^r h(x^(q-1))) and
-reaches every other element by one product with a power of alpha, that is
-one gather from _exp.  numpy is imported only there and in the fill, and
-both work in blocks of _BLOCK_LEN indices, so they hold no array of size n
-beyond the tables (power_sum_images also holds two arrays over one period,
-of length n only when the exponent gaps have no common factor with n).
+per modulus) and finds the smallest primitive element alpha.  The one
+discrete log, FieldCtx._log (read by conjlab's direct route), takes two
+products and one conjugate_q per element off three tables of about q
+entries, built on first use, so no helper holds anything of the field's
+size.  Elements are plain ints throughout: the ctx methods take and return
+encodings.
 """
 
 import itertools
-from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .polyring import Poly, _frobenius_chain, poly_gcd
 
 DEFAULT_MAX_K = 6
-# indices per block of the numpy passes over the field (the table fill and
-# power_sum_images).  Measured on a 2-vCPU Xeon (medians at k = 6 and 7):
-# 2^13 to 2^15 take the same time within noise, 2^12 takes 10-20% longer
-# and 2^10 1.5-2 times as long (per-block overhead), and 2^16 and up slow
-# the fill again.  The block buffers take about 35 bytes per index in the
-# fill and 40 in the direct route (conjlab._routes marking the images of
-# power_sum_images; tracemalloc at k = 5), 0.3 MB at 2^13, below the L2
-# cache.
-_BLOCK_LEN = 2 ** 13
-# ceiling on the table bytes, 8n for n = 3^m - 1 (see FieldCtx), checked by
-# ctx_create before any work and by the table fill before it allocates:
-# k = 8 (about 0.34 GB) passes, k = 9 (about 3.1 GB) is refused
+# ceiling on the bytes of the mu command's element list, checked before the
+# field is built
 TABLE_BYTES_CEILING = 2 * 2 ** 30
 # peak bytes per element of the mu command (the frozenset, the sorted list
 # and the report), held to the same ceiling before the field is built: a
@@ -182,47 +151,6 @@ def _factorize(n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# bitsliced trit vectors: an element is the pair (ones, twos) of bitmasks of
-# its trits equal to 1 and to 2, bit i for trit i
-
-def _bits(enc: int) -> tuple:
-    """Bitsliced form of an encoding."""
-    ones = twos = 0
-    bit = 1
-    while enc:
-        enc, t = divmod(enc, 3)
-        if t == 1:
-            ones |= bit
-        elif t == 2:
-            twos |= bit
-        bit <<= 1
-    return ones, twos
-
-
-def _half_tables(rows: list) -> tuple:
-    """Lookup tables of a GF(3)-linear map on the trits of one half.
-
-    rows[b] is the bitsliced image of the b-th trit's unit vector.  Entry
-    ones_mask | twos_mask << len(rows) of the returned (ones, twos) uint16
-    arrays is the image of the vector with trit 1 at the bits of ones_mask
-    and trit 2 (= -1) at those of twos_mask; entries where the two masks
-    overlap are never read.
-    """
-    import numpy as np
-    width = len(rows)
-    t1 = np.zeros(1 << 2 * width, dtype=np.uint16)
-    t2 = np.zeros(1 << 2 * width, dtype=np.uint16)
-    size = 1
-    for r1, r2 in rows + [(r2, r1) for r1, r2 in rows]:
-        a1, a2 = t1[:size], t2[:size]
-        u = (a1 | r2) ^ (a2 | r1)  # tritwise sum, bitsliced
-        t1[size:2 * size] = (a2 | r2) ^ u
-        t2[size:2 * size] = (a1 | r1) ^ u
-        size *= 2
-    return t1, t2
-
-
-# ---------------------------------------------------------------------------
 # the field context: trits packed as base-256 digits of one Python int
 
 # bytes.translate tables on base-256 digits: the digit mod 3, and that
@@ -233,6 +161,11 @@ _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
 # 6 * 3^k Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
 # k = 10 on a 2-vCPU Xeon, and each k above triples it
 _TABLE_FREE_MAX_K = 10
+# largest k ctx_create builds, for the commands that run conjlab's direct
+# route: it marks every nonzero element in a bytearray of n = 3^2k - 1 bytes
+# (43 MB at k = 8).  A trial at k = 9 took 12.6 s and 411 MB on a 2-vCPU
+# Xeon, so k = 9 and up are refused before any work
+_DIRECT_MAX_K = 8
 
 
 def _digit_sums(rows: list) -> list:
@@ -275,26 +208,9 @@ def _degree(k: int, max_k: int) -> int:
     return 2 * k
 
 
-def _table_size(m: int) -> int:
-    """n = 3^m - 1, once the int32 exp and log tables of GF(3^m) are known
-    to fit: n below 2^31 and their 8n bytes within TABLE_BYTES_CEILING."""
-    n = 3 ** m - 1
-    if n >= 2 ** 31:
-        raise ValueError(f"field order 3^{m} too large: its log tables are int32, "
-                         f"so 3^(2k) - 1 must stay below 2^31")
-    # int32 exp (n) and log (n + 1) tables; the fill keeps its work columns
-    # inside log
-    if 8 * n > TABLE_BYTES_CEILING:
-        raise ValueError(f"field order 3^{m} too large: its tables would take "
-                         f"about {8 * n / 2 ** 30:.1f} GiB, above the "
-                         f"{TABLE_BYTES_CEILING // 2 ** 30} GiB ceiling")
-    return n
-
-
 class FieldCtx:
     """GF(3^2k) arithmetic: the one implementation of the scalar ops, of
-    every helper derived from them, and of the direct route's pass over the
-    field (see the module docstring).
+    every helper derived from them, and of the discrete log _log.
 
     An element's trits become the base-256 digits of one int, packed from
     3^k-entry tables of each half of its encoding.  A product is one int
@@ -317,20 +233,17 @@ class FieldCtx:
     order (= 3^2k), modulus (monic GF(3) coefficient tuple, low degree
     first) and alpha (encoding of the smallest primitive element).
 
-    The exp and log tables of alpha are two int32 numpy arrays that the
-    first power_sum_images fills (_tables): _exp (alpha^i for i < n) and
-    _log (the log of each encoding; _log[0] is an unused 0), 8n bytes in
-    all, 4.3 MB at k = 6 and 0.34 GB at k = 8.  The fill holds nothing of
-    size n beyond them.
+    _log(a) reads log_alpha a off three tables of about q entries each,
+    built by its first call (see there).
     """
 
     _special: Optional[SpecialConstants] = None
-    _exp = _log = None  # filled by _tables
+    _log_tables = None  # built by the first _log
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
         m = _degree(k, max_k)
         if k > _TABLE_FREE_MAX_K:
-            raise ValueError(f"field order 3^{m} too large: the table-free set-up grows "
+            raise ValueError(f"field order 3^{m} too large: the scalar ops' set-up grows "
                              f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
         if modulus is None:
             f = Poly(_GF3, default_modulus(m))
@@ -361,8 +274,7 @@ class FieldCtx:
         self._low_digits = (1 << 8 * m) - 1
         self._next_digits = (1 << 8 * (k - 1)) - 1
         # x^(3j) mod f; the half tables of the cube and of y -> y^q are built
-        # by the first frobenius and conjugate_q calls (the table fill needs
-        # neither)
+        # by the first frobenius and conjugate_q calls
         self._cubes = [_packed(powers[3 * j]) for j in range(m)]
         self._cube_tables = self._conj_tables = None
         self.alpha = self._smallest_primitive()
@@ -511,162 +423,52 @@ class FieldCtx:
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"
 
-    # -- the exp and log tables ---------------------------------------------
+    # -- the discrete log ---------------------------------------------------
 
-    def _tables(self) -> tuple:
-        """(exp, log), filled by the first call from bitsliced uint16 columns
-        (ones, twos) of alpha^i, every pass in blocks of _BLOCK_LEN indices.
+    def _log(self, a: int) -> int:
+        """log_alpha a, in [0, n), for a != 0 (n = q^2 - 1).
 
-        The bound on their size is checked first, before numpy is imported
-        or anything is allocated.  The columns live in log (n + 1 int32
-        entries hold 2n uint16), which is free until the scatter, so the
-        fill holds no array of size n besides the tables.  Doubling: columns
-        h..2h-1 are columns 0..h-1 times alpha^h, read for each half of the
-        trits from a _half_tables lookup of that map.  Every column is then
-        encoded into exp before log is reset to -1 and scattered, i to
-        log[e] for e = alpha^i, i < n.  A last pass checks that the scatter
-        left no -1 past log[0], that is, that those n encodings are the n
-        nonzero ones and alpha is primitive.
+        gamma = alpha^(q+1) has order q - 1 and beta = alpha^(q-1) has order
+        q + 1.  With L = log_alpha a, the norm N(a) = a^(q+1) = conjugate_q(a)
+        a is gamma^L, so c = log_gamma N(a) = L mod (q - 1), and a alpha^(-c)
+        = beta^t with t = (L - c) / (q - 1) in [0, q + 1).  So L = c +
+        (q - 1) t: two products, one conjugate_q and two lookups.  The tables
+        {gamma^i: i}, [alpha^(-i)] and {beta^t: t} come from one walk each,
+        and the walks of gamma and beta check that they reach q - 1 and
+        q + 1 distinct values, which holds iff alpha is primitive.
         """
-        if self._exp is not None:
-            return self._exp, self._log
-        m, k = self.m, self.k
-        n = _table_size(m)
-        import numpy as np
-        exp = np.empty(n, dtype=np.int32)
-        log_arr = np.empty(n + 1, dtype=np.int32)
-        # uint16 holds the m trits: TABLE_BYTES_CEILING stops at m = 16
-        ones, twos = log_arr[:n].view(np.uint16).reshape(2, n)
-        ones[0], twos[0] = 1, 0
-        mask = (1 << k) - 1  # the low half: trits 0..k-1
-        a = self.alpha  # alpha^h
-        h = 1
-        while h < n:
-            rows = [_bits(self.mul(a, 3 ** j)) for j in range(m)]  # alpha^h x^j
-            low, high = _half_tables(rows[:k]), _half_tables(rows[k:])
-            width = min(h, n - h)  # columns h..h+width-1 come from 0..width-1
-            for s in range(0, width, _BLOCK_LEN):
-                e = min(s + _BLOCK_LEN, width)
-                o, t = ones[s:e], twos[s:e]
-                i_low = (o & mask | (t & mask) << k).astype(np.intp)
-                i_high = (o >> k | (t >> k) << k).astype(np.intp)
-                a1, a2 = low[0].take(i_low), low[1].take(i_low)
-                b1, b2 = high[0].take(i_high), high[1].take(i_high)
-                u = (a1 | b2) ^ (a2 | b1)  # tritwise sum, bitsliced
-                np.bitwise_xor(a2 | b2, u, out=ones[h + s:h + e])
-                np.bitwise_xor(a1 | b1, u, out=twos[h + s:h + e])
-            a = self.mul(a, a)
-            h *= 2
-        # enc[mask] = encoding of the vector with trit 1 at the bits of mask
-        enc = np.zeros(1 << m, dtype=np.int32)
-        for j in range(m):
-            np.add(enc[:1 << j], 3 ** j, out=enc[1 << j:2 << j])
-        for s in range(0, n, _BLOCK_LEN):
-            e = min(s + _BLOCK_LEN, n)
-            block = exp[s:e]
-            np.take(enc, twos[s:e], out=block)
-            block *= 2
-            block += enc.take(ones[s:e])
-        log_arr.fill(-1)
-        for s in range(0, n, _BLOCK_LEN):
-            e = min(s + _BLOCK_LEN, n)
-            log_arr[exp[s:e]] = np.arange(s, e, dtype=np.int32)
-        log_arr[0] = 0
-        if log_arr.min() < 0:
-            raise ValueError("exp table is not a permutation; element not primitive")
-        self._exp, self._log = exp, log_arr
-        return exp, log_arr
+        if self._log_tables is None:
+            q = self.q
+            gamma, beta = self.pow(self.alpha, q + 1), self.pow(self.alpha, q - 1)
+            self._log_tables = (self._walk(gamma, q - 1),
+                                list(self._walk(self.inv(self.alpha), q - 1)),
+                                self._walk(beta, q + 1))
+        norm_logs, inverse_powers, unit_logs = self._log_tables
+        c = norm_logs[self.mul(self.conjugate_q(a), a)]
+        return c + (self.q - 1) * unit_logs[self.mul(a, inverse_powers[c])]
 
-    # -- vector evaluation -------------------------------------------------
-
-    def power_sum_images(self, terms) -> Iterator:
-        """Images of f = sum(c * x^e for c, e in terms) at x = alpha^i, i < n,
-        yielded as int32 arrays over consecutive blocks of i.
-
-        Coefficients c are nonzero encodings and exponents e >= 0; at x != 0
-        only e mod n matters.  Let r be the smallest e mod n, d_j = (e_j mod
-        n) - r for each term, g = gcd(n, d_1, d_2, ...) and P = n / g, so
-        that f(x) = x^r H(x) with H = sum c_j x^(d_j).  H(alpha^i) depends
-        only on i mod P: g divides every d_j, so P d_j is a multiple of n
-        and alpha^((i + P) d_j) = alpha^(i d_j) alpha^(P d_j) = alpha^(i d_j),
-        as alpha^n = 1.  Writing i = a P + j with j < P,
-
-            f(alpha^i) = alpha^(r P a) * f(alpha^j),
-
-        so the images on the coset a are those of the first period times
-        alpha^(r P a).  For the trinomial families every d_j is a multiple
-        of q - 1, so P divides q + 1 (730 points at k = 6, against n =
-        531,440); when the gaps have no common factor with n, P = n.
-
-        The first period is evaluated in the log domain: c x^d has log
-        (j d + log c) mod n, and each term joins the partial sum of H as
-        acc * (1 + c x^d / acc), with 1 + c x^d / acc read off _exp and
-        stepped in its constant trit as in add; a mask marks the j where
-        the partial sum is 0, and f(alpha^i) = 0 exactly where H(alpha^j)
-        = 0.  Residues and trits come by floor division, which numpy runs
-        several times faster than its remainder when the divisor is a
-        scalar.  The pass over i is then one addition of log alpha^(r P a)
-        to the period's logs, one _exp gather and the mask, a block of
-        whole periods at a time (or a block of one period when P exceeds
-        _BLOCK_LEN).  Beyond the tables it holds the period's logs and mask
-        (9P bytes) and the vectors of one block.
-        """
-        exp, log_arr = self._tables()  # checks the bound before numpy is imported
-        import numpy as np
-        n = self.order - 1
-        terms = [(e % n, int(log_arr[c])) for c, e in terms]
-        r = min(e for e, _ in terms)
-        terms = [(e - r, log_c) for e, log_c in terms]
-        period = n // gcd(n, *(d for d, _ in terms))
-        log_f = np.empty(period, dtype=np.int64)
-        h_zero = np.empty(period, dtype=bool)
-        for start in range(0, period, _BLOCK_LEN):
-            j = np.arange(start, min(start + _BLOCK_LEN, period), dtype=np.int64)
-            acc = None  # log of the partial sum, valid where it is nonzero
-            zero = np.zeros(len(j), dtype=bool)
-            for d, log_c in terms:
-                term = j * d  # j * d needs 64 bits
-                term += log_c
-                term -= term // n * n
-                if acc is None:
-                    acc = term
-                    continue
-                # c x^d / acc = alpha^(term - acc); a difference in (-n, 0)
-                # indexes exp from its end, at term - acc + n
-                s = exp[term - acc]
-                carry = s // 3
-                s += 1
-                carry -= s // 3  # -1 where the constant trit was 2
-                carry *= 3
-                s += carry  # that trit steps to 0, not 3
-                acc += log_arr.take(s)
-                acc -= acc // n * n
-                np.copyto(acc, term, where=zero)
-                zero = ~zero & (s == 0)
-            acc += j * r  # log f(alpha^j) = r j + log H(alpha^j)
-            acc -= acc // n * n + n  # shifted into [-n, 0)
-            log_f[start:start + len(j)] = acc
-            h_zero[start:start + len(j)] = zero
-        cosets = n // period
-        rows = max(1, _BLOCK_LEN // period)  # whole periods per block
-        for a in range(0, cosets, rows):
-            # log alpha^(r P a) for the cosets a .. a + rows - 1, in [0, n)
-            shift = np.arange(a, min(a + rows, cosets), dtype=np.int64)
-            shift *= r * period % n
-            shift -= shift // n * n
-            for start in range(0, period, _BLOCK_LEN):
-                end = min(start + _BLOCK_LEN, period)
-                # a sum in [-n, 0) indexes exp from its end
-                images = exp.take(shift[:, None] + log_f[start:end])
-                images[:, h_zero[start:end]] = 0
-                yield images.ravel()
+    def _walk(self, g: int, count: int) -> dict:
+        """{g^i: i for i < count}; ValueError unless these are count
+        distinct values."""
+        logs, x = {}, 1
+        for i in range(count):
+            logs[x] = i
+            x = self.mul(x, g)
+        if len(logs) != count:
+            raise ValueError(f"alpha = {self.alpha} is not primitive: "
+                             f"{g} has order below {count}")
+        return logs
 
 
 def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:
-    """Build a GF(3^2k) context whose exp and log tables would fit, checked
-    before any work (the tables themselves are filled by the first
-    power_sum_images); modulus defaults to the lex-smallest irreducible."""
-    _table_size(_degree(k, max_k))
+    """Build a GF(3^2k) context for the commands that run conjlab's direct
+    route, which marks every element: k above _DIRECT_MAX_K is refused
+    before any work.  modulus defaults to the lex-smallest irreducible."""
+    m = _degree(k, max_k)
+    if k > _DIRECT_MAX_K:
+        raise ValueError(f"field order 3^{m} too large: the direct route marks "
+                         f"all 3^{m} - 1 nonzero elements and stops at "
+                         f"k = {_DIRECT_MAX_K}")
     return FieldCtx(k, modulus, max_k)
 
 
@@ -700,10 +502,15 @@ def solve_theta(ctx: FieldCtx) -> Optional[int]:
 
 
 def parse_element(ctx: FieldCtx, text: str) -> int:
-    """Parse an element: decimal encoding, or comma-separated trit list."""
+    """Parse an element: decimal encoding, or comma-separated trit list, low
+    trit first."""
     text = text.strip()
     if "," in text:
-        return ctx.encode(parse_modulus(text))
+        try:
+            return ctx.encode(int(part) for part in text.split(","))
+        except ValueError:
+            raise ValueError(f"malformed element {text!r}: GF(3^{ctx.m}) takes at most "
+                             f"{ctx.m} trits, each 0, 1 or 2") from None
     try:
         enc = int(text)
     except ValueError:

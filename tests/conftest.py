@@ -39,9 +39,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                 ("PASS  " if passed else "FAIL  ") + name)
 
 
-# block lengths for gf3m's numpy passes: the module's own, and a few indices,
-# which split every field into many blocks with a short last one
-BLOCK_LENS = (gf3m._BLOCK_LEN, 7)
+# irreducible moduli other than the defaults, as (k, modulus)
+OTHER_MODULI = [(1, (2, 1, 1)), (2, (1, 2, 0, 1, 1)), (2, (1, 0, 1, 2, 1)),
+                (3, (1, 0, 0, 1, 0, 2, 1)), (4, (1, 0, 0, 0, 0, 2, 1, 0, 1))]
 
 
 def vanishing_denominator_map(family, ctx):
@@ -54,7 +54,7 @@ def vanishing_denominator_map(family, ctx):
 
 @pytest.fixture(scope="session")
 def ctx_for():
-    """Memoized field contexts; table construction is the expensive part."""
+    """Memoized field contexts; the field set-up is the expensive part."""
     def get(k, modulus=None, max_k=6):
         key = (k, modulus, max_k)
         if key not in _CTX_CACHE:
@@ -64,14 +64,15 @@ def ctx_for():
 
 
 class LogTableCtx(gf3m.FieldCtx):
-    """The scalar ops read off a FieldCtx's exp and log tables: an oracle
-    for FieldCtx's own packed-int ops, whose derived helpers (div, sqrt,
-    special_constants, ...) it runs on these ops.  The tables are filled
-    explicitly here, by numpy doubling of bitsliced trit vectors, and read
-    as lists of ints, so the ops below share no code with the packed-int
-    products.  A log sum or difference shifted into (-n, 0) indexes _exp from
-    its end, where Python wraps it to the same power of alpha; a + b =
-    a (1 + b/a), where 1 + alpha^d is alpha^d with its constant trit stepped.
+    """The scalar ops read off exp and log lists of alpha: an oracle for
+    FieldCtx's own packed-int ops, whose derived helpers (div, sqrt,
+    special_constants, ...) it runs on these ops.  The lists are
+    filled here (exp_log_lists), by numpy doubling of trit rows with the
+    matrices of y -> alpha^h y read off ref_mul, so the ops below share no
+    code with the packed-int products.  A log sum or difference shifted
+    into (-n, 0) indexes _exps from its end, where Python wraps it to the
+    same power of alpha; a + b = a (1 + b/a), where 1 + alpha^d is alpha^d
+    with its constant trit stepped.
     """
 
     def __init__(self, k, modulus=None):
@@ -79,24 +80,24 @@ class LogTableCtx(gf3m.FieldCtx):
         for name in ("k", "m", "q", "order", "modulus", "alpha"):
             setattr(self, name, getattr(field, name))
         self._n = field.order - 1
-        self._exp, self._log = (t.tolist() for t in field._tables())
+        self._exps, self._logs = exp_log_lists(self.alpha, self.modulus)
 
     def add(self, a, b):
         if a == 0:
             return b
         if b == 0:
             return a
-        la = self._log[a]
-        s = self._exp[self._log[b] - la]  # b / a
+        la = self._logs[a]
+        s = self._exps[self._logs[b] - la]  # b / a
         s += (1, 1, -2)[s % 3]  # 1 + b / a: the constant trit steps by one
         if s == 0:
             return 0
-        return self._exp[la + self._log[s] - self._n]
+        return self._exps[la + self._logs[s] - self._n]
 
     def neg(self, a):
         if a == 0:
             return 0
-        return self._exp[self._log[a] - self._n // 2]
+        return self._exps[self._logs[a] - self._n // 2]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -104,24 +105,24 @@ class LogTableCtx(gf3m.FieldCtx):
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b] - self._n]
+        return self._exps[self._logs[a] + self._logs[b] - self._n]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero")
-        return self._exp[-self._log[a]]
+        return self._exps[-self._logs[a]]
 
     def pow(self, a, e):
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("division by zero")
             return 0 if e else 1
-        return self._exp[self._log[a] * e % self._n]
+        return self._exps[self._logs[a] * e % self._n]
 
     def frobenius(self, a, e=1):
         if a == 0:
             return 0
-        return self._exp[self._log[a] * pow(3, e, self._n) % self._n]
+        return self._exps[self._logs[a] * pow(3, e, self._n) % self._n]
 
     def conjugate_q(self, a):
         return self.frobenius(a, self.k)
@@ -220,6 +221,31 @@ def ref_pow(a, e, modulus):
     return result
 
 
+def exp_log_lists(alpha, modulus):
+    """([alpha^i for i < n], log of each encoding, with 0 at 0) for n = 3^m - 1.
+
+    The trit rows of alpha^i double: rows h..2h-1 are rows 0..h-1 times the
+    matrix of y -> alpha^h y, whose row j is the trits of ref_mul(alpha^h,
+    x^j).  Asserts that the n powers are the n nonzero encodings."""
+    import numpy as np
+    m = len(modulus) - 1
+    n = 3 ** m - 1
+    rows = np.zeros((n, m), dtype=np.int8)
+    rows[0, 0] = 1
+    a, h = alpha, 1
+    while h < n:
+        matrix = np.array([enc_to_trits(ref_mul(a, 3 ** j, modulus), m)
+                           for j in range(m)], dtype=np.int64)
+        width = min(h, n - h)
+        rows[h:h + width] = rows[:width] @ matrix % 3
+        a, h = ref_mul(a, a, modulus), 2 * h
+    exps = rows @ 3 ** np.arange(m, dtype=np.int64)
+    logs = np.zeros(n + 1, dtype=np.int64)
+    logs[exps] = np.arange(n)
+    assert np.array_equal(np.sort(exps), np.arange(1, n + 1)), "alpha is not primitive"
+    return exps.tolist(), logs.tolist()
+
+
 # ---------------------------------------------------------------------------
 # reference irreducibility by trial division over GF(3)
 
@@ -262,37 +288,3 @@ def ref_default_modulus(m):
         if ref_irreducible(cand):
             return cand
     raise AssertionError("no irreducible of degree %d" % m)
-
-
-# ---------------------------------------------------------------------------
-# reference vector evaluation: one log-domain Zech step per term and per x
-
-def zech_power_sum_images(ctx, terms):
-    """sum(c * x^e for c, e in terms) at every x = alpha^i, i < n, as one
-    list, with the Zech work done at every i and no period: c * x^e has log
-    (i * e + log c) mod n, and each term joins the partial sum as
-    acc * (1 + c x^e / acc), with 1 + c x^e / acc read off _exp and stepped
-    in its constant trit; a mask marks the x where the partial sum is 0.
-    The reference for FieldCtx.power_sum_images, which runs these steps on
-    one period of i only."""
-    import numpy as np
-    n = ctx.order - 1
-    exp, log_arr = ctx._tables()
-    terms = [(e % n, int(log_arr[c])) for c, e in terms]
-    i = np.arange(n, dtype=np.int64)
-    acc = None  # log of the partial sum, valid where it is nonzero
-    zero = np.zeros(n, dtype=bool)
-    for e, log_c in terms:
-        term = i * e % n
-        term = (term + log_c) % n
-        if acc is None:
-            acc = term
-            continue
-        s = exp[(term - acc) % n]  # c x^e / acc
-        s = s - s % 3 + (s % 3 + 1) % 3  # 1 + c x^e / acc: step the constant trit
-        acc = (acc + log_arr.take(s)) % n
-        acc = np.where(zero, term, acc)
-        zero = ~zero & (s == 0)
-    images = exp.take(acc)
-    images[zero] = 0
-    return images.tolist()

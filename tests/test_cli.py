@@ -197,7 +197,7 @@ def test_factors_validates_its_source_before_building_the_field(capsys, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# every command but check-trinomial runs without the exp and log tables
+# every command but check-trinomial and sweep runs without the discrete log
 
 def _swap_in(patch, make):
     """Build every field of a command through make(k, modulus)."""
@@ -206,14 +206,14 @@ def _swap_in(patch, make):
 
 def _both_ways(capsys, monkeypatch, tables_for, argv):
     """(exit, stdout, stderr) of a command on FieldCtx's packed-int ops, with
-    gf3m.ctx_create and the table fill barred, and on the memoised log-table
+    gf3m.ctx_create and FieldCtx._log barred, and on the memoised log-table
     oracle (conftest.LogTableCtx), swapped in for FieldCtx."""
     def no_tables(*args):
-        raise AssertionError(f"{argv[0]} built a table context")
+        raise AssertionError(f"{argv[0]} built a direct-route context or took a log")
 
     with monkeypatch.context() as patch:
         patch.setattr(gf3m, "ctx_create", no_tables)
-        patch.setattr(gf3m.FieldCtx, "_tables", no_tables)
+        patch.setattr(gf3m.FieldCtx, "_log", no_tables)
         free = run(capsys, *argv)
     with monkeypatch.context() as patch:
         _swap_in(patch, tables_for)
@@ -297,9 +297,9 @@ def test_factors_reports_are_unchanged_at_k6_to_k8(capsys, argv):
                                     ("--poly", "369863,2,188590,2,188590,1")))
 def test_factors_builds_no_field_tables(capsys, monkeypatch, source):
     def no_tables(self, *args):
-        raise AssertionError("factors filled the exp and log tables")
+        raise AssertionError("factors took a discrete log")
 
-    monkeypatch.setattr(gf3m.FieldCtx, "_tables", no_tables)
+    monkeypatch.setattr(gf3m.FieldCtx, "_log", no_tables)
     code, out, err = run(capsys, "factors", "--k", "6", *source, "--format", "json")
     assert code == 0, err
     assert json.loads(out)["quadratic_factors"]
@@ -356,13 +356,19 @@ def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),),
+@pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),
+                                  ("sweep", "--family", "2", "--l", "2")),
                          ids=lambda argv: argv[0])
 def test_table_commands_refuse_k9_at_once(capsys, argv):
+    # check-trinomial exits 1; sweep reports the refusal as an error row
     start = time.perf_counter()
-    code, _, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:])
-    assert code == 1 and "too large" in err
+    code, out, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:],
+                         "--format", "json")
     assert time.perf_counter() - start < 1
+    if argv[0] == "sweep":
+        assert code == 0 and "too large" in json.loads(out)[0]["error"]
+    else:
+        assert code == 1 and "too large" in err
 
 
 def test_mu_refuses_an_element_list_past_the_ceiling_at_once(capsys, monkeypatch):
@@ -738,8 +744,8 @@ def test_k_out_of_range_exits_one(capsys):
 
 
 def test_field_too_large_for_int32_tables_exits_one_at_once(capsys):
-    # k = 10 overflows the int32 tables; k = 9 fits them but would take
-    # 8n bytes, about 3.1 GB
+    # the direct route stops at k = 8: its marks would take 0.39 GB at
+    # k = 9 and 3.5 GB at k = 10
     for k in ("10", "9"):
         start = time.perf_counter()
         code, _, err = run(capsys, "check-trinomial", "--k", k, "--max-k", k,
@@ -964,7 +970,7 @@ def test_claimed_permutation_matrix():
 
 
 # ---------------------------------------------------------------------------
-# numpy is imported only by the commands that vectorise over the field
+# no command imports numpy
 
 NUMPY_PROBE = """
 import contextlib, io, json, sys
@@ -996,32 +1002,30 @@ alphas = [gf3m.ctx_create(k).alpha for k in range(1, 7)]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["field-info", "--k", "6"])
-ctx = gf3m.FieldCtx(9, max_k=9)
 tracemalloc.start()
 try:
-    next(ctx.power_sum_images([(1, 1)]))
+    gf3m.ctx_create(9, max_k=9)
     error = None
 except ValueError as exc:
     error = str(exc)
 peak = tracemalloc.get_traced_memory()[1]
-print(json.dumps([alphas, code, out.getvalue(), error, peak, ctx._exp is None]))
+print(json.dumps([alphas, code, out.getvalue(), error, peak]))
 """
 
 
 def test_fields_build_without_numpy(capsys):
-    # building a field fills no tables, so it needs no numpy; a k = 9 field
-    # builds, and its first direct-route pass refuses the 3.1 GB tables
-    # before numpy is imported or anything is allocated
+    # building a field needs no numpy, and ctx_create refuses k = 9 before
+    # any work
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    alphas, code, out, error, peak, no_tables = json.loads(proc.stdout)
+    alphas, code, out, error, peak = json.loads(proc.stdout)
     assert alphas == [ctx_create(k).alpha for k in range(1, 7)]
     assert (code, out) == run(capsys, "field-info", "--k", "6")[:2]
     with pytest.raises(ValueError) as info:
         ctx_create(9, max_k=9)
     assert error == str(info.value) and "too large" in error
-    assert peak < 2 ** 20 and no_tables
+    assert peak < 2 ** 20
 
 
 def test_factor_search_commands_do_not_import_numpy():
@@ -1034,7 +1038,7 @@ def test_factor_search_commands_do_not_import_numpy():
     golden = json.loads((pathlib.Path(__file__).with_name("golden")
                          / "cli_grid.json").read_text())[" ".join(argv)]
     assert not before
-    assert after  # check-trinomial's direct route still runs on numpy
+    assert not after  # check-trinomial's direct route takes ctx._log
     assert {"exit": code, "stdout": out} == golden
     # the records are NamedTuples: the package and its factor search never
     # import dataclasses themselves

@@ -25,7 +25,7 @@ from trinolab.gf3m import ctx_create
 from trinolab.permtest import is_bijection_on, mu_enumerate, zieve_criterion
 from trinolab.polyring import Poly, poly_gcd, quadratic_factors, roots_in_set
 
-from conftest import BLOCK_LENS, per_point_zieve, vanishing_denominator_map
+from conftest import per_point_zieve, vanishing_denominator_map
 
 CTX9 = ctx_create(1)
 CTX81 = ctx_create(2)
@@ -114,23 +114,8 @@ def test_trinomial_map_matches_polynomial():
             assert fn(x) == poly(x)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3))
-def test_vector_images_match_the_scalar_map(ctx_for, monkeypatch, k):
-    ctx = ctx_for(k)
-    for family in (1, 2, 3):
-        for l in valid_ls(family, ctx, range(0, 13)):
-            spec = trinomial_family(family, l, ctx)
-            fn = trinomial_map(spec, ctx)
-            expected = [fn(ctx.alpha_pow(i)) for i in range(ctx.order - 1)]
-            for block in BLOCK_LENS:
-                monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-                images = [v for part in ctx.power_sum_images(conjlab._terms(spec))
-                          for v in part.tolist()]
-                assert images == expected, (family, l, block)
-
-
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-def test_direct_route_matches_the_bijection_oracle(ctx_for, tables_for, monkeypatch, k):
+def test_direct_route_matches_the_bijection_oracle(ctx_for, tables_for, k):
     # the oracle evaluates f at every element with the log-table ops
     ctx = ctx_for(k)
     verdicts = set()
@@ -138,32 +123,66 @@ def test_direct_route_matches_the_bijection_oracle(ctx_for, tables_for, monkeypa
         for l in valid_ls(family, ctx, range(0, 13)):
             spec = trinomial_family(family, l, ctx)
             oracle = is_bijection_on(trinomial_map(spec, tables_for(k)), range(ctx.order))
-            for block in BLOCK_LENS:
-                monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-                direct = conjlab._routes(spec, ctx)[2]
-                assert direct is oracle.is_bijection, (family, l, block)
+            direct = conjlab._routes(spec, ctx)[2]
+            assert direct is oracle.is_bijection, (family, l)
             verdicts.add(direct)
     assert verdicts == {True, False}
 
 
-def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkeypatch):
-    # blocks of 2^10 split the k = 5 field into 58.  The direct route holds
-    # the bitmap (n / 8 bytes), the period table and the vectors of one
-    # block.  Measured beyond the bitmap: 37-42 bytes per block index at
-    # 2^10 (30 at 2^12, where 6-11 KB of small objects weigh less), so 46
-    # bytes per index bound it.  Keeping the previous block's vectors alive
-    # while the next is built (47-52) exceeds the bound, and so does one
-    # bool per field element (n bytes, 59 KB) on top of the same blocks.
-    # The index-form criterion is stubbed out: its q + 1 = 244 dict and set
-    # entries peak about as high as the route itself
-    ctx = ctx_for(5)
+def _hand_built_specs(ctx):
+    """TrinomialSpecs outside the families, each with its period P."""
+    q, n = ctx.q, ctx.order - 1
+    rng = random.Random(f"specs:{ctx.k}")
+    specs = []
+    for _ in range(12):
+        e = rng.randrange(1, 2 * n)
+        exps = [(e, e + (q - 1) * rng.randrange(1, 2 * q), e + (q - 1) * rng.randrange(1, 2 * q)),
+                (0, rng.randrange(1, 2 * n), rng.randrange(1, 2 * n)),
+                (e, e + 1, e + 3)]
+        for exponents in exps:
+            for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1)):
+                specs.append(conjlab.TrinomialSpec(0, 0, q, exponents, signs, True))
+    # x^e + x^e - x^e = x^e, a permutation iff gcd(e, n) = 1; and 3 x^e = 0
+    for e in (1, 5, 7, 2):
+        for signs in ((1, 1, -1), (1, 1, 1)):
+            specs.append(conjlab.TrinomialSpec(0, 0, q, (e, e, e), signs, True))
+    return specs
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_direct_bijection_matches_the_per_point_oracle_on_hand_built_specs(ctx_for, k):
+    # signs (1, 1, 1) vanish at x = 1, where 1 + 1 + 1 = 0; a term x^0
+    # makes f(0) = 1; gaps 1 and 3 have no common factor with n, so P = n
+    ctx = ctx_for(k)
     n = ctx.order - 1
-    block = 2 ** 10
-    monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
+    seen = set()
+    for spec in _hand_built_specs(ctx):
+        fn = trinomial_map(spec, ctx)
+        oracle = is_bijection_on(fn, range(ctx.order)).is_bijection
+        assert conjlab._direct_bijection(spec, ctx) is oracle, spec
+        exps = [e % n for e in spec.exponents]
+        period = n // math.gcd(n, *(e - min(exps) for e in exps))
+        seen.update({("verdict", oracle), ("f(0)", fn(0) != 0), ("P", period),
+                     ("zero image", any(fn(x) == 0 for x in range(1, ctx.order)))})
+    assert {("verdict", True), ("verdict", False), ("f(0)", True), ("P", n),
+            ("P", 1), ("zero image", True)} <= seen
+
+
+def test_direct_route_memory_is_the_marks_plus_period_arrays(ctx_for, monkeypatch):
+    # at k = 6 the direct route holds one mark per nonzero element (n =
+    # 531,440 bytes), the slice of ones it assigns (n / gcd(r P, n) bytes,
+    # 728 or 1,456 here) and a few small objects: 2.9-5.2 KB beyond the
+    # marks, measured with the log tables already built, so 16 q = 11.7 KB
+    # bounds it.  One more mark array, or a list of the images' logs (P =
+    # 730 ints, about 26 KB), would exceed the bound.  The index-form
+    # criterion is stubbed out: its q + 1 dict and set entries peak higher
+    # than the route itself
+    ctx = ctx_for(6)
+    n = ctx.order - 1
     monkeypatch.setattr(conjlab, "zieve_criterion", lambda ctx, r, d, h: (True, True))
     for family, l in ((1, 2), (3, 5)):
         spec = trinomial_family(family, l, ctx)
-        conjlab._routes(spec, ctx)  # imports numpy before the trace
+        conjlab._routes(spec, ctx)  # builds the log tables before the trace
         gc.collect()
         tracemalloc.start()
         try:
@@ -171,11 +190,11 @@ def test_direct_route_memory_is_one_int32_vector_plus_the_blocks(ctx_for, monkey
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n // 8 + 46 * block, (family, l)
+        assert peak < n + 16 * ctx.q, (family, l, peak - n)
 
 
 def test_direct_route_does_not_read_the_index_form(ctx_for, monkeypatch):
-    # power_sum_images takes r and the period off the spec's own terms, so
+    # _direct_bijection takes r and the period off the spec's own terms, so
     # a wrong decomposition moves only the index-form verdicts
     specs = [(ctx, trinomial_family(family, l, ctx))
              for ctx in map(ctx_for, (1, 2, 3))

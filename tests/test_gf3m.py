@@ -1,7 +1,6 @@
 """Field engine checks against an independent reference implementation."""
 
 import gc
-import math
 import random
 import time
 import tracemalloc
@@ -13,9 +12,9 @@ from hypothesis import strategies as st
 from trinolab import gf3m
 from trinolab.gf3m import ctx_create, default_modulus
 
-from conftest import (BLOCK_LENS, enc_to_trits, ref_add,
+from conftest import (OTHER_MODULI, enc_to_trits, ref_add,
                       ref_default_modulus, ref_irreducible, ref_mul, ref_neg,
-                      ref_pow, trits_to_enc, zech_power_sum_images)
+                      ref_pow, trits_to_enc)
 
 # first monic irreducible per degree, in itertools.product order over the
 # low coefficients; re-derived by ref_default_modulus below
@@ -29,11 +28,6 @@ KNOWN_MODULI = {
     12: (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1),
     14: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
 }
-
-# irreducible moduli other than the defaults, as (k, modulus)
-OTHER_MODULI = [(1, (2, 1, 1)), (2, (1, 2, 0, 1, 1)), (2, (1, 0, 1, 2, 1)),
-                (3, (1, 0, 0, 1, 0, 2, 1)), (4, (1, 0, 0, 0, 0, 2, 1, 0, 1))]
-
 
 # ---------------------------------------------------------------------------
 # modulus selection
@@ -303,18 +297,12 @@ def test_alpha_is_the_smallest_primitive_element(both_for):
 @pytest.mark.parametrize("modulus", (KNOWN_MODULI[2], (2, 1, 1), KNOWN_MODULI[4],
                                      (1, 0, 1, 2, 1)))
 def test_table_free_mul_matches_reference(modulus):
-    # the multiply and power FieldCtx finds alpha and fills its tables with
+    # the multiply and power FieldCtx finds alpha and builds its log tables with
     field = gf3m.FieldCtx((len(modulus) - 1) // 2, modulus)
     m = len(modulus) - 1
-
-    def enc(bits):  # the fills' bitsliced rows
-        return sum((bits[0] >> i & 1) * 3 ** i + (bits[1] >> i & 1) * 2 * 3 ** i
-                   for i in range(m))
-
     rng = random.Random(len(modulus))
     for _ in range(200):
         a, b = rng.randrange(3 ** m), rng.randrange(3 ** m)
-        assert enc(gf3m._bits(a)) == a
         assert field.mul(a, b) == ref_mul(a, b, modulus)
         if a:
             e = rng.randrange(1, 3 ** m)
@@ -390,132 +378,70 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
         gf3m.FieldCtx(k, max_k=k)
 
 
-@pytest.fixture(scope="module")
-def traced_k5_build():
-    """One ctx_create(5) and its table fill under tracemalloc, numpy
-    imported before the trace, shared by the memory tests below:
-    (ctx, retained, peak, kept), where kept is the traced size after a
-    gc.collect has cleared the interpreter's free lists."""
-    import numpy  # noqa: F401  (imported before the trace)
+def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
+    # ctx_create(5) and its first _log hold nothing of the field's size:
+    # _log's three tables have q - 1, q - 1 and q + 1 entries, and the
+    # whole build keeps 141 KB and peaks 3 KB higher under tracemalloc,
+    # where an int64 n x m trit matrix takes 4.7 MB and one byte per
+    # element 59 KB
     gc.collect()
     tracemalloc.start()
     try:
         ctx = ctx_create(5)
-        ctx._tables()
+        assert ctx._log(ctx.alpha) == 1
         retained, peak = tracemalloc.get_traced_memory()
-        gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return ctx, retained, peak, kept
-
-
-def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix(traced_k5_build):
-    # the table build must not hold an int64 n x m trit matrix (4.7 MB at
-    # k = 5) on top of the tables it keeps
-    ctx, retained, peak, _ = traced_k5_build
-    n, m = ctx.order - 1, ctx.m
+    n, m, q = ctx.order - 1, ctx.m, ctx.q
     assert ctx.alpha == 34
-    assert peak - retained < n * m * 8
-
-
-@pytest.mark.parametrize("k", (1, 2))
-def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
-    square = ctx_create(k).alpha_pow(2)  # order n / 2: no permutation
-    monkeypatch.setattr(gf3m.FieldCtx, "_smallest_primitive", lambda self: square)
-    ctx = ctx_create(k)
-    with pytest.raises(ValueError, match="not a permutation"):
-        ctx._tables()
-    assert ctx._exp is None  # no half-filled tables are kept
-
-
-def test_ctx_create_fills_no_tables(monkeypatch):
-    # the tables are filled by the first power_sum_images, not by the build
-    def no_fill(self):
-        raise AssertionError("a table fill ran")
-
-    monkeypatch.setattr(gf3m.FieldCtx, "_tables", no_fill)
-    for k in (1, 5, 6):
-        ctx = ctx_create(k)
-        assert ctx._exp is None and ctx._log is None
-        with pytest.raises(AssertionError, match="a table fill ran"):
-            next(ctx.power_sum_images([(1, 1)]))
+    assert [len(t) for t in ctx._log_tables] == [q - 1, q - 1, q + 1]
+    assert peak < 2 ** 18 < n * m * 8
+    assert peak - retained < n
 
 
 # k = 6 comes last so that the ids of the other moduli stay as they were
 @pytest.mark.parametrize(("k", "modulus"),
                          [(k, None) for k in (1, 2, 3, 4, 5)] + OTHER_MODULI + [(6, None)])
-def test_pure_and_numpy_fills_agree(monkeypatch, k, modulus):
-    # the pure Python side is a scalar walk kept here as the oracle: it steps
-    # alpha^i by one packed-int product at a time, where the fill doubles
-    # bitsliced columns of alpha^i with numpy
+def test_pure_and_numpy_fills_agree(tables_for, k, modulus):
+    # the pure Python side steps alpha^i by one packed-int product at a time
+    # and takes _log of each; the numpy side is conftest's exp and log
+    # lists, doubled from trit rows with matrices read off ref_mul
     walk = ctx_create(k, modulus)
-    n = walk.order - 1
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(walk.mul(powers[-1], walk.alpha))
-    assert walk.mul(powers[-1], walk.alpha) == 1
-    for block in BLOCK_LENS:
-        monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-        exp, log_arr = (t.tolist() for t in ctx_create(k, modulus)._tables())
-        assert (len(exp), len(log_arr)) == (n, n + 1)
-        for i, power in enumerate(powers):
-            assert exp[i] == power, (block, i)
-            assert log_arr[exp[i]] == i, (block, i)
+    tables = tables_for(k, modulus)
+    x = 1
+    for i in range(walk.order - 1):
+        assert tables._exps[i] == x and tables._logs[x] == i and walk._log(x) == i, i
+        x = walk.mul(x, walk.alpha)
+    assert x == 1
 
 
-def test_numpy_fill_transient_memory_is_below_the_trit_planes():
-    # the numpy fill keeps its bitsliced columns in the _log buffer until it
-    # scatters _log, so beyond the tables it holds only per-block buffers:
-    # less than the
-    # uint8 m x n trit planes it used to build (0.59 MB at k = 5)
-    import numpy  # noqa: F401  (imported before the trace)
-    k = 5
-    n, m = 3 ** (2 * k) - 1, 2 * k
-    gc.collect()
-    tracemalloc.start()
-    try:
+@pytest.mark.parametrize("k", (1, 2))
+def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
+    square = ctx_create(k).alpha_pow(2)  # order n / 2
+    monkeypatch.setattr(gf3m.FieldCtx, "_smallest_primitive", lambda self: square)
+    ctx = ctx_create(k)
+    with pytest.raises(ValueError, match="not primitive"):
+        ctx._log(1)
+    assert ctx._log_tables is None  # no half-built tables are kept
+
+
+def test_ctx_create_fills_no_tables(monkeypatch):
+    # the log tables are built by the first _log, not by the build
+    def no_walk(self, g, count):
+        raise AssertionError("a log table walk ran")
+
+    monkeypatch.setattr(gf3m.FieldCtx, "_walk", no_walk)
+    for k in (1, 5, 6):
         ctx = ctx_create(k)
-        ctx._tables()
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert ctx.alpha == 34
-    assert peak - retained < n * m
-
-
-def test_ctx_tables_are_int32_buffers(traced_k5_build):
-    # exactly two int32 tables, _exp of n and _log of n + 1 entries: 0.47 MB
-    # at k = 5, where Python lists of ints once took 7.5 MB; the fill peaks
-    # below one int64 n x m trit matrix.  Once a collect has cleared the
-    # interpreter's free lists, the ctx keeps 8n bytes, the scalar ops'
-    # 3^k-entry lists (46 KB at k = 5, traced here by building a ctx without
-    # tables) and a few small objects
-    import numpy as np
-    ctx, retained, peak, kept = traced_k5_build
-    n, m = ctx.order - 1, ctx.m
-    gc.collect()
-    tracemalloc.start()
-    try:
-        bare = gf3m.FieldCtx(5)
-        gc.collect()
-        bare_kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert bare.alpha == ctx.alpha and bare._exp is None
-    assert peak < n * m * 8
-    assert retained < 2 * 2 ** 20
-    assert kept <= 8 * n + bare_kept + 2 ** 12
-    tables = {name: t for name, t in vars(ctx).items() if isinstance(t, np.ndarray)}
-    assert sorted(tables) == ["_exp", "_log"]
-    assert [t.dtype for t in tables.values()] == [np.int32] * 2
-    assert (len(ctx._exp), len(ctx._log)) == (n, n + 1)
-    assert isinstance(ctx.mul(ctx.alpha, ctx.alpha), int)
+        assert ctx._log_tables is None
+        with pytest.raises(AssertionError, match="a log table walk ran"):
+            ctx._log(1)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_zero_is_handled_before_the_log_table(both_for, k):
-    # _log[0] is an int like any other entry, so every op must branch on 0
+    # conftest's _logs[0] is an int like any other entry, so every op must
+    # branch on 0
     for ctx in both_for(k):
         for e in range(2 * ctx.m + 1):
             assert ctx.frobenius(0, e) == 0
@@ -524,73 +450,12 @@ def test_zero_is_handled_before_the_log_table(both_for, k):
         assert ctx.add(0, ctx.alpha) == ctx.alpha == ctx.add(ctx.alpha, 0)
 
 
-@pytest.mark.parametrize("k", (1, 2, 3))
-def test_power_sum_images_match_scalar_evaluation(ctx_for, monkeypatch, k):
-    ctx = ctx_for(k)
-    n = ctx.order - 1
-    rng = random.Random(k)
-    for _ in range(30):
-        terms = [(rng.randrange(1, ctx.order), rng.randrange(3 * n))
-                 for _ in range(rng.randrange(1, 5))]
-        if rng.random() < 0.5:  # c x^e - c x^e: partial sums vanish everywhere
-            c, e = terms[0]
-            terms.insert(1, (ctx.neg(c), e + n * rng.randrange(2)))
-        expected = []
-        for i in range(n):
-            x, value = ctx.alpha_pow(i), 0
-            for c, e in terms:
-                value = ctx.add(value, ctx.mul(c, ctx.pow(x, e)))
-            expected.append(value)
-        for block in BLOCK_LENS:
-            monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-            images = [v for part in ctx.power_sum_images(terms) for v in part.tolist()]
-            assert images == expected
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-@pytest.mark.parametrize("k", (1, 2, 3, 4, 5))
-def test_power_sum_images_match_the_per_term_zech_oracle(ctx_for, monkeypatch, k):
-    # power_sum_images runs the Zech steps on one period P = n / gcd(n, gaps)
-    # of the index; the oracle runs them at every index
-    ctx = ctx_for(k)
-    n = ctx.order - 1
-    rng = random.Random(100 + k)
-
-    def coeff():
-        return rng.randrange(1, ctx.order)
-
-    cases = [
-        [(coeff(), 0), (coeff(), 1)],  # gap 1, prime to n: P = n
-        [(coeff(), rng.randrange(3 * n))],  # one term: P = 1
-        [(coeff(), 0), (coeff(), n), (coeff(), 2 * n + 2)],  # x^0, x^n, x^(2n + 2)
-        [(1, 5), (2, 5 + 2 * (ctx.q - 1))],  # x^5 - x^(5 + 2(q - 1)) vanishes at 1
-    ]
-    for _ in range(4):  # gaps that are multiples of a random divisor of n
-        step, r = rng.choice(_divisors(n)), rng.randrange(2 * n)
-        cases.append([(coeff(), r + step * rng.randrange(3 * n // step))
-                      for _ in range(rng.randrange(2, 5))])
-    periods = set()
-    for terms in cases:
-        exps = [e % n for _, e in terms]
-        periods.add(n // math.gcd(n, *(e - min(exps) for e in exps)))
-        expected = zech_power_sum_images(ctx, terms)
-        for block in BLOCK_LENS:
-            monkeypatch.setattr(gf3m, "_BLOCK_LEN", block)
-            images = [v for part in ctx.power_sum_images(terms) for v in part.tolist()]
-            assert images == expected, (terms, block)
-    assert {1, n} <= periods
-    assert zech_power_sum_images(ctx, cases[3])[0] == 0
-
-
 def test_alpha_pow_matches_pow(both_for):
     tables, core = both_for(2)
     n = tables.order - 1
     for i in (-3, 0, 1, 7, n - 1, n, n + 5):
         assert core.alpha_pow(i) == tables.alpha_pow(i) == tables.pow(tables.alpha, i)
-    assert [tables.alpha_pow(i) for i in range(n)] == list(tables._exp)
+    assert [tables.alpha_pow(i) for i in range(n)] == tables._exps
 
 
 # ---------------------------------------------------------------------------
@@ -658,27 +523,36 @@ def test_sqrt_matches_exhaustive_table(both_for, k):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 7, 8))
-def test_core_sqrt_matches_the_log_table(k):
-    # the oracle reads the tables: a != 0 is a square iff log a is even, and
-    # its roots are +-alpha^(log a / 2).  Every element up to k = 4, 3,000
-    # seeded ones above; the k = 7 and 8 tables (38 MB and 0.34 GB) are
-    # filled here and dropped at the end
-    ctx = ctx_create(k, max_k=k)
-    exp, log_arr = ctx._tables()
-
-    def by_log(a):
-        if a == 0:
-            return 0
-        log = int(log_arr[a])
-        if log % 2:
-            return None
-        r = int(exp[log // 2])
-        return min(r, ctx.neg(r))
-
+def test_core_sqrt_matches_the_log_table(tables_for, k):
+    # up to k = 6 the oracle reads conftest's log lists: a != 0 is a square
+    # iff log a is even, and its roots are +-alpha^(log a / 2).  k = 7 and 8
+    # have no lists, so there a root must square to a and be the smaller of
+    # +-r, and a non-square must fail Euler's criterion, a^(n/2) != 1.
+    # Every element up to k = 4, 3,000 seeded ones above
+    ctx = gf3m.FieldCtx(k, max_k=k)
     elements = range(ctx.order)
     if k > 4:
         rng = random.Random(f"sqrt:{k}")
         elements = [rng.randrange(ctx.order) for _ in range(3000)]
+    if k > 6:
+        for a in elements:
+            r = ctx.sqrt(a)
+            if r is None:
+                assert ctx.pow(a, (ctx.order - 1) // 2) != 1, a
+            else:
+                assert ctx.mul(r, r) == a and r == min(r, ctx.neg(r)), a
+        return
+    tables = tables_for(k)
+
+    def by_log(a):
+        if a == 0:
+            return 0
+        log = tables._logs[a]
+        if log % 2:
+            return None
+        r = tables._exps[log // 2]
+        return min(r, ctx.neg(r))
+
     for a in elements:
         assert ctx.sqrt(a) == by_log(a), a
 
@@ -774,6 +648,15 @@ def test_parse_element_roundtrip(both_for):
             gf3m.parse_element(ctx, "x+1")
         with pytest.raises(ValueError, match="out of range"):
             gf3m.parse_element(ctx, "81")
+        # a trit list names the element and the trits the field takes
+        for text in ("1,5", "1,0,1,0,1"):
+            with pytest.raises(ValueError) as info:
+                gf3m.parse_element(ctx, text)
+            assert str(info.value) == (f"malformed element {text!r}: GF(3^4) takes "
+                                       f"at most 4 trits, each 0, 1 or 2")
+    with pytest.raises(ValueError, match="malformed element '1,0,1': GF.3.2. "
+                                         "takes at most 2 trits"):
+        gf3m.parse_element(ctx_create(1), "1,0,1")
 
 
 def test_parse_format_modulus_roundtrip():
