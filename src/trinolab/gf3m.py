@@ -163,8 +163,8 @@ _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
 _TABLE_FREE_MAX_K = 10
 # largest k ctx_create builds, for the commands that run conjlab's direct
 # route: it marks every nonzero element in a bytearray of n = 3^2k - 1 bytes
-# (43 MB at k = 8).  A trial at k = 9 took 12.6 s and 411 MB on a 2-vCPU
-# Xeon, so k = 9 and up are refused before any work
+# (43 MB at k = 8).  At k = 9 the marks alone would take 0.39 GB, so k = 9
+# and up are refused before any work
 _DIRECT_MAX_K = 8
 
 
