@@ -294,10 +294,13 @@ def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
     term, and each nonzero value has its ctx._log L_j.  As a runs over the
     n / P cosets, the images' logs L_j + a r P mod n are the residue class
     of L_j mod the stride gcd(r P, n), each met stride / P times; one slice
-    assignment marks that class in a bytearray of one mark per log.  A zero at some j
-    stands for n / P zero images, and f(0) is counted as well.  The n + 1
-    images then permute the field iff exactly one of them is 0 and every
-    mark is set.
+    assignment marks that class in a bytearray of one mark per log.  f has
+    coefficients +/-1, so f(y^3) = f(y)^3, and L_(3j mod P) is 3 L_j mod
+    the stride: _log is taken at the first j of each orbit of j -> 3j mod P,
+    the orbit is marked from it, and the walk stops once every orbit is.  A
+    zero at j is one along its orbit, each standing for n / P zero images,
+    and f(0) is counted as well.  The n + 1 images then permute the field
+    iff exactly one of them is 0 and every mark is set.
     """
     n = ctx.order - 1
     terms = [(c, e % n) for c, e in _terms(spec)]
@@ -309,18 +312,27 @@ def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
     zeros = 0 if f0 else 1
     if f0:
         marks[ctx._log(f0)] = 1
-    add, mul = ctx.add, ctx.mul
+    signed = [ctx.add if c == 1 else ctx.sub for c, _ in terms]
     powers = [1] * len(terms)  # alpha^(j e) for each term
     steps = [ctx.alpha_pow(e) for _, e in terms]
-    for _ in range(period):
-        y = 0
-        for (c, _), x in zip(terms, powers):
-            y = add(y, mul(c, x))
-        if y:
-            marks[ctx._log(y) % stride::stride] = ones
-        else:
-            zeros += n // period
-        powers = [mul(x, s) for x, s in zip(powers, steps)]
+    seen = bytearray(period)
+    for j in range(period):
+        if not seen[j]:
+            y = 0
+            for op, x in zip(signed, powers):
+                y = op(y, x)
+            i, log = j, ctx._log(y) if y else None
+            while not seen[i]:  # the orbit of j under i -> 3i mod P
+                seen[i] = 1
+                if y:
+                    marks[log % stride::stride] = ones
+                    log = 3 * log % stride
+                else:
+                    zeros += n // period
+                i = 3 * i % period
+            if 0 not in seen:
+                break
+        powers = [ctx.mul(x, s) for x, s in zip(powers, steps)]
     return zeros == 1 and 0 not in marks
 
 

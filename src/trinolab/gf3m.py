@@ -21,12 +21,13 @@ tables start from with polyring's division.  default_modulus(2k) searches
 for the lexicographically smallest f.
 
 A field checks k against max_k, picks or checks the modulus (one Rabin test
-per modulus) and finds the smallest primitive element alpha.  The one
-discrete log, FieldCtx._log (read by conjlab's direct route), takes two
-products and one conjugate_q per element off three tables of about q
-entries, built on first use, so no helper holds anything of the field's
-size.  Elements are plain ints throughout: the ctx methods take and return
-encodings.
+per modulus) and finds the smallest primitive element alpha.  Two tables of
+about q entries index the subgroups GF(q)* and mu_{q+1}, each built by one
+walk on first use.  The inverse and the one discrete log, FieldCtx._log
+(read by the direct route and the index-form criterion), take two products
+and one conjugate_q per element off them, and permtest.mu_enumerate reads
+mu_{q+1} off the second.  Elements are plain ints throughout: the ctx
+methods take and return encodings.
 """
 
 import itertools
@@ -89,11 +90,12 @@ def gf3_is_irreducible(f) -> bool:
     Probabilistic algorithms in finite fields).
 
     x^(3^i) mod f for i <= d is polyring's Frobenius chain over GF(3), and
-    the gcds are polyring's.
+    the gcds are polyring's.  Above degree 1 a root 0, 1 or -1 is a linear
+    factor, so f is refused first when c_0, sum c_i or sum (-1)^i c_i is 0.
     """
     f = Poly(_GF3, f)
-    d = f.degree
-    if d < 1:
+    c, d = f.coeffs, f.degree
+    if d < 1 or d > 1 and 0 in (c[0], sum(c) % 3, (sum(c[::2]) - sum(c[1::2])) % 3):
         return False
     chain = _frobenius_chain(f, d)
     x = chain[0]
@@ -160,7 +162,7 @@ _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
 # largest k a FieldCtx builds.  The set-up of its scalar ops holds about
 # 6 * 3^k Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
 # k = 10 on a 2-vCPU Xeon, and each k above triples it
-_TABLE_FREE_MAX_K = 10
+_SETUP_MAX_K = 10
 # largest k ctx_create builds, for the commands that run conjlab's direct
 # route: it marks every nonzero element in a bytearray of n = 3^2k - 1 bytes
 # (43 MB at k = 8).  At k = 9 the marks alone would take 0.39 GB, so k = 9
@@ -223,28 +225,31 @@ class FieldCtx:
     encoding's base-3 string.  The Frobenius y -> y^3 and y -> y^q are
     GF(3)-linear, each applied by one lookup in half tables of the images
     x^(3j) and x^(qj) mod f, built on first use; the e-fold Frobenius takes
-    e single cubes.  a^(-1) = a^q N(a)^(q-2), where the norm N(a) = a^(q+1)
-    lies in GF(q).
+    e single cubes.  The norm N(a) = a^(q+1) = a^q a lies in GF(q)*, the
+    powers of gamma = alpha^(q+1), so a^(-1) = a^q N(a)^(-1) = a^q
+    gamma^(-c) for c = log_gamma N(a): one conjugate_q, two products and two
+    lookups in _subgroup(q - 1).
 
-    k must lie in 1..max_k and 1.._TABLE_FREE_MAX_K, checked before any
+    k must lie in 1..max_k and 1.._SETUP_MAX_K, checked before any
     work; a given modulus must have trits in 0..2, be monic of degree m and
     pass one Rabin test, and None picks default_modulus(m).  Then it finds
     alpha, in about 1 ms.  The public attributes are k, m (= 2k), q (= 3^k),
     order (= 3^2k), modulus (monic GF(3) coefficient tuple, low degree
     first) and alpha (encoding of the smallest primitive element).
 
-    _log(a) reads log_alpha a off three tables of about q entries each,
-    built by its first call (see there).
+    _subgroup indexes GF(q)* and mu_{q+1}, and _log reads log_alpha a off
+    those two tables (see there), each built on first use.
     """
 
     _special: Optional[SpecialConstants] = None
-    _log_tables = None  # built by the first _log
+    _subgroups = None  # {d: (powers, logs)}, filled by _subgroup
+    _inverse_powers = None  # [alpha^(-i) for i < q - 1], built by the first _log
 
     def __init__(self, k: int, modulus=None, max_k: int = DEFAULT_MAX_K):
         m = _degree(k, max_k)
-        if k > _TABLE_FREE_MAX_K:
+        if k > _SETUP_MAX_K:
             raise ValueError(f"field order 3^{m} too large: the scalar ops' set-up grows "
-                             f"as 3^k and stops at k = {_TABLE_FREE_MAX_K}")
+                             f"as 3^k and stops at k = {_SETUP_MAX_K}")
         if modulus is None:
             f = Poly(_GF3, default_modulus(m))
         else:
@@ -331,7 +336,8 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("division by zero")
         conj = self.conjugate_q(a)
-        return self.mul(conj, self.pow(self.mul(conj, a), self.q - 2))
+        powers, logs = self._subgroup(self.q - 1)
+        return self.mul(conj, powers[-logs[self.mul(conj, a)]])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -423,7 +429,26 @@ class FieldCtx:
     def __repr__(self):
         return f"{type(self).__name__}(k={self.k}, modulus={format_modulus(self.modulus)})"
 
-    # -- the discrete log ---------------------------------------------------
+    # -- the subgroup tables and the discrete log ---------------------------
+
+    def _subgroup(self, d: int) -> tuple:
+        """([z^i for i < d], {z^i: i}) for z = alpha^(n/d), n = q^2 - 1 and d
+        dividing n, built by one walk on first use and then kept: GF(q)* is
+        d = q - 1 and mu_{q+1} is d = q + 1.  ValueError, and nothing kept,
+        unless the walk reaches d distinct values: for d = q - 1 and q + 1
+        both, that holds iff alpha is primitive."""
+        if self._subgroups is None:
+            self._subgroups = {}
+        if d not in self._subgroups:
+            z = self.pow(self.alpha, (self.order - 1) // d)
+            powers = list(itertools.accumulate(itertools.repeat(z, d - 1), self.mul,
+                                               initial=1))
+            logs = {x: i for i, x in enumerate(powers)}
+            if len(logs) != d:
+                raise ValueError(f"alpha = {self.alpha} is not primitive: "
+                                 f"{z} has order below {d}")
+            self._subgroups[d] = powers, logs
+        return self._subgroups[d]
 
     def _log(self, a: int) -> int:
         """log_alpha a, in [0, n), for a != 0 (n = q^2 - 1).
@@ -432,32 +457,17 @@ class FieldCtx:
         q + 1.  With L = log_alpha a, the norm N(a) = a^(q+1) = conjugate_q(a)
         a is gamma^L, so c = log_gamma N(a) = L mod (q - 1), and a alpha^(-c)
         = beta^t with t = (L - c) / (q - 1) in [0, q + 1).  So L = c +
-        (q - 1) t: two products, one conjugate_q and two lookups.  The tables
-        {gamma^i: i}, [alpha^(-i)] and {beta^t: t} come from one walk each,
-        and the walks of gamma and beta check that they reach q - 1 and
-        q + 1 distinct values, which holds iff alpha is primitive.
+        (q - 1) t: two products, one conjugate_q and three lookups.  c and t
+        are read off _subgroup(q - 1) and _subgroup(q + 1), and the list
+        [alpha^(-i)] is _log's own, from one walk.
         """
-        if self._log_tables is None:
-            q = self.q
-            gamma, beta = self.pow(self.alpha, q + 1), self.pow(self.alpha, q - 1)
-            self._log_tables = (self._walk(gamma, q - 1),
-                                list(self._walk(self.inv(self.alpha), q - 1)),
-                                self._walk(beta, q + 1))
-        norm_logs, inverse_powers, unit_logs = self._log_tables
+        q = self.q
+        norm_logs, unit_logs = self._subgroup(q - 1)[1], self._subgroup(q + 1)[1]
+        if self._inverse_powers is None:
+            self._inverse_powers = list(itertools.accumulate(
+                itertools.repeat(self.inv(self.alpha), q - 2), self.mul, initial=1))
         c = norm_logs[self.mul(self.conjugate_q(a), a)]
-        return c + (self.q - 1) * unit_logs[self.mul(a, inverse_powers[c])]
-
-    def _walk(self, g: int, count: int) -> dict:
-        """{g^i: i for i < count}; ValueError unless these are count
-        distinct values."""
-        logs, x = {}, 1
-        for i in range(count):
-            logs[x] = i
-            x = self.mul(x, g)
-        if len(logs) != count:
-            raise ValueError(f"alpha = {self.alpha} is not primitive: "
-                             f"{g} has order below {count}")
-        return logs
+        return c + (q - 1) * unit_logs[self.mul(a, self._inverse_powers[c])]
 
 
 def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:

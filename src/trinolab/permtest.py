@@ -17,12 +17,15 @@ from .polyring import Poly
 def mu_enumerate(ctx: FieldCtx, d: int) -> frozenset:
     """mu_d, the d-th roots of unity z^i for z = alpha^((order-1)/d) and i in
     0..d-1, as a frozenset, one product per element; d must divide order-1.
-    mu_(order-1) is every nonzero encoding, and takes no product."""
+    mu_(order-1) is every nonzero encoding, and takes no product, and
+    mu_(q+1) is read off the field's own table of it."""
     n = ctx.order - 1
     if not isinstance(d, int) or d < 1 or n % d != 0:
         raise ValueError(f"not a subgroup order: d={d} does not divide {n}")
     if d == n:
         return frozenset(range(1, ctx.order))
+    if d == ctx.q + 1:
+        return frozenset(ctx._subgroup(d)[0])
     z = ctx.alpha_pow(n // d)
     return frozenset(accumulate(repeat(z, d - 1), ctx.mul, initial=1))
 
@@ -89,18 +92,21 @@ def zieve_criterion(ctx: FieldCtx, r: int, d: int, h: Poly) -> tuple:
     cond2: x^r * h(x)^((order-1)/d) permutes mu_d; where h vanishes the image
     is None, and the map does not permute mu_d.
 
-    When h is over GF(3) (encodings below 3), the map takes x^3 to the cube
-    of x's image, so it is settled once per orbit by _settle_orbits;
-    otherwise at every x.
+    With z = alpha^((order-1)/d), the image of x = z^i is z^((i r + L) mod d)
+    for L = log_alpha h(x), as h(x)^((order-1)/d) = z^L: one ctx._log per x,
+    with i and z^j read off ctx._subgroup(d).  When h is over GF(3)
+    (encodings below 3), the map takes x^3 to the cube of x's image, so it
+    is settled once per orbit by _settle_orbits; otherwise at every x.
     """
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
     mu = mu_enumerate(ctx, d)  # validates that d divides order-1
     e = (ctx.order - 1) // d
+    powers, index = ctx._subgroup(d)
 
     def image(x: int) -> Optional[int]:
         hx = h.eval(x)
-        return ctx.mul(ctx.pow(x, r), ctx.pow(hx, e)) if hx else None
+        return powers[(index[x] * r + ctx._log(hx)) % d] if hx else None
 
     if all(c < 3 for c in h.coeffs):
         images = dict(_settle_orbits(ctx, mu, image, ctx.frobenius))

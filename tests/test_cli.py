@@ -348,7 +348,7 @@ def test_factors_runs_past_the_table_wall(capsys, k, family, t):
 
 
 def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
-    k = str(gf3m._TABLE_FREE_MAX_K + 1)
+    k = str(gf3m._SETUP_MAX_K + 1)
     start = time.perf_counter()
     code, _, err = run(capsys, "factors", "--k", k, "--max-k", k, "--family", "3",
                        "--t", "1")
@@ -743,7 +743,7 @@ def test_k_out_of_range_exits_one(capsys):
     assert code == 1 and "unsupported degree" in err
 
 
-def test_field_too_large_for_int32_tables_exits_one_at_once(capsys):
+def test_check_trinomial_refuses_k9_and_k10_at_once(capsys):
     # the direct route stops at k = 8: its marks would take 0.39 GB at
     # k = 9 and 3.5 GB at k = 10
     for k in ("10", "9"):

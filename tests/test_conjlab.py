@@ -193,6 +193,33 @@ def test_direct_route_memory_is_the_marks_plus_period_arrays(ctx_for, monkeypatc
         assert peak < n + 16 * ctx.q, (family, l, peak - n)
 
 
+@pytest.mark.parametrize("k", (4, 5, 6))
+def test_direct_route_takes_one_log_per_frobenius_orbit(ctx_for, monkeypatch, k):
+    # f has coefficients +/-1, so one _log settles a whole orbit of
+    # j -> 3j mod P, and f(0) may take one more
+    ctx = ctx_for(k)
+    n = ctx.order - 1
+    calls = 0
+    log = gf3m.FieldCtx._log
+
+    def counting(self, a):
+        nonlocal calls
+        calls += 1
+        return log(self, a)
+
+    monkeypatch.setattr(gf3m.FieldCtx, "_log", counting)
+    for family in FAMILIES:
+        for l in valid_ls(family, ctx, range(2, 8))[:2]:
+            spec = trinomial_family(family, l, ctx)
+            exps = [e % n for e in spec.exponents]
+            period = n // math.gcd(n, *(e - min(exps) for e in exps))
+            orbits = len({min(j * 3 ** i % period for i in range(ctx.m))
+                          for j in range(period)})
+            calls = 0
+            conjlab._direct_bijection(spec, ctx)
+            assert calls <= orbits + 1 < period, (family, l)
+
+
 def test_direct_route_does_not_read_the_index_form(ctx_for, monkeypatch):
     # _direct_bijection takes r and the period off the spec's own terms, so
     # a wrong decomposition moves only the index-form verdicts

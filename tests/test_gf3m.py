@@ -369,7 +369,7 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
 
     for name in ("default_modulus", "gf3_is_irreducible", "_digit_sums"):
         monkeypatch.setattr(gf3m, name, reached)
-    k = gf3m._TABLE_FREE_MAX_K
+    k = gf3m._SETUP_MAX_K
     start = time.perf_counter()
     with pytest.raises(ValueError, match="too large"):
         gf3m.FieldCtx(k + 1, max_k=k + 1)
@@ -380,10 +380,10 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
 
 def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
     # ctx_create(5) and its first _log hold nothing of the field's size:
-    # _log's three tables have q - 1, q - 1 and q + 1 entries, and the
-    # whole build keeps 141 KB and peaks 3 KB higher under tracemalloc,
-    # where an int64 n x m trit matrix takes 4.7 MB and one byte per
-    # element 59 KB
+    # the tables of GF(q)* and mu_{q+1} have q - 1 and q + 1 entries, each
+    # a list and a dict, and _log's own list q - 1; the whole build keeps
+    # 145 KB and peaks 0.4 KB higher under tracemalloc, where an int64
+    # n x m trit matrix takes 4.7 MB and one byte per element 59 KB
     gc.collect()
     tracemalloc.start()
     try:
@@ -394,7 +394,9 @@ def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
         tracemalloc.stop()
     n, m, q = ctx.order - 1, ctx.m, ctx.q
     assert ctx.alpha == 34
-    assert [len(t) for t in ctx._log_tables] == [q - 1, q - 1, q + 1]
+    assert {d: [len(t) for t in tables] for d, tables in ctx._subgroups.items()} \
+        == {q - 1: [q - 1, q - 1], q + 1: [q + 1, q + 1]}
+    assert len(ctx._inverse_powers) == q - 1
     assert peak < 2 ** 18 < n * m * 8
     assert peak - retained < n
 
@@ -420,22 +422,37 @@ def test_ctx_build_rejects_a_non_primitive_alpha(monkeypatch, k):
     square = ctx_create(k).alpha_pow(2)  # order n / 2
     monkeypatch.setattr(gf3m.FieldCtx, "_smallest_primitive", lambda self: square)
     ctx = ctx_create(k)
-    with pytest.raises(ValueError, match="not primitive"):
-        ctx._log(1)
-    assert ctx._log_tables is None  # no half-built tables are kept
+    for use in (ctx._log, ctx.inv, lambda a: ctx._subgroup(ctx.q + 1)):
+        with pytest.raises(ValueError, match="not primitive"):
+            use(1)
+    # no half-built tables are kept
+    assert ctx._subgroups == {} and ctx._inverse_powers is None
 
 
 def test_ctx_create_fills_no_tables(monkeypatch):
-    # the log tables are built by the first _log, not by the build
-    def no_walk(self, g, count):
-        raise AssertionError("a log table walk ran")
+    # the subgroup tables are built by the first inv or _log, not by the build
+    def no_walk(self, d):
+        raise AssertionError("a subgroup walk ran")
 
-    monkeypatch.setattr(gf3m.FieldCtx, "_walk", no_walk)
+    monkeypatch.setattr(gf3m.FieldCtx, "_subgroup", no_walk)
     for k in (1, 5, 6):
-        ctx = ctx_create(k)
-        assert ctx._log_tables is None
-        with pytest.raises(AssertionError, match="a log table walk ran"):
-            ctx._log(1)
+        for ctx in (ctx_create(k), gf3m.FieldCtx(k)):
+            assert ctx._subgroups is None and ctx._inverse_powers is None
+            for use in (ctx._log, ctx.inv):
+                with pytest.raises(AssertionError, match="a subgroup walk ran"):
+                    use(1)
+
+
+@pytest.mark.parametrize(("k", "modulus"),
+                         [(k, None) for k in (1, 2, 3, 4, 5, 6)] + OTHER_MODULI)
+def test_inv_matches_the_log_table_oracle(tables_for, k, modulus):
+    # every nonzero element up to k = 3, 2,000 seeded ones above
+    tables, ctx = tables_for(k, modulus), gf3m.FieldCtx(k, modulus)
+    elements = range(1, ctx.order)
+    if k > 3:
+        elements = random.Random(f"inv:{k}").sample(elements, 2000)
+    for a in elements:
+        assert ctx.inv(a) == tables.inv(a), a
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
