@@ -136,15 +136,13 @@ def parse_sweep_csv(text: str) -> list:
 # ---------------------------------------------------------------------------
 # command handlers; each returns (exit_code, report)
 
-def _make_ctx(args, make=None):
-    """The field of args, a gf3m.FieldCtx, built by make or by FieldCtx
-    itself.  Only check-trinomial passes gf3m.ctx_create, which refuses the
-    k its direct route does not reach before any work; sweep builds its
-    fields through conjlab.sweep, which does the same."""
+def _make_ctx(args):
+    """The field of args, a gf3m.FieldCtx, which refuses a k past --max-k or
+    past its own set-up bound before any work."""
     modulus = parse_modulus_arg(args.modulus)
     try:
         # looked up per call, as the handlers are in main
-        return (make or gf3m.FieldCtx)(args.k, modulus, args.max_k)
+        return gf3m.FieldCtx(args.k, modulus, args.max_k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -199,7 +197,7 @@ def _cmd_mu(args):
 
 
 def _cmd_check_trinomial(args):
-    ctx = _make_ctx(args, gf3m.ctx_create)
+    ctx = _make_ctx(args)
     try:
         spec = conjlab.trinomial_family(args.family, args.l, ctx)
     except ValueError as exc:

@@ -38,7 +38,7 @@ from itertools import zip_longest
 from math import gcd
 from typing import NamedTuple, Optional
 
-from .gf3m import DEFAULT_MAX_K, FieldCtx, ctx_create, format_modulus
+from .gf3m import DEFAULT_MAX_K, FieldCtx, format_modulus
 from .permtest import (MapReport, _settle_orbits, is_bijection_on, mu_enumerate,
                        zieve_criterion)
 from .polyring import Poly, quadratic_factors, roots_in_set
@@ -277,7 +277,7 @@ def g_permutes_mu(family: int, ctx: FieldCtx) -> MapReport:
 
 def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
     """Whether f permutes the field, from the logs of its images on one
-    period of alpha^j.
+    period of alpha^j, marked mod the period.
 
     r and the period are read off the spec's own terms, not off
     trinomial_decompose.  With n = ctx.order - 1, let r be the smallest
@@ -290,24 +290,31 @@ def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
     (Zieve 2009).  For the trinomial families every d_i is a multiple of
     q - 1, so P divides q + 1 (730 points at k = 6, against n = 531,440).
 
+    As a runs over the n / P cosets, the images' logs L_j + a r P mod n
+    run over the residue class of L_j mod the stride s = gcd(r P, n), a
+    multiple of P, each met s / P times.  So if s != P, f is no permutation:
+    a nonzero image is met at least twice, or all n >= 2 nonzero elements map
+    to 0.  If s = P, the classes of the nonzero f(alpha^j) are disjoint iff
+    their L_j mod P differ, and one mark per residue mod P holds the verdict.
+    f(0) != 0 needs a term x^0, so r = 0 and s = n: past the s = P test,
+    P = n, and its log is a mark of its own.
+
     f(alpha^j) is evaluated for j < P by stepping one running power per
-    term, and each nonzero value has its ctx._log L_j.  As a runs over the
-    n / P cosets, the images' logs L_j + a r P mod n are the residue class
-    of L_j mod the stride gcd(r P, n), each met stride / P times; one slice
-    assignment marks that class in a bytearray of one mark per log.  f has
-    coefficients +/-1, so f(y^3) = f(y)^3, and L_(3j mod P) is 3 L_j mod
-    the stride: _log is taken at the first j of each orbit of j -> 3j mod P,
-    the orbit is marked from it, and the walk stops once every orbit is.  A
-    zero at j is one along its orbit, each standing for n / P zero images,
-    and f(0) is counted as well.  The n + 1 images then permute the field
-    iff exactly one of them is 0 and every mark is set.
+    term, and each nonzero value has its ctx._log L_j.  f has coefficients
+    +/-1, so f(y^3) = f(y)^3, and L_(3j mod P) is 3 L_j mod P: _log is taken
+    at the first j of each orbit of j -> 3j mod P, the orbit is marked from
+    it, and the walk stops once every orbit is.  A zero at j is one along
+    its orbit, each standing for n / P zero images, and f(0) is counted as
+    well.  The n + 1 images then permute the field iff exactly one of them
+    is 0 and every mark is set.
     """
     n = ctx.order - 1
     terms = [(c, e % n) for c, e in _terms(spec)]
     r = min(e for _, e in terms)
     period = n // gcd(n, *(e - r for _, e in terms))
-    stride = gcd(r * period, n)
-    marks, ones = bytearray(n), b"\1" * (n // stride)
+    if gcd(r * period, n) != period:
+        return False
+    marks = bytearray(period)
     f0 = trinomial_map(spec, ctx)(0)
     zeros = 0 if f0 else 1
     if f0:
@@ -321,12 +328,12 @@ def _direct_bijection(spec: TrinomialSpec, ctx: FieldCtx) -> bool:
             y = 0
             for op, x in zip(signed, powers):
                 y = op(y, x)
-            i, log = j, ctx._log(y) if y else None
+            i, log = j, ctx._log(y) % period if y else None
             while not seen[i]:  # the orbit of j under i -> 3i mod P
                 seen[i] = 1
                 if y:
-                    marks[log % stride::stride] = ones
-                    log = 3 * log % stride
+                    marks[log] = 1
+                    log = 3 * log % period
                 else:
                     zeros += n // period
                 i = 3 * i % period
@@ -683,7 +690,7 @@ def sweep(family: int, k_list, l_list, modulus: Optional[tuple] = None,
     rows = []
     for k in sorted(set(k_list)):
         try:
-            ctx = ctx_create(k, modulus, max_k)
+            ctx = FieldCtx(k, modulus, max_k)
         except ValueError as exc:
             label = format_modulus(modulus) if modulus is not None else ""
             rows.extend(SweepRow(family, k, l, label, error=str(exc)) for l in ls)

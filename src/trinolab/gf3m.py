@@ -163,11 +163,6 @@ _TRIT_CHARS = bytes(ord("0") + v % 3 for v in range(256))
 # 6 * 3^k Python ints: 0.03-0.06 s and 39 MB of peak RSS for a whole factors run at
 # k = 10 on a 2-vCPU Xeon, and each k above triples it
 _SETUP_MAX_K = 10
-# largest k ctx_create builds, for the commands that run conjlab's direct
-# route: it marks every nonzero element in a bytearray of n = 3^2k - 1 bytes
-# (43 MB at k = 8).  At k = 9 the marks alone would take 0.39 GB, so k = 9
-# and up are refused before any work
-_DIRECT_MAX_K = 8
 
 
 def _digit_sums(rows: list) -> list:
@@ -471,14 +466,8 @@ class FieldCtx:
 
 
 def ctx_create(k: int, modulus=None, max_k: int = DEFAULT_MAX_K) -> FieldCtx:
-    """Build a GF(3^2k) context for the commands that run conjlab's direct
-    route, which marks every element: k above _DIRECT_MAX_K is refused
-    before any work.  modulus defaults to the lex-smallest irreducible."""
-    m = _degree(k, max_k)
-    if k > _DIRECT_MAX_K:
-        raise ValueError(f"field order 3^{m} too large: the direct route marks "
-                         f"all 3^{m} - 1 nonzero elements and stops at "
-                         f"k = {_DIRECT_MAX_K}")
+    """FieldCtx(k, modulus, max_k), kept as a public name; every command
+    builds its field through FieldCtx itself."""
     return FieldCtx(k, modulus, max_k)
 
 

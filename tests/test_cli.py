@@ -206,13 +206,12 @@ def _swap_in(patch, make):
 
 def _both_ways(capsys, monkeypatch, tables_for, argv):
     """(exit, stdout, stderr) of a command on FieldCtx's packed-int ops, with
-    gf3m.ctx_create and FieldCtx._log barred, and on the memoised log-table
-    oracle (conftest.LogTableCtx), swapped in for FieldCtx."""
+    FieldCtx._log barred, and on the memoised log-table oracle
+    (conftest.LogTableCtx), swapped in for FieldCtx."""
     def no_tables(*args):
-        raise AssertionError(f"{argv[0]} built a direct-route context or took a log")
+        raise AssertionError(f"{argv[0]} took a log")
 
     with monkeypatch.context() as patch:
-        patch.setattr(gf3m, "ctx_create", no_tables)
         patch.setattr(gf3m.FieldCtx, "_log", no_tables)
         free = run(capsys, *argv)
     with monkeypatch.context() as patch:
@@ -359,10 +358,13 @@ def test_factors_past_the_table_free_bound_exits_one_at_once(capsys):
 @pytest.mark.parametrize("argv", (("check-trinomial", "--family", "2", "--l", "2"),
                                   ("sweep", "--family", "2", "--l", "2")),
                          ids=lambda argv: argv[0])
-def test_table_commands_refuse_k9_at_once(capsys, argv):
-    # check-trinomial exits 1; sweep reports the refusal as an error row
+def test_direct_route_commands_refuse_k_past_the_setup_bound_at_once(capsys, argv):
+    # the direct route reaches every k FieldCtx builds, so k = 11 is refused
+    # by FieldCtx's own bound, as for factors: check-trinomial exits 1, and
+    # sweep reports the refusal as an error row
+    k = str(gf3m._SETUP_MAX_K + 1)
     start = time.perf_counter()
-    code, out, err = run(capsys, argv[0], "--k", "9", "--max-k", "9", *argv[1:],
+    code, out, err = run(capsys, argv[0], "--k", k, "--max-k", k, *argv[1:],
                          "--format", "json")
     assert time.perf_counter() - start < 1
     if argv[0] == "sweep":
@@ -419,10 +421,15 @@ print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss]))
     ("lemma-verify --k 9 --family 3", 300),
     # 45 MB measured in a fresh process
     ("uv-scan --k 9", 100),
+    # the direct route marks P <= q + 1 residues; exit 0 means the three
+    # routes agree and the claim holds
+    ("check-trinomial --k 9 --family 2 --l 2", 100),
+    ("check-trinomial --k 10 --family 2 --l 2", 150),
 ), ids=("field-info-k9", "field-info-k10", "check-g-k9", "count-roots-k9",
-        "lemma-verify-k9", "uv-scan-k9"))
+        "lemma-verify-k9", "uv-scan-k9", "check-trinomial-k9", "check-trinomial-k10"))
 def test_core_commands_run_past_the_table_wall(argv, peak_mb):
-    # the tables would take about 3.1 GB at k = 9; these commands fill none
+    # no command holds anything of the field's size n = 3^2k - 1, so every
+    # one runs at k = 9 and 10 within a bounded peak RSS
     k = argv.split()[2]
     proc = subprocess.run([sys.executable, "-c", RSS_PROBE, *argv.split(),
                            "--max-k", k], capture_output=True, text=True, timeout=120)
@@ -743,17 +750,6 @@ def test_k_out_of_range_exits_one(capsys):
     assert code == 1 and "unsupported degree" in err
 
 
-def test_check_trinomial_refuses_k9_and_k10_at_once(capsys):
-    # the direct route stops at k = 8: its marks would take 0.39 GB at
-    # k = 9 and 3.5 GB at k = 10
-    for k in ("10", "9"):
-        start = time.perf_counter()
-        code, _, err = run(capsys, "check-trinomial", "--k", k, "--max-k", k,
-                           "--family", "2", "--l", "2")
-        assert code == 1 and "too large" in err
-        assert time.perf_counter() - start < 1
-
-
 def test_t_outside_mu_exits_one(capsys):
     code, _, err = run(capsys, "count-roots", "--k", "1", "--family", "2",
                        "--t", "4")
@@ -823,18 +819,21 @@ def test_check_g_and_count_roots_agree_on_every_claim(capsys, monkeypatch,
             assert code_g == (2 if vanishing and claimed else 0), (k, family)
 
 
-def test_commands_build_fields_through_the_current_ctx_create(capsys, monkeypatch):
+def test_commands_build_fields_through_the_current_FieldCtx(capsys, monkeypatch):
     # a wrapper installed after import (a tracer, a test double) sees every
     # field a command builds
     calls = []
-    plain = gf3m.ctx_create
+    plain = gf3m.FieldCtx
 
     def counted(*args):
         calls.append(args)
         return plain(*args)
-    monkeypatch.setattr(gf3m, "ctx_create", counted)
-    code, _, _ = run(capsys, "check-trinomial", "--k", "1", "--family", "2", "--l", "2")
-    assert code == 0 and calls == [(1, None, 6)]
+    monkeypatch.setattr(gf3m, "FieldCtx", counted)
+    for argv in (("check-trinomial", "--k", "1", "--family", "2", "--l", "2"),
+                 ("check-g", "--k", "2", "--family", "3")):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [(int(argv[2]), None, 6)], argv
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
@@ -1004,7 +1003,7 @@ with contextlib.redirect_stdout(out):
     code = cli.main(["field-info", "--k", "6"])
 tracemalloc.start()
 try:
-    gf3m.ctx_create(9, max_k=9)
+    gf3m.ctx_create(11, max_k=11)
     error = None
 except ValueError as exc:
     error = str(exc)
@@ -1014,7 +1013,7 @@ print(json.dumps([alphas, code, out.getvalue(), error, peak]))
 
 
 def test_fields_build_without_numpy(capsys):
-    # building a field needs no numpy, and ctx_create refuses k = 9 before
+    # building a field needs no numpy, and ctx_create refuses k = 11 before
     # any work
     proc = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE],
                           capture_output=True, text=True, timeout=120)
@@ -1023,7 +1022,7 @@ def test_fields_build_without_numpy(capsys):
     assert alphas == [ctx_create(k).alpha for k in range(1, 7)]
     assert (code, out) == run(capsys, "field-info", "--k", "6")[:2]
     with pytest.raises(ValueError) as info:
-        ctx_create(9, max_k=9)
+        ctx_create(11, max_k=11)
     assert error == str(info.value) and "too large" in error
     assert peak < 2 ** 20
 

@@ -162,23 +162,23 @@ def test_direct_bijection_matches_the_per_point_oracle_on_hand_built_specs(ctx_f
         assert conjlab._direct_bijection(spec, ctx) is oracle, spec
         exps = [e % n for e in spec.exponents]
         period = n // math.gcd(n, *(e - min(exps) for e in exps))
+        stride = math.gcd(min(exps) * period, n)
         seen.update({("verdict", oracle), ("f(0)", fn(0) != 0), ("P", period),
+                     ("stride", stride == period),
                      ("zero image", any(fn(x) == 0 for x in range(1, ctx.order)))})
     assert {("verdict", True), ("verdict", False), ("f(0)", True), ("P", n),
-            ("P", 1), ("zero image", True)} <= seen
+            ("P", 1), ("stride", True), ("stride", False), ("zero image", True)} <= seen
 
 
 def test_direct_route_memory_is_the_marks_plus_period_arrays(ctx_for, monkeypatch):
-    # at k = 6 the direct route holds one mark per nonzero element (n =
-    # 531,440 bytes), the slice of ones it assigns (n / gcd(r P, n) bytes,
-    # 728 or 1,456 here) and a few small objects: 2.9-5.2 KB beyond the
-    # marks, measured with the log tables already built, so 16 q = 11.7 KB
-    # bounds it.  One more mark array, or a list of the images' logs (P =
-    # 730 ints, about 26 KB), would exceed the bound.  The index-form
-    # criterion is stubbed out: its q + 1 dict and set entries peak higher
-    # than the route itself
+    # at k = 6 the direct route holds one mark per residue mod P and one
+    # seen flag per j < P (P = 730 bytes each here) and a few small objects:
+    # 3.7-4.5 KB in all, measured with the log tables already built, so
+    # 16 q = 11.7 KB bounds it.  One mark per nonzero element (n = 531,440
+    # bytes), or a list of the images' logs (P = 730 ints, about 26 KB),
+    # would exceed the bound.  The index-form criterion is stubbed out: its
+    # q + 1 dict and set entries peak higher than the route itself
     ctx = ctx_for(6)
-    n = ctx.order - 1
     monkeypatch.setattr(conjlab, "zieve_criterion", lambda ctx, r, d, h: (True, True))
     for family, l in ((1, 2), (3, 5)):
         spec = trinomial_family(family, l, ctx)
@@ -190,7 +190,7 @@ def test_direct_route_memory_is_the_marks_plus_period_arrays(ctx_for, monkeypatc
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < n + 16 * ctx.q, (family, l, peak - n)
+        assert peak < 16 * ctx.q, (family, l, peak)
 
 
 @pytest.mark.parametrize("k", (4, 5, 6))
@@ -218,6 +218,15 @@ def test_direct_route_takes_one_log_per_frobenius_orbit(ctx_for, monkeypatch, k)
             calls = 0
             conjlab._direct_bijection(spec, ctx)
             assert calls <= orbits + 1 < period, (family, l)
+    # x^(q+1) + x^(2q+2) + x^(3q+3) has r = q + 1 and P = q - 1, so the
+    # stride gcd(r P, n) = n != P: each image is met q + 1 times, and the
+    # verdict needs no log at all, nor the subgroup tables _log would build
+    fresh = gf3m.FieldCtx(k)
+    spec = conjlab.TrinomialSpec(0, 0, ctx.q, tuple(i * (ctx.q + 1) for i in (1, 2, 3)),
+                                 (1, 1, 1), True)
+    calls = 0
+    assert conjlab._direct_bijection(spec, fresh) is False
+    assert calls == 0 and fresh._subgroups is None
 
 
 def test_direct_route_does_not_read_the_index_form(ctx_for, monkeypatch):
@@ -1081,10 +1090,10 @@ def test_sweep_is_deterministic():
 
 
 def test_sweep_builds_each_field_and_harvest_once_per_call(monkeypatch):
-    # one ctx_create per distinct k (k = 7 fails once, not once per l) and one
+    # one FieldCtx per distinct k (k = 7 fails once, not once per l) and one
     # harvest per k with a valid l; nothing is kept between calls
     counts = {"ctx": 0, "harvest": 0}
-    plain_ctx, plain_harvest = conjlab.ctx_create, conjlab.harvest_witnesses
+    plain_ctx, plain_harvest = conjlab.FieldCtx, conjlab.harvest_witnesses
 
     def counted_ctx(*args):
         counts["ctx"] += 1
@@ -1093,7 +1102,7 @@ def test_sweep_builds_each_field_and_harvest_once_per_call(monkeypatch):
     def counted_harvest(*args):
         counts["harvest"] += 1
         return plain_harvest(*args)
-    monkeypatch.setattr(conjlab, "ctx_create", counted_ctx)
+    monkeypatch.setattr(conjlab, "FieldCtx", counted_ctx)
     monkeypatch.setattr(conjlab, "harvest_witnesses", counted_harvest)
     for _ in range(2):
         counts.update(ctx=0, harvest=0)

@@ -87,28 +87,9 @@ def test_ctx_rejects_degree_outside_range(k):
         ctx_create(k)
 
 
-@pytest.mark.parametrize(("k", "modulus"),
-                         ((10, None), (10, (2,) + (0,) * 19 + (1,)), (9, None)),
-                         ids=("None", "modulus1", "k9"))
-def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, k, modulus):
-    # 3^20 - 1 >= 2^31, and the k = 9 tables would take about 3.1 GB: refused
-    # before the modulus search, the irreducibility test of a given modulus,
-    # or any table allocation
-    def forbidden(*args):
-        raise AssertionError("field construction started")
-
-    for name in ("default_modulus", "gf3_is_irreducible", "_factorize"):
-        monkeypatch.setattr(gf3m, name, forbidden)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="too large"):
-        ctx_create(k, modulus, max_k=k)
-    assert time.perf_counter() - start < 1
-
-
 @pytest.mark.parametrize("k", (7, 8))
 def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
-    # about 38 MB and 0.34 GB of tables: both reach the modulus search,
-    # stopped here before any allocation
+    # both reach the modulus search, stopped here before any set-up
     class Reached(Exception):
         pass
 
@@ -367,15 +348,21 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
     def reached(*args):
         raise Reached
 
-    for name in ("default_modulus", "gf3_is_irreducible", "_digit_sums"):
+    # k = 11 is refused before the modulus search, the irreducibility test
+    # of a given modulus or any set-up, through FieldCtx and ctx_create
+    # alike; k = 9 and 10 reach the modulus search
+    for name in ("default_modulus", "gf3_is_irreducible", "_factorize", "_digit_sums"):
         monkeypatch.setattr(gf3m, name, reached)
     k = gf3m._SETUP_MAX_K
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="too large"):
-        gf3m.FieldCtx(k + 1, max_k=k + 1)
-    assert time.perf_counter() - start < 1
-    with pytest.raises(Reached):  # k = 10 reaches the modulus search
-        gf3m.FieldCtx(k, max_k=k)
+    for make in (gf3m.FieldCtx, ctx_create):
+        for modulus in (None, (2,) + (0,) * (2 * k + 1) + (1,)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="too large"):
+                make(k + 1, modulus, max_k=k + 1)
+            assert time.perf_counter() - start < 1
+        for reachable in (k - 1, k):
+            with pytest.raises(Reached):
+                make(reachable, max_k=reachable)
 
 
 def test_ctx_build_transient_memory_is_below_one_int64_trit_matrix():
