@@ -87,6 +87,23 @@ def test_ctx_rejects_degree_outside_range(k):
         ctx_create(k)
 
 
+@pytest.mark.parametrize("modulus", (None, (2,) + (0,) * 21 + (1,)), ids=("None", "modulus1"))
+def test_ctx_refuses_int32_overflow_before_any_work(monkeypatch, modulus):
+    # past _SETUP_MAX_K = 10 (3^22 - 1 >= 2^31, and the set-up would triple
+    # per k): refused before the modulus search, the irreducibility test of
+    # a given modulus, or any set-up
+    def forbidden(*args):
+        raise AssertionError("field construction started")
+
+    for name in ("default_modulus", "gf3_is_irreducible", "_factorize", "_digit_sums"):
+        monkeypatch.setattr(gf3m, name, forbidden)
+    k = gf3m._SETUP_MAX_K + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        ctx_create(k, modulus, max_k=k)
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("k", (7, 8))
 def test_ctx_memory_guard_lets_k7_and_k8_through(monkeypatch, k):
     # both reach the modulus search, stopped here before any set-up
@@ -349,17 +366,18 @@ def test_table_free_ctx_refuses_k_past_its_bound_before_any_work(monkeypatch):
         raise Reached
 
     # k = 11 is refused before the modulus search, the irreducibility test
-    # of a given modulus or any set-up, through FieldCtx and ctx_create
-    # alike; k = 9 and 10 reach the modulus search
+    # of a given modulus or any set-up (ctx_create's refusal is checked
+    # above); k = 9 and 10 reach the modulus search, through FieldCtx and
+    # ctx_create alike
     for name in ("default_modulus", "gf3_is_irreducible", "_factorize", "_digit_sums"):
         monkeypatch.setattr(gf3m, name, reached)
     k = gf3m._SETUP_MAX_K
+    for modulus in (None, (2,) + (0,) * (2 * k + 1) + (1,)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large"):
+            gf3m.FieldCtx(k + 1, modulus, max_k=k + 1)
+        assert time.perf_counter() - start < 1
     for make in (gf3m.FieldCtx, ctx_create):
-        for modulus in (None, (2,) + (0,) * (2 * k + 1) + (1,)):
-            start = time.perf_counter()
-            with pytest.raises(ValueError, match="too large"):
-                make(k + 1, modulus, max_k=k + 1)
-            assert time.perf_counter() - start < 1
         for reachable in (k - 1, k):
             with pytest.raises(Reached):
                 make(reachable, max_k=reachable)
